@@ -4,15 +4,22 @@ Elements are finite linear combinations of paths (mixed degrees are
 allowed so the filtered picture can reuse the container).  The product
 is concatenation, the involution reverses paths, and the trace sums
 Temperley-Lieb pairings weighted by Kreweras-complement mu-factors.
+
+Each Kreweras class of a pairing that matches edges as mutual reversals
+carries a single vertex, so a pairing weighs
+prod_i mu(v_i)^-1 * prod_classes mu^2(v_class), with v_i the vertex
+after edge i.  Splitting a pairing at the partner of its first edge
+(first-return decomposition) turns the Catalan-sized sum into an
+O(n^3) interval recursion, so :func:`tau` has no length cap.
+:func:`tau_pairing` keeps the single-diagram term as the oracle.
 """
 
 from __future__ import annotations
 
+import math
+
 from .graphs import Graph, GraphError, Path, vertex_path
 from . import noncross
-
-# Paths longer than this make the TL sum in tau explode; guard it.
-DEFAULT_TAU_CAP = 16
 
 
 class GradedElement:
@@ -185,29 +192,61 @@ def tau_pairing(graph: Graph, t: noncross.NCPartition, path: Path) -> float:
     return out
 
 
-def tau_path(graph: Graph, path: Path, cap: int = DEFAULT_TAU_CAP) -> float:
+def _face_sum(graph: Graph, path: Path) -> float:
+    """Sum over reversal-matched pairings of the product of face weights mu^2.
+
+    With edges e_1..e_n and v_i the vertex after edge i, f[i][j] sums the
+    pairings of e_{i+1}..e_j: F(i,i) = 1, F(i,j) = 0 when v_i != v_j, and
+    otherwise e_{i+1} pairs with some e_k = rev(e_{i+1}), closing the face
+    at v_{i+1}:
+    F(i,j) = mu^2(v_{i+1}) * sum_k F(i+1,k-1) * F(k,j), k = i+2, i+4, ..., j.
+    """
+    n, v, e = path.length, path.vertices, path.edges
+    mu2, erev = graph.mu2, graph.erev
+    f = [[0.0] * (n + 1) for _ in range(n + 1)]
+    f[n][n] = 1.0
+    for i in range(n - 1, -1, -1):
+        f[i][i] = 1.0
+        back = erev[e[i]]
+        partners = [k for k in range(i + 2, n + 1, 2) if e[k - 1] == back]
+        if not partners:
+            continue
+        inner, outer, face = f[i + 1], f[i], mu2[v[i + 1]]
+        for j in range(partners[0], n + 1, 2):
+            if v[j] == v[i]:
+                s = 0.0
+                for k in partners:
+                    if k > j:
+                        break
+                    s += inner[k - 1] * f[k][j]
+                outer[j] = face * s
+    return f[0][n]
+
+
+def tau_path(graph: Graph, path: Path) -> float:
+    """Trace of one path: mu^2(v_0) * F(0,n) / prod_{i=1..n} mu(v_i).
+
+    Open and odd-length paths give 0.
+    """
     if path.length == 0:
         return graph.mu2[path.start]
-    if path.length % 2:
+    if path.length % 2 or path.start != path.finish:
         return 0.0
-    if path.length > cap:
-        raise GraphError(
-            f"tau on degree {path.length} exceeds the cap {cap}")
     key = ("tau", path)
     val = graph._cache.get(key)
     if val is None:
-        val = sum(tau_pairing(graph, t, path)
-                  for t in noncross.enumerate_tl(path.length))
+        denom = math.prod(graph.mu(x) for x in path.vertices[1:])
+        val = graph.mu2[path.start] * _face_sum(graph, path) / denom
         graph._cache[key] = val
     return val
 
 
-def tau(x: GradedElement, cap: int = DEFAULT_TAU_CAP) -> float:
+def tau(x: GradedElement) -> float:
     """The normalized trace: TL-pairing sum on each path, linearly extended.
 
     Vanishes in odd degrees; tau(unit) = 1.
     """
-    return sum(c * tau_path(x.graph, p, cap) for p, c in x.terms.items())
+    return sum(c * tau_path(x.graph, p) for p, c in x.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +271,8 @@ def corner(x: GradedElement, side) -> GradedElement:
                                    if p.start in keep and p.finish in keep})
 
 
-def corner_trace(x: GradedElement, side, cap: int = DEFAULT_TAU_CAP) -> float:
+def corner_trace(x: GradedElement, side) -> float:
     """Trace of the corner, rescaled to be 1 on the corner unit."""
     keep = _corner_vertices(x.graph, side)
     mass = sum(x.graph.mu2[v] for v in keep)
-    return tau(corner(x, side), cap) / mass
+    return tau(corner(x, side)) / mass

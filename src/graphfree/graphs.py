@@ -271,8 +271,11 @@ def build_graph(vertices, edges, star=None, tol: float = DEFAULT_TOL) -> Graph:
         for w in weights:
             if not w > 0:
                 raise GraphError("vertex weights must be positive")
-        total = sum(weights)
-        mu2 = [w / total for w in weights]
+        # scale by the largest weight first so that huge weights cannot overflow the sum
+        top = max(weights)
+        scaled = [w / top for w in weights]
+        total = sum(scaled)
+        mu2 = [w / total for w in scaled]
     else:
         n = max(len(ids), 1)
         mu2 = [1.0 / n] * len(ids)
@@ -313,6 +316,22 @@ _SPEC_VERTEX_FIELDS = {"id", "parity", "weight2"}
 _SPEC_EDGE_FIELDS = {"u", "v", "mult"}
 
 
+def _finite_positive(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x) and x > 0
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_spec_id(x, what: str):
+    # Integer ids would be read as vertex indices by Graph.index, and the
+    # reports join ids as text, so the spec takes strings only.
+    if not isinstance(x, str):
+        raise GraphError(f"{what} must be a string, got {x!r}")
+
+
 def graph_from_spec(record: dict, tol: float = DEFAULT_TOL):
     """Parse the external graph-spec record.
 
@@ -340,6 +359,10 @@ def graph_from_spec(record: dict, tol: float = DEFAULT_TOL):
             raise GraphError(f"unknown vertex fields: {sorted(extra)}")
         if "id" not in v or "parity" not in v:
             raise GraphError("vertex entries need 'id' and 'parity'")
+        _check_spec_id(v["id"], "vertex id")
+        w2 = v.get("weight2")
+        if w2 is not None and not _finite_positive(w2):
+            raise GraphError(f"weight2 must be a finite positive number, got {w2!r}")
     for e in es:
         if not isinstance(e, dict):
             raise GraphError("edge entries must be mappings")
@@ -348,6 +371,11 @@ def graph_from_spec(record: dict, tol: float = DEFAULT_TOL):
             raise GraphError(f"unknown edge fields: {sorted(extra)}")
         if "u" not in e or "v" not in e:
             raise GraphError("edge entries need 'u' and 'v'")
+        _check_spec_id(e["u"], "edge endpoint")
+        _check_spec_id(e["v"], "edge endpoint")
+        mult = e.get("mult", 1)
+        if not (isinstance(mult, int) and not isinstance(mult, bool) and mult >= 1):
+            raise GraphError(f"edge mult must be an integer >= 1, got {mult!r}")
     weighted = [v for v in vs if v.get("weight2") is not None]
     if weighted and len(weighted) != len(vs):
         raise GraphError("either every vertex or none carries weight2")
@@ -474,10 +502,6 @@ def enumerate_paths(graph: Graph, start=None, length: int = 0, finish=None) -> l
         extend([v0], [])
     graph._cache[key] = out
     return out
-
-
-def count_paths(graph: Graph, start, length: int, finish) -> int:
-    return len(enumerate_paths(graph, start, length, finish))
 
 
 # ---------------------------------------------------------------------------

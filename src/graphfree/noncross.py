@@ -68,17 +68,27 @@ def nc_zero(n: int) -> NCPartition:
 
 
 def _noncrossing(blocks) -> bool:
-    # i < k < j < l with {i,j} and {k,l} in different blocks is forbidden
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            merged = sorted((x, 0) for x in blocks[a])
-            merged += sorted((x, 1) for x in blocks[b])
-            merged.sort()
-            tags = [t for _, t in merged]
-            # crossing iff the tag word contains the pattern 0101 or 1010
-            switches = sum(1 for s, t in zip(tags, tags[1:]) if s != t)
-            if switches >= 3:
+    """One pass over the points with a stack of open blocks.
+
+    Blocks are sorted tuples of positive integers.  A block opens at its
+    first point and pops at its last; it may be re-entered only while it
+    is on top.  Re-entering a lower block means the block above it opened
+    in between and closes later, i.e. the two cross.
+    """
+    owner = [-1] * (max((b[-1] for b in blocks if b), default=0) + 1)
+    for i, b in enumerate(blocks):
+        for x in b:
+            owner[x] = i
+    stack = []
+    for x, i in enumerate(owner):
+        if i < 0:
+            continue
+        if not stack or stack[-1] != i:
+            if x != blocks[i][0]:
                 return False
+            stack.append(i)
+        if x == blocks[i][-1]:
+            stack.pop()
     return True
 
 

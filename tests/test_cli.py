@@ -100,3 +100,45 @@ def test_verify_json_schema(capsys):
 
 def test_missing_graph_is_input_error(capsys):
     assert main(["trace", "--loop", "v,w,v"]) == 2
+
+
+def _spec(vertex_fields=None, edge_fields=None):
+    spec = json.loads(A2_SPEC)
+    spec["vertices"][0].update(vertex_fields or {})
+    spec["edges"][0].update(edge_fields or {})
+    return spec
+
+
+@pytest.mark.parametrize("spec", [
+    _spec(edge_fields={"mult": "2"}),
+    _spec(edge_fields={"mult": 1.7}),
+    _spec(edge_fields={"mult": True}),
+    _spec(edge_fields={"mult": 0}),
+    _spec(edge_fields={"u": ["v"]}),
+    _spec(vertex_fields={"weight2": "0.5"}),
+    _spec(vertex_fields={"weight2": True}),
+    _spec(vertex_fields={"weight2": float("nan")}),
+    _spec(vertex_fields={"weight2": float("inf")}),
+    _spec(vertex_fields={"id": ["a"]}),
+    _spec(vertex_fields={"id": True}),
+    _spec(vertex_fields={"id": 0}),
+], ids=["mult-str", "mult-float", "mult-bool", "mult-zero", "endpoint-list",
+        "weight2-str", "weight2-bool", "weight2-nan", "weight2-inf", "id-list", "id-bool",
+        "id-int"])
+def test_bad_spec_is_input_error(tmp_path, capsys, spec):
+    f = tmp_path / "bad.graph"
+    f.write_text(json.dumps(spec))
+    assert main(["trace", str(f), "--loop", "v,w,v"]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
+def test_huge_weights_normalize(tmp_path, capsys):
+    spec = _spec()
+    for v in spec["vertices"]:
+        v["weight2"] = 1e308
+    f = tmp_path / "huge.graph"
+    f.write_text(json.dumps(spec))
+    assert main(["trace", str(f), "--loop", "v,w,v", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["trace"][0]["pairing_trace"] == pytest.approx(0.5)

@@ -2,9 +2,10 @@ import pytest
 
 from graphfree import noncross as ncx
 from graphfree.gralg import (GradedElement, bullet_mul, corner, corner_trace,
-                             e_parity, e_vertex, star, tau, tau_pairing, unit)
-from graphfree.graphs import GraphError, enumerate_paths
-from graphfree.verification import random_element
+                             e_parity, e_vertex, star, tau, tau_pairing, tau_path,
+                             unit)
+from graphfree.graphs import GraphError, enumerate_paths, named_graph, two_vertex_graph
+from graphfree.verification import random_element, standard_graphs
 
 
 def test_bullet_examples(a2):
@@ -72,10 +73,38 @@ def test_tau_traciality(battery, rng):
             assert abs(tau(bullet_mul(x, y)) - tau(bullet_mul(y, x))) < 1e-9
 
 
-def test_degree_cap_guard(a2):
-    long_loop = a2.path_from_vertices(["v0", "v1"] * 9 + ["v0"])
-    with pytest.raises(GraphError):
-        tau(GradedElement.basis(a2, long_loop))
+def _pairing_sum(g, p):
+    if p.length % 2:
+        return 0.0
+    return sum(tau_pairing(g, t, p) for t in ncx.enumerate_tl(p.length))
+
+
+def _paths(g, lengths, loops_only=False):
+    for n in lengths:
+        for v in range(g.n_vertices):
+            yield from enumerate_paths(g, v, n, v if loops_only else None)
+
+
+def test_tau_recursion_matches_pairing_sum():
+    # (graph, lengths, loops only); sizes keep the oracle's Catalan sum cheap.
+    # Length 0 is left out: the oracle's empty pairing has no Kreweras class,
+    # so it gives 1 where the trace is mu^2(v_0) (test_tau_values_a2 covers it).
+    cases = [(g, range(1, 11), False) for g in standard_graphs().values()]
+    cases += [(two_vertex_graph(2, 0.3, 0.7), range(1, 11), False),
+              (two_vertex_graph(3, 0.3, 0.7), range(1, 9), False),
+              (named_graph("a3"), [12], True)]
+    for g, lengths, loops_only in cases:
+        for p in _paths(g, lengths, loops_only):
+            assert tau_path(g, p) == pytest.approx(_pairing_sum(g, p), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m", [9, 20])
+def test_tau_alternating_loop_is_half_catalan(a2, m):
+    # every pairing of the a2 loop weighs 1/2; length 40 is far past any
+    # pairing enumeration
+    loop = a2.path_from_vertices(["v0", "v1"] * m + ["v0"])
+    got = tau(GradedElement.basis(a2, loop))
+    assert got == pytest.approx(ncx.catalan(m) / 2, rel=1e-12)
 
 
 def test_corner_examples(a2):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,3 +147,22 @@ def test_noncrossing_validation():
         ncx.nc(4, [(1, 3), (2, 4)])
     with pytest.raises(ValueError):
         ncx.nc(3, [(1, 2)])
+
+
+def _crosses(blocks):
+    # reference: some i < k < j < l with {i, j} in one block and {k, l} in another
+    for a, b in itertools.permutations(blocks, 2):
+        for i, j in itertools.combinations(sorted(a), 2):
+            for k, l in itertools.combinations(sorted(b), 2):
+                if i < k < j < l:
+                    return True
+    return False
+
+
+def test_noncrossing_scan_against_four_index_test():
+    total = 0
+    for n in range(9):
+        for bs in ncx.enumerate_set_partitions(n):
+            total += 1
+            assert ncx.is_noncrossing(bs) == (not _crosses(bs)), bs
+    assert total == 5296
