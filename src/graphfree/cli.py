@@ -16,7 +16,7 @@ import numpy as np
 
 from . import cumulants, factors, falg, verification
 from .graphs import (Graph, GraphError, enumerate_paths, graph_from_spec,
-                     named_graph, pf_weighting)
+                     named_graph, normalize_weights, pf_weighting)
 from .gralg import GradedElement, tau
 
 EXIT_OK = 0
@@ -52,8 +52,7 @@ def _load_graph(args) -> Graph:
             raise CliError(f"bad --weights: {exc}") from exc
         if len(raw) != g.n_vertices:
             raise CliError(f"--weights needs {g.n_vertices} values")
-        total = sum(raw)
-        g = g.with_mu2([x / total for x in raw])
+        g = g.with_mu2(normalize_weights(raw))
     if getattr(args, "pf", False):
         try:
             g, _ = pf_weighting(g)

@@ -1,12 +1,13 @@
 """Operator-valued moments and free cumulants over the degree-zero corner.
 
 The base algebra is spanned by the even vertex idempotents, so its
-elements are vertex-indexed coefficient maps.  Moments of tuples of
-length-2 paths sum all full cap diagrams on the concatenation; the
-cumulants come out of Mobius inversion over non-crossing partitions
-and, independently, from a one-diagram closed form supported on starry
-composites.  Vanishing of the mixed cumulants certifies freeness with
-amalgamation of the single-hub subalgebras over the base.
+elements are vertex-indexed coefficient maps.  The moment of a tuple of
+length-2 paths is the trace of the concatenation read off at its base
+vertex (t o Phi = tau); the cumulants come out of Mobius inversion over
+non-crossing partitions and, independently, from a one-diagram closed
+form supported on starry composites.  Vanishing of the mixed cumulants
+certifies freeness with amalgamation of the single-hub subalgebras over
+the base.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, Path
-from .gralg import GradedElement, tau
+from .gralg import GradedElement, tau, tau_path
 from . import epitl, noncross
 
 BElement = dict[int, float]  # vertex index -> coefficient of the idempotent
@@ -62,27 +63,19 @@ def _check_generators(graph: Graph, paths):
 
 
 def moment_phi(graph: Graph, paths) -> BElement:
-    """Base-valued moment: all full cap diagrams applied to the product.
+    """Base-valued moment: the trace of the product, read off at its base.
 
-    Equals the degree-zero component of the filtered image of the
-    concatenation; vanishes unless the paths compose into a loop.
+    A loop at v has moment tau(loop) / mu2(v) at v, the degree-zero
+    component of the filtered image of the concatenation; the moment
+    vanishes unless the paths compose into a loop.
     """
     _check_generators(graph, paths)
     composite = _compose_all(paths)
-    if composite is None:
+    if composite is None or composite.start != composite.finish:
         return {}
-    key = ("moment", composite)
-    cached = graph._cache.get(key)
-    if cached is None:
-        x = GradedElement.basis(graph, composite)
-        out: BElement = {}
-        for f in epitl.enumerate_hom(composite.length, 0):
-            img = epitl.act(f, x)
-            for q, c in img.terms.items():
-                out[q.start] = out.get(q.start, 0.0) + c
-        cached = {v: c for v, c in out.items() if c != 0}
-        graph._cache[key] = cached
-    return dict(cached)
+    v = composite.start
+    val = tau_path(graph, composite) / graph.mu2[v]
+    return {v: val} if val else {}
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +127,17 @@ def moment_pi(graph: Graph, pi: noncross.NCPartition, paths,
 
 def kappa_mobius(graph: Graph, paths) -> BElement:
     """Cumulant by Mobius inversion of the moment family over NC(n)."""
+    return kappa_of_moments(graph, lambda ps: moment_phi(graph, ps), paths)
+
+
+def kappa_of_moments(graph: Graph, kernel, paths) -> BElement:
+    """Mobius inversion: sum of mu(pi, 1_n) times the kernel's extension on pi."""
     n = len(paths)
     one = noncross.nc_one(n)
     out: BElement = {}
     for pi in noncross.enumerate_nc(n):
-        coeff = noncross.mobius_nc(pi, one)
-        out = b_add(out, b_scale(float(coeff), moment_pi(graph, pi, paths)))
+        coeff = float(noncross.mobius_nc(pi, one))
+        out = b_add(out, b_scale(coeff, multiplicative_extension(kernel, graph, pi, paths)))
     return out
 
 

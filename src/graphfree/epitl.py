@@ -11,6 +11,7 @@ exchange relation (oracle).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,15 +165,12 @@ def compose_by_rewriting(f: EpiMorphism, g: EpiMorphism) -> EpiMorphism:
     return EpiMorphism(g.source, f.target, tuple(idx))
 
 
+@functools.cache
 def enumerate_hom(n: int, m: int, nonnested_only: bool = False) -> list[EpiMorphism]:
     """All elements of Hom([n],[m]), optionally only the non-nested ones."""
     if n < m or (n - m) % 2:
         return []
     k = (n - m) // 2
-    key = ("hom", n, m, nonnested_only)
-    cached = _HOM_CACHE.get(key)
-    if cached is not None:
-        return cached
     out: list[EpiMorphism] = []
 
     def rec(j, prev, acc):
@@ -186,11 +184,7 @@ def enumerate_hom(n: int, m: int, nonnested_only: bool = False) -> list[EpiMorph
             acc.pop()
 
     rec(1, 0, [])
-    _HOM_CACHE[key] = out
     return out
-
-
-_HOM_CACHE: dict[tuple, list[EpiMorphism]] = {}
 
 
 # ---------------------------------------------------------------------------

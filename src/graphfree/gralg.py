@@ -183,6 +183,8 @@ def tau_pairing(graph: Graph, t: noncross.NCPartition, path: Path) -> float:
     n = path.length
     if t.n != n:
         raise GraphError("pairing size does not match path length")
+    if n == 0:
+        return graph.mu2[path.start]  # the empty pairing has one face, at v_0
     for a, b in t.blocks:
         if path.edges[a - 1] != graph.erev[path.edges[b - 1]]:
             return 0.0

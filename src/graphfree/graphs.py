@@ -30,7 +30,7 @@ class GraphError(ValueError):
 
 
 def _parity_code(p) -> int:
-    if p in (EVEN, ODD):
+    if p in (EVEN, ODD) and not isinstance(p, bool):
         return p
     if isinstance(p, str):
         s = p.strip().lower()
@@ -243,6 +243,21 @@ class Graph:
 # construction
 
 
+def normalize_weights(weights) -> list[float]:
+    """Positive finite vertex weights rescaled to total mass 1.
+
+    Scaling by the largest weight first keeps huge weights from
+    overflowing the sum.
+    """
+    for w in weights:
+        if not 0 < w < math.inf:
+            raise GraphError("vertex weights must be positive and finite")
+    top = max(weights)
+    scaled = [w / top for w in weights]
+    total = sum(scaled)
+    return [w / total for w in scaled]
+
+
 def build_graph(vertices, edges, star=None, tol: float = DEFAULT_TOL) -> Graph:
     """Build a graph from an undirected edge list.
 
@@ -268,14 +283,7 @@ def build_graph(vertices, edges, star=None, tol: float = DEFAULT_TOL) -> Graph:
     if any(given) and not all(given):
         raise GraphError("either all vertex weights or none must be given")
     if all(given) and weights:
-        for w in weights:
-            if not w > 0:
-                raise GraphError("vertex weights must be positive")
-        # scale by the largest weight first so that huge weights cannot overflow the sum
-        top = max(weights)
-        scaled = [w / top for w in weights]
-        total = sum(scaled)
-        mu2 = [w / total for w in scaled]
+        mu2 = normalize_weights(weights)
     else:
         n = max(len(ids), 1)
         mu2 = [1.0 / n] * len(ids)

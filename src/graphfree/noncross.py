@@ -1,14 +1,15 @@
 """Non-crossing partitions, Temperley-Lieb pairings and their calculus.
 
 Covers enumeration (Catalan families), Kreweras complements (fast route
-plus a brute-force maximality oracle), the lattice Mobius function, the
-doubling bijection from NC(n) onto pairings of 2n points, starry-path
-tests, and the two structural identities of Kreweras classes used by
-the trace calculus.
+plus a brute-force maximality oracle), the lattice Mobius function in
+its closed form over Kreweras classes, the doubling bijection from NC(n)
+onto pairings of 2n points, starry-path tests, and the two structural
+identities of Kreweras classes used by the trace calculus.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,9 +106,6 @@ def catalan(n: int) -> int:
 # ---------------------------------------------------------------------------
 # enumeration
 
-_NC_CACHE: dict[int, list[NCPartition]] = {}
-_TL_CACHE: dict[int, list[NCPartition]] = {}
-
 
 def _nc_blocks(lo: int, hi: int):
     """All non-crossing block families on the interval {lo..hi}."""
@@ -141,13 +139,12 @@ def _nc_blocks(lo: int, hi: int):
                 yield (tuple(block),) + acc
 
 
+@functools.cache
 def enumerate_nc(n: int) -> list[NCPartition]:
     """All of NC(n); |NC(n)| is the n-th Catalan number."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n not in _NC_CACHE:
-        _NC_CACHE[n] = [nc(n, bs) for bs in _nc_blocks(1, n)]
-    return _NC_CACHE[n]
+    return [nc(n, bs) for bs in _nc_blocks(1, n)]
 
 
 def enumerate_set_partitions(n: int):
@@ -176,27 +173,25 @@ def enumerate_nc_oracle(n: int) -> list[NCPartition]:
     return [nc(n, bs) for bs in enumerate_set_partitions(n) if is_noncrossing(bs)]
 
 
+@functools.cache
 def enumerate_tl(two_n: int) -> list[NCPartition]:
     """All Temperley-Lieb pairings of {1..two_n}."""
     if two_n % 2:
         raise ValueError("TL pairings need an even ground set")
-    if two_n not in _TL_CACHE:
 
-        def pairings(points):
-            if not points:
-                yield ()
-                return
-            a = points[0]
-            for j in range(1, len(points), 2):
-                b = points[j]
-                inner, outer = points[1:j], points[j + 1:]
-                for pi in pairings(inner):
-                    for po in pairings(outer):
-                        yield ((a, b),) + pi + po
+    def pairings(points):
+        if not points:
+            yield ()
+            return
+        a = points[0]
+        for j in range(1, len(points), 2):
+            b = points[j]
+            inner, outer = points[1:j], points[j + 1:]
+            for pi in pairings(inner):
+                for po in pairings(outer):
+                    yield ((a, b),) + pi + po
 
-        _TL_CACHE[two_n] = [nc(two_n, bs)
-                            for bs in pairings(tuple(range(1, two_n + 1)))]
-    return _TL_CACHE[two_n]
+    return [nc(two_n, bs) for bs in pairings(tuple(range(1, two_n + 1)))]
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +205,19 @@ def kreweras(p: NCPartition) -> NCPartition:
     cycle i -> i+1, the complement's blocks are the cycles of
     sigma^{-1} . c; position i of the complement sits between i and i+1.
     """
-    n = p.n
-    if n == 0:
+    if p.n == 0:
         return p
+    return nc(p.n, _kreweras_cycles(p.n, p.blocks))
+
+
+def _kreweras_cycles(n: int, blocks) -> list[list[int]]:
+    """The cycles of sigma^{-1} . c for the sorted blocks of a partition of {1..n}."""
     nxt = {}
-    for b in p.blocks:
+    for b in blocks:
         for i, x in enumerate(b):
             nxt[x] = b[(i + 1) % len(b)]
     prv = {v: k for k, v in nxt.items()}
-    seen, blocks = set(), []
+    seen, cycles = set(), []
     for start in range(1, n + 1):
         if start in seen:
             continue
@@ -227,8 +226,8 @@ def kreweras(p: NCPartition) -> NCPartition:
             seen.add(x)
             cyc.append(x)
             x = prv[x % n + 1]
-        blocks.append(cyc)
-    return nc(n, blocks)
+        cycles.append(cyc)
+    return cycles
 
 
 def _interleaved_ok(p: NCPartition, q_blocks) -> bool:
@@ -288,38 +287,23 @@ def refines(p: NCPartition, q: NCPartition) -> bool:
     return all(len({owner[x] for x in b}) == 1 for b in p.blocks)
 
 
-_MOBIUS_CACHE: dict[tuple, int] = {}
-
-
 def mobius_nc(p: NCPartition, q: NCPartition) -> int:
-    """Mobius function of NC(n) via the defining recursion.
+    """Mobius function of NC(n) in closed form over Kreweras classes.
 
-    mu(p, q) with p <= q, determined by sum over p <= s <= q of mu(s, q)
-    being 1 exactly when p = q.  Factorizes over the blocks of q.
+    mu(p, q) with p <= q factorizes over the blocks B of q, and
+    mu(p|B, 1_B) is the product over the classes C of the Kreweras
+    complement of p|B of (-1)^(|C|-1) Cat(|C|-1) (Nica-Speicher,
+    Lectures on the Combinatorics of Free Probability, Lect. 10).
     """
     if not refines(p, q):
         raise ValueError("mobius_nc needs p <= q")
     out = 1
     for b in q.blocks:
         relabel = {x: i + 1 for i, x in enumerate(b)}
-        sub = nc(len(b), [tuple(relabel[x] for x in pb)
-                          for pb in p.blocks if pb[0] in relabel])
-        out *= _mobius_to_one(sub)
+        sub = [tuple(relabel[x] for x in pb) for pb in p.blocks if pb[0] in relabel]
+        for c in _kreweras_cycles(len(b), sub):
+            out *= (-1) ** (len(c) - 1) * catalan(len(c) - 1)
     return out
-
-
-def _mobius_to_one(p: NCPartition) -> int:
-    key = (p.n, p.blocks)
-    if key in _MOBIUS_CACHE:
-        return _MOBIUS_CACHE[key]
-    if p.num_blocks <= 1:
-        val = 1
-    else:
-        # mu(p, 1_n) = -sum of mu(s, 1_n) over s strictly coarser than p
-        val = -sum(_mobius_to_one(s) for s in enumerate_nc(p.n)
-                   if s.num_blocks < p.num_blocks and refines(p, s))
-    _MOBIUS_CACHE[key] = val
-    return val
 
 
 # ---------------------------------------------------------------------------

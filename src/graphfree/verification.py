@@ -525,7 +525,7 @@ def _suite_cumulants(run: _Runner, tol: float, seed: int):
             return values[key]
 
         def kappa_kernel(paths):
-            return _kappa_of(kernel, a3f, paths)
+            return cumulants.kappa_of_moments(a3f, kernel, paths)
 
         for k in (1, 2, 3, 4):
             for tup in _composable_tuples(gens, k, limit=40, seed=seed + 3):
@@ -565,17 +565,6 @@ def _suite_cumulants(run: _Runner, tol: float, seed: int):
         return (rep.max_mixed_cumulant if not rep.passed else 0.0,
                 1e-10)
     run.check("freeness-certificate", certificate)
-
-
-def _kappa_of(moment_kernel, graph, paths):
-    one = noncross.nc_one(len(paths))
-    out: cumulants.BElement = {}
-    for pi in noncross.enumerate_nc(len(paths)):
-        coeff = float(noncross.mobius_nc(pi, one))
-        out = cumulants.b_add(out, cumulants.b_scale(
-            coeff, cumulants.multiplicative_extension(
-                moment_kernel, graph, pi, paths)))
-    return out
 
 
 def _composable_tuples(gens, k, limit, seed):

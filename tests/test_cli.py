@@ -122,15 +122,21 @@ def _spec(vertex_fields=None, edge_fields=None):
     _spec(vertex_fields={"id": ["a"]}),
     _spec(vertex_fields={"id": True}),
     _spec(vertex_fields={"id": 0}),
+    _spec(vertex_fields={"parity": False}),
 ], ids=["mult-str", "mult-float", "mult-bool", "mult-zero", "endpoint-list",
         "weight2-str", "weight2-bool", "weight2-nan", "weight2-inf", "id-list", "id-bool",
-        "id-int"])
+        "id-int", "parity-bool"])
 def test_bad_spec_is_input_error(tmp_path, capsys, spec):
     f = tmp_path / "bad.graph"
     f.write_text(json.dumps(spec))
     assert main(["trace", str(f), "--loop", "v,w,v"]) == 2
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+def test_huge_cli_weights_normalize():
+    argv = ["trace", "--named", "a2", "--loop", "v0,v1,v0", "--weights", "1e308,1e308"]
+    assert main(argv) == 0
 
 
 def test_huge_weights_normalize(tmp_path, capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from graphfree import cumulants as cm, noncross as ncx
+from graphfree import cumulants as cm, epitl, falg, noncross as ncx
 from graphfree.gralg import GradedElement, tau
 from graphfree.graphs import two_vertex_graph
 
@@ -38,6 +38,33 @@ def test_moment_consistent_with_trace(fork, rng):
             val = cm.moment_phi(fork, tup)
             lhs = sum(c * fork.mu2[v] for v, c in val.items())
             assert abs(lhs - tau(x)) < 1e-10
+
+
+def test_moment_matches_filtered_image(fork, a3):
+    # an independent route: the degree-zero part of phi of the concatenation
+    for g in (fork, a3):
+        gens = cm.even_generators(g)
+        for k in (1, 2, 3):
+            for tup in composable_tuples(gens, k):
+                comp = tup[0]
+                for p in tup[1:]:
+                    comp = comp.concat(p)
+                low = falg.phi(GradedElement.basis(g, comp)).component(0)
+                want = {p.start: c for p, c in low.terms.items()}
+                assert cm.b_diff_norm(cm.moment_phi(g, tup), want) < 1e-12
+
+
+def test_kappa_mobius_applies_no_cap_diagram(fork, monkeypatch):
+    # moments come from the trace recursion, never from enumerating cappings
+    def refuse(*args, **kwargs):
+        raise AssertionError("cap diagram route used")
+
+    monkeypatch.setattr(epitl, "act", refuse)
+    monkeypatch.setattr(epitl, "enumerate_hom", refuse)
+    gens = cm.even_generators(fork)
+    for tup in itertools.islice(composable_tuples(gens, 5), 30):
+        dev = cm.b_diff_norm(cm.kappa_mobius(fork, tup), cm.kappa_starry(fork, tup))
+        assert dev < 1e-9
 
 
 def test_multiplicative_extension_top_and_bottom(fork):

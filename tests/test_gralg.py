@@ -87,11 +87,9 @@ def _paths(g, lengths, loops_only=False):
 
 def test_tau_recursion_matches_pairing_sum():
     # (graph, lengths, loops only); sizes keep the oracle's Catalan sum cheap.
-    # Length 0 is left out: the oracle's empty pairing has no Kreweras class,
-    # so it gives 1 where the trace is mu^2(v_0) (test_tau_values_a2 covers it).
-    cases = [(g, range(1, 11), False) for g in standard_graphs().values()]
-    cases += [(two_vertex_graph(2, 0.3, 0.7), range(1, 11), False),
-              (two_vertex_graph(3, 0.3, 0.7), range(1, 9), False),
+    cases = [(g, range(11), False) for g in standard_graphs().values()]
+    cases += [(two_vertex_graph(2, 0.3, 0.7), range(11), False),
+              (two_vertex_graph(3, 0.3, 0.7), range(9), False),
               (named_graph("a3"), [12], True)]
     for g, lengths, loops_only in cases:
         for p in _paths(g, lengths, loops_only):

@@ -62,15 +62,26 @@ def test_mobius_values():
 
 def test_mobius_defining_recursion():
     # sum over the interval [pi, tau] of mu(sigma, tau) is [pi == tau]
-    n = 4
-    for tau in ncx.enumerate_nc(n):
-        for pi in ncx.enumerate_nc(n):
-            if not ncx.refines(pi, tau):
-                continue
-            total = sum(ncx.mobius_nc(sigma, tau)
-                        for sigma in ncx.enumerate_nc(n)
-                        if ncx.refines(pi, sigma) and ncx.refines(sigma, tau))
-            assert total == (1 if pi == tau else 0)
+    for n in range(6):
+        for tau in ncx.enumerate_nc(n):
+            for pi in ncx.enumerate_nc(n):
+                if not ncx.refines(pi, tau):
+                    continue
+                total = sum(ncx.mobius_nc(sigma, tau)
+                            for sigma in ncx.enumerate_nc(n)
+                            if ncx.refines(pi, sigma) and ncx.refines(sigma, tau))
+                assert total == (1 if pi == tau else 0)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_mobius_to_one_sums_to_delta(n):
+    # the closed form over Kreweras classes against the defining identity:
+    # sum of mu(sigma, 1_n) over sigma >= pi is [pi == 1_n]
+    one = ncx.nc_one(n)
+    to_one = {p: ncx.mobius_nc(p, one) for p in ncx.enumerate_nc(n)}
+    for pi in to_one:
+        total = sum(m for sigma, m in to_one.items() if ncx.refines(pi, sigma))
+        assert total == (1 if pi == one else 0), pi
 
 
 def test_mobius_requires_refinement():
