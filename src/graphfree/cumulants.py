@@ -12,6 +12,7 @@ the base.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, Path
@@ -130,13 +131,18 @@ def kappa_mobius(graph: Graph, paths) -> BElement:
     return kappa_of_moments(graph, lambda ps: moment_phi(graph, ps), paths)
 
 
+@functools.cache
+def _mobius_row(n: int) -> tuple[tuple[noncross.NCPartition, float], ...]:
+    """(pi, mu(pi, 1_n)) over NC(n), one row per ground-set size."""
+    one = noncross.nc_one(n)
+    return tuple((pi, float(noncross.mobius_nc(pi, one)))
+                 for pi in noncross.enumerate_nc(n))
+
+
 def kappa_of_moments(graph: Graph, kernel, paths) -> BElement:
     """Mobius inversion: sum of mu(pi, 1_n) times the kernel's extension on pi."""
-    n = len(paths)
-    one = noncross.nc_one(n)
     out: BElement = {}
-    for pi in noncross.enumerate_nc(n):
-        coeff = float(noncross.mobius_nc(pi, one))
+    for pi, coeff in _mobius_row(len(paths)):
         out = b_add(out, b_scale(coeff, multiplicative_extension(kernel, graph, pi, paths)))
     return out
 

@@ -126,6 +126,43 @@ def truncated_basis(graph: Graph, max_degree: int) -> list[Path]:
     return basis
 
 
+def gram_blocks(graph: Graph, max_degree: int):
+    """The Gram entries of truncated_basis that can be nonzero.
+
+    Yields (p, q, inner(p, q)) for every pair with q at or after p in
+    basis order and the same (length, start, finish); every other entry
+    is zero.  t reads degree zero only, and q* # p has a degree-zero part
+    only when the lengths agree (# of lengths m != n has none), q starts
+    where p does (else the concatenation vanishes) and finishes where p
+    does (else no full contraction ends in a vertex path).
+    """
+    blocks: dict[tuple[int, int, int], list[Path]] = {}
+    for p in truncated_basis(graph, max_degree):
+        blocks.setdefault((p.length, p.start, p.finish), []).append(p)
+    for paths in blocks.values():
+        for i, p in enumerate(paths):
+            bp = GradedElement.basis(graph, p)
+            for q in paths[i:]:
+                yield p, q, inner(bp, GradedElement.basis(graph, q))
+
+
+def gram_pair_counts(graph: Graph):
+    """Yield the number of pairs gram_blocks(graph, d) yields, for d = 0, 1, ...
+
+    Counted without enumerating paths: a block of c paths has c(c+1)/2
+    pairs, and the paths of length n from s to f number c = (A^n)[s, f]
+    for the adjacency matrix A.  The powers are taken in Python integers,
+    which do not overflow; the totals never end, so stop when done.
+    """
+    adj = graph.adjacency().astype(np.int64).astype(object)
+    power = np.identity(graph.n_vertices, dtype=np.int64).astype(object)
+    total = 0
+    while True:
+        total += sum(c * (c + 1) // 2 for c in power.flat)
+        yield total
+        power = power @ adj
+
+
 def truncated_left_mult(a: GradedElement, max_degree: int):
     """Matrix of sharp-multiplication by a on paths of degree <= max_degree.
 
@@ -155,7 +192,45 @@ def left_mult_norm_bound(graph: Graph, path: Path) -> float:
     return (2 * m + 1) * max(1.0, d ** (m / 2)) / graph.mu(path.finish)
 
 
+def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Component label of each of n nodes joined by the edges a[k]-b[k].
+
+    Each round hooks every root to the smallest root across its edges and
+    then jumps pointers to the roots.  A component that is not merged in
+    one round is merged in the next, so O(log n) rounds of numpy passes
+    over the edges suffice.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        lo, hi = np.minimum(la, lb), np.maximum(la, lb)
+        apart = lo != hi
+        if not apart.any():
+            return label
+        np.minimum.at(label, hi[apart], lo[apart])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
 def operator_norm(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.norm(mat, 2))
+    """Spectral norm, taken block by block over the nonzero pattern.
+
+    Rows and columns split into the connected components of the bipartite
+    graph of nonzero entries.  Permuted by components the matrix is a
+    direct sum, whose norm is the largest norm of its blocks; rows and
+    columns that are all zero form no block.
+    """
+    n_rows, n_cols = mat.shape
+    rows, cols = np.nonzero(mat)
+    label = _components(rows, n_rows + cols, n_rows + n_cols)
+    nodes = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[nodes])) + 1
+    best = 0.0
+    for comp in np.split(nodes, cuts):
+        r, c = comp[comp < n_rows], comp[comp >= n_rows] - n_rows
+        if r.size and c.size:
+            best = max(best, float(np.linalg.norm(mat[np.ix_(r, c)], 2)))
+    return best

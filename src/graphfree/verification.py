@@ -27,6 +27,7 @@ class CheckResult:
     passed: bool
     witness: str
     elapsed: float
+    suite: str
 
     def as_dict(self):
         return {"check": self.check_id, "passed": self.passed,
@@ -46,17 +47,29 @@ class VerificationReport:
     def ok(self) -> bool:
         return bool(self.results) and self.n_passed == len(self.results)
 
+    def suite_totals(self) -> list[dict]:
+        """Per suite, in run order: its name, check count and summed elapsed."""
+        totals: dict[str, dict] = {}
+        for r in self.results:
+            t = totals.setdefault(r.suite, {"suite": r.suite, "checks": 0, "elapsed": 0.0})
+            t["checks"] += 1
+            t["elapsed"] += r.elapsed
+        return list(totals.values())
+
     def as_dict(self):
         return {"suite": self.suite,
                 "passed": self.n_passed,
                 "failed": len(self.results) - self.n_passed,
                 "ok": self.ok,
+                "suites": [dict(t, elapsed=round(t["elapsed"], 6))
+                           for t in self.suite_totals()],
                 "checks": [r.as_dict() for r in self.results]}
 
 
 class _Runner:
     def __init__(self, report: VerificationReport):
         self.report = report
+        self.suite = ""
 
     def check(self, check_id: str, fn):
         t0 = time.perf_counter()
@@ -67,7 +80,7 @@ class _Runner:
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             passed, witness = False, f"error: {exc}"
         self.report.results.append(
-            CheckResult(check_id, passed, witness, time.perf_counter() - t0))
+            CheckResult(check_id, passed, witness, time.perf_counter() - t0, self.suite))
 
 
 def standard_graphs() -> dict[str, Graph]:
@@ -209,14 +222,10 @@ def _suite_trace(run: _Runner, graphs, max_degree: int, tol: float, seed: int):
 def _suite_gram(run: _Runner, graphs, max_degree: int, tol: float):
     for name, g in graphs.items():
         def gram(g=g):
-            basis = falg.truncated_basis(g, max_degree)
             dev = 0.0
-            for i, p in enumerate(basis):
-                bp = GradedElement.basis(g, p)
-                for q in basis[i:]:
-                    val = falg.inner(bp, GradedElement.basis(g, q))
-                    want = g.mu(p.start) * g.mu(p.finish) if p == q else 0.0
-                    dev = max(dev, abs(val - want))
+            for p, q, val in falg.gram_blocks(g, max_degree):
+                want = g.mu(p.start) * g.mu(p.finish) if p == q else 0.0
+                dev = max(dev, abs(val - want))
             return dev, tol
         run.check(f"gram-diagonal[{name}]", gram)
 
@@ -844,6 +853,7 @@ def run_verification(suite: str = "all", max_degree: int = 6,
     graphs = standard_graphs()
     wanted = SUITES if suite == "all" else (suite,)
     for s in wanted:
+        run.suite = s
         if s == "combinatorics":
             _suite_combinatorics(run, 6 if not fast else 5)
         elif s == "isomorphism":

@@ -85,6 +85,12 @@ def test_gram_command(capsys):
     assert "passed: True" in capsys.readouterr().out
 
 
+def test_gram_refuses_oversized_work(capsys):
+    assert main(["gram", "--named", "k1_3"]) == 2
+    err = capsys.readouterr().err
+    assert "2396950 up to degree 13" in err and "Traceback" not in err
+
+
 def test_verify_fast(capsys):
     assert main(["verify", "--suite", "combinatorics", "--fast"]) == 0
     out = capsys.readouterr().out
@@ -94,8 +100,9 @@ def test_verify_fast(capsys):
 def test_verify_json_schema(capsys):
     assert main(["verify", "--suite", "factor", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert set(data) == {"suite", "passed", "failed", "ok", "checks"}
+    assert set(data) == {"suite", "passed", "failed", "ok", "suites", "checks"}
     assert data["ok"] is True
+    assert [(t["suite"], t["checks"]) for t in data["suites"]] == [("factor", len(data["checks"]))]
 
 
 def test_missing_graph_is_input_error(capsys):

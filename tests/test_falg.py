@@ -3,8 +3,8 @@ import pytest
 
 from graphfree import falg
 from graphfree.gralg import GradedElement, bullet_mul, e_vertex, star, tau, unit
-from graphfree.graphs import delta_max, enumerate_paths
-from graphfree.verification import random_element
+from graphfree.graphs import delta_max, enumerate_paths, named_graph
+from graphfree.verification import random_element, standard_graphs
 
 
 def test_sharp_loop_square(a2):
@@ -164,3 +164,54 @@ def test_norm_bound_all_unit_paths(battery):
                 mat, _ = falg.truncated_left_mult(a, 5)
                 assert falg.operator_norm(mat) <= \
                     falg.left_mult_norm_bound(g, p) + 1e-9
+
+
+def _norm_cases(rng):
+    for _ in range(40):
+        r, c = rng.integers(1, 30, size=2)
+        density = rng.uniform(0.01, 0.3)
+        yield rng.standard_normal((r, c)) * (rng.random((r, c)) < density)
+    for _ in range(10):
+        sizes = rng.integers(1, 8, size=(rng.integers(2, 7), 2))
+        mat = np.zeros(tuple(sizes.sum(axis=0)))
+        r0 = c0 = 0
+        for r, c in sizes:
+            mat[r0:r0 + r, c0:c0 + c] = rng.standard_normal((r, c))
+            r0, c0 = r0 + r, c0 + c
+        yield mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
+    yield rng.standard_normal((25, 17))
+    yield np.zeros((6, 9))
+    yield np.zeros((0, 0))
+    yield rng.standard_normal((1, 12)) * (rng.random((1, 12)) < 0.5)
+
+
+def test_operator_norm_matches_dense_svd(rng):
+    for mat in _norm_cases(rng):
+        want = float(np.linalg.norm(mat, 2)) if mat.size else 0.0
+        assert abs(falg.operator_norm(mat) - want) <= 1e-12 * want
+
+
+def test_gram_blocks_match_all_pairs_loop():
+    for name in ("a3", "k1_2", "dbl"):
+        g = named_graph(name)
+        got = {(p, q): val for p, q, val in falg.gram_blocks(g, 4)}
+        basis = falg.truncated_basis(g, 4)
+        for i, p in enumerate(basis):
+            bp = GradedElement.basis(g, p)
+            for q in basis[i:]:
+                val = falg.inner(bp, GradedElement.basis(g, q))
+                if (p.length, p.start, p.finish) == (q.length, q.start, q.finish):
+                    assert got.pop((p, q)) == val
+                else:
+                    assert val == 0.0
+        assert not got
+
+
+def test_gram_pair_counts_match_blocks():
+    for g in standard_graphs().values():
+        for d, count in zip(range(7), falg.gram_pair_counts(g)):
+            blocks = {}
+            for p in falg.truncated_basis(g, d):
+                key = (p.length, p.start, p.finish)
+                blocks[key] = blocks.get(key, 0) + 1
+            assert count == sum(c * (c + 1) // 2 for c in blocks.values())
