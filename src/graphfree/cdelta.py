@@ -52,10 +52,6 @@ class TPQMorphism:
     def through(self) -> int:
         return _size(self.p)
 
-    def is_identity(self) -> bool:
-        return (self.source == self.target
-                and self.through == self.source)
-
 
 def identity_tpq(n: int) -> TPQMorphism:
     return TPQMorphism(n, n, _norm(1, n), _norm(1, n))

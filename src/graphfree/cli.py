@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import cumulants, factors, falg, verification
-from .graphs import (Graph, GraphError, enumerate_paths, graph_from_spec,
-                     named_graph, normalize_weights, pf_weighting)
+from .graphs import (Graph, GraphError, adjacency_powers, enumerate_paths,
+                     graph_from_spec, named_graph, normalize_weights, pf_weighting)
 from .gralg import GradedElement, tau
 
 EXIT_OK = 0
@@ -28,6 +28,11 @@ EXIT_INPUT = 2
 # At about 20 us each (2-core x86-64 host) that is some 40 s; at the default
 # degree 16, a3 needs 132,348 and k1_3 needs 64.6M.
 GRAM_MAX_PAIRS = 2_000_000
+
+# trace --all-loops refuses above this many loops.  At 0.3-2 ms a loop (2-core
+# x86-64 host), a3 to length 18 (2,047 loops) takes 1.7 s, k1_4 to 12 (10,923)
+# 3.0 s and a3 to 24 (16,383) 34 s, about gram's budget.
+TRACE_MAX_LOOPS = 20_000
 
 
 class CliError(Exception):
@@ -102,6 +107,14 @@ def cmd_trace(args) -> int:
     if args.loop:
         loops = [_parse_loop(g, args.loop)]
     elif args.all_loops:
+        # (A^n)[v, v] counts the loops of length n at v; stop as gram does.
+        total = 0
+        for n, power in zip(range(args.max_len + 1), adjacency_powers(g)):
+            total += sum(power.diagonal())
+            if total > TRACE_MAX_LOOPS:
+                raise CliError(f"trace --all-loops --max-len {args.max_len} would trace "
+                               f"more than {TRACE_MAX_LOOPS} loops: {total} up to "
+                               f"length {n} alone; lower --max-len")
         for n in range(0, args.max_len + 1, 2):
             for v in range(g.n_vertices):
                 loops.extend(enumerate_paths(g, v, n, v))
@@ -109,8 +122,6 @@ def cmd_trace(args) -> int:
         raise CliError("give --loop or --all-loops")
     rows, payload = [], []
     for p in loops:
-        if p.length > args.max_degree:
-            raise CliError(f"loop degree {p.length} over --max-degree cap")
         x = GradedElement.basis(g, p)
         via_pairings = tau(x)
         via_transform = falg.t_functional(falg.phi(x))
@@ -257,7 +268,13 @@ def cmd_verify(args) -> int:
 # argument plumbing
 
 
-def _add_common(p, graph_arg: bool = True):
+_FLAGS = {"--tol": {"type": float, "default": 1e-9},
+          "--max-degree": {"type": int, "default": 16},
+          "--seed": {"type": int, "default": 0}}
+
+
+def _add_common(p, *flags, graph_arg: bool = True):
+    """The graph arguments, the given entries of _FLAGS, and --json."""
     if graph_arg:
         p.add_argument("graph", nargs="?", help="graph spec file (JSON record)")
         p.add_argument("--named", help="built-in graph (a2, a3, a4, k1_2, ...)")
@@ -265,9 +282,8 @@ def _add_common(p, graph_arg: bool = True):
                        help="replace the weighting by the Perron-Frobenius one")
         p.add_argument("--weights",
                        help="comma-separated vertex weights (normalized)")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-degree", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -279,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="trace of loops via both routes")
-    _add_common(p)
+    _add_common(p, "--tol")
     p.add_argument("--loop", help="comma-separated vertex ids")
     p.add_argument("--all-loops", action="store_true")
     p.add_argument("--max-len", type=int, default=4)
@@ -293,12 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("cumulants", help="cumulants by both routes")
-    _add_common(p)
+    _add_common(p, "--tol")
     p.add_argument("--tuple", help="semicolon-separated length-2 paths")
     p.set_defaults(fn=cmd_cumulants)
 
     p = sub.add_parser("freeness", help="mixed-cumulant certificate")
-    _add_common(p)
+    _add_common(p, "--tol", "--seed")
     p.add_argument("--max-order", type=int, default=5)
     p.set_defaults(fn=cmd_freeness)
 
@@ -307,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_factor)
 
     p = sub.add_parser("gram", help="orthogonality of the path basis")
-    _add_common(p)
+    _add_common(p, "--tol", "--max-degree")
     p.set_defaults(fn=cmd_gram)
 
     p = sub.add_parser("verify", help="run property suites")
-    _add_common(p, graph_arg=False)
+    _add_common(p, "--tol", "--max-degree", "--seed", graph_arg=False)
     p.add_argument("--suite", default="all",
                    choices=list(verification.SUITES) + ["all"])
     p.add_argument("--fast", action="store_true", help="smaller size caps")

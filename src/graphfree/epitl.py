@@ -12,6 +12,7 @@ exchange relation (oracle).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,6 @@ class EpiMorphism:
             if i > m + 2 * j - 1:
                 raise ValueError(f"cap endpoint {i} too large at slot {j}")
             prev = i
-
-    @property
-    def n_caps(self) -> int:
-        return len(self.caps)
-
-    def is_identity(self) -> bool:
-        return not self.caps
 
     def is_nonnested(self) -> bool:
         return all(b - a >= 2 for a, b in zip(self.caps, self.caps[1:]))
@@ -166,25 +160,13 @@ def compose_by_rewriting(f: EpiMorphism, g: EpiMorphism) -> EpiMorphism:
 
 
 @functools.cache
-def enumerate_hom(n: int, m: int, nonnested_only: bool = False) -> list[EpiMorphism]:
-    """All elements of Hom([n],[m]), optionally only the non-nested ones."""
+def enumerate_hom(n: int, m: int) -> list[EpiMorphism]:
+    """All elements of Hom([n],[m]), in lexicographic order of their caps."""
     if n < m or (n - m) % 2:
         return []
-    k = (n - m) // 2
-    out: list[EpiMorphism] = []
-
-    def rec(j, prev, acc):
-        if j > k:
-            out.append(EpiMorphism(n, m, tuple(acc)))
-            return
-        lo = prev + (2 if (nonnested_only and acc) else 1)
-        for i in range(lo, m + 2 * j):
-            acc.append(i)
-            rec(j + 1, i, acc)
-            acc.pop()
-
-    rec(1, 0, [])
-    return out
+    return [EpiMorphism(n, m, caps)
+            for caps in itertools.combinations(range(1, n), (n - m) // 2)
+            if all(i < m + 2 * j for j, i in enumerate(caps, start=1))]
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ paths contracts k pairs of edges at the junction for every feasible k
 reads off degree zero; it induces the inner product in which rescaled
 paths are orthonormal.  The transforms phi (sum over all cap diagrams)
 and psi (signed sum over non-nested ones) are mutually inverse
-*-isomorphisms between the two pictures carrying tau to t.
+*-isomorphisms between the two pictures carrying tau to t.  Both act on each
+path by a recursion over its capped gaps, not by enumerating diagrams.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, Path, delta_max, enumerate_paths
+from .graphs import (Graph, Path, adjacency_powers, delta_max, enumerate_paths,
+                     vertex_path)
 from .gralg import GradedElement
 from . import epitl
 
@@ -68,51 +70,56 @@ def braced(graph: Graph, path: Path) -> GradedElement:
 # the graded <-> filtered transforms
 
 
-def _transform_block(graph: Graph, n: int, m: int, inverse: bool) -> np.ndarray:
-    """Degree block of phi (all diagrams) or psi (signed non-nested)."""
-    key = ("psiblk" if inverse else "phiblk", n, m)
-    cached = graph._cache.get(key)
-    if cached is not None:
-        return cached
-    rows = enumerate_paths(graph, None, m, None)
-    cols = enumerate_paths(graph, None, n, None)
-    row_index = {p: i for i, p in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)))
-    sign = (-1.0) ** ((n - m) // 2) if inverse else 1.0
-    for f in epitl.enumerate_hom(n, m, nonnested_only=inverse):
-        for j, p in enumerate(cols):
-            img = epitl.act(f, GradedElement.basis(graph, p))
-            for q, c in img.terms.items():
-                mat[row_index[q], j] += sign * c
-    graph._cache[key] = mat
-    return mat
+def _transform(x: GradedElement, inverse: bool) -> GradedElement:
+    """phi (or psi) of x, path by path, by a recursion over capped gaps.
 
-
-def _apply_transform(x: GradedElement, inverse: bool) -> GradedElement:
+    On a path v_0 e_1 v_1 ... e_n v_n, W[i][j] weighs the cappings of
+    e_{i+1}..e_j: W(i,i) = 1, and e_{i+1} caps with some e_k = rev(e_{i+1})
+    around the capped gap e_{i+2}..e_{k-1}, weighing c_i = mu(v_{i+1})/mu(v_i)
+    as a single-cap generator does: W(i,j) = c_i sum_k W(i+1,k-1) W(k,j).
+    psi nests no caps (k = i+2 only) and weighs each cap -c_i.  No through
+    strand sits inside a cap, so a diagram maps the path to its through
+    edges e_{t_1}..e_{t_m} with weight W(0,t_1-1) W(t_1,t_2-1) ... W(t_m,n);
+    tails[i] sums these over the through edges of e_{i+1}..e_n.
+    """
     g = x.graph
-    out = GradedElement(g)
-    for n in x.degrees():
-        comp = x.component(n)
-        cols = enumerate_paths(g, None, n, None)
-        vec = np.array([comp.coeff(p) for p in cols])
-        for m in range(n % 2, n + 1, 2):
-            rows = enumerate_paths(g, None, m, None)
-            img = _transform_block(g, n, m, inverse) @ vec
-            for i, q in enumerate(rows):
-                if img[i] != 0:
-                    out.terms[q] = out.terms.get(q, 0.0) + img[i]
-    out._prune()
-    return out
+    out: dict[Path, float] = {}
+    for p, a in x.terms.items():
+        n, v, e = p.length, p.vertices, p.edges
+        w = [[float(i == j) for j in range(n + 1)] for i in range(n + 1)]
+        for i in range(n - 2, -1, -1):
+            back = g.erev[e[i]]
+            last = i + 2 if inverse else n
+            partners = [k for k in range(i + 2, last + 1, 2) if e[k - 1] == back]
+            if not partners:
+                continue
+            cap = (-1.0 if inverse else 1.0) * g.mu(v[i + 1]) / g.mu(v[i])
+            for j in range(partners[0], n + 1, 2):
+                w[i][j] = cap * sum(w[i + 1][k - 1] * w[k][j] for k in partners if k <= j)
+        tails: list[dict[tuple[int, ...], float]] = [{}] * (n + 1)
+        for i in range(n, -1, -1):
+            acc = {(): w[i][n]} if w[i][n] else {}
+            for j in range(i, n):
+                if w[i][j]:
+                    for rest, c in tails[j + 1].items():
+                        key = (e[j],) + rest
+                        acc[key] = acc.get(key, 0.0) + w[i][j] * c
+            tails[i] = acc
+        for edges, c in tails[0].items():
+            q = (Path((g.estart[edges[0]],) + tuple(g.efinish[k] for k in edges), edges)
+                 if edges else vertex_path(p.finish))
+            out[q] = out.get(q, 0.0) + a * c
+    return GradedElement(g, out)
 
 
 def phi(x: GradedElement) -> GradedElement:
     """Graded-to-filtered isomorphism: sum of all cap diagrams per degree."""
-    return _apply_transform(x, inverse=False)
+    return _transform(x, inverse=False)
 
 
 def psi(x: GradedElement) -> GradedElement:
     """Filtered-to-graded inverse: signed sum of non-nested cap diagrams."""
-    return _apply_transform(x, inverse=True)
+    return _transform(x, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +157,13 @@ def gram_pair_counts(graph: Graph):
     """Yield the number of pairs gram_blocks(graph, d) yields, for d = 0, 1, ...
 
     Counted without enumerating paths: a block of c paths has c(c+1)/2
-    pairs, and the paths of length n from s to f number c = (A^n)[s, f]
-    for the adjacency matrix A.  The powers are taken in Python integers,
-    which do not overflow; the totals never end, so stop when done.
+    pairs, and the paths of length n from s to f number c = (A^n)[s, f].
+    The totals never end, so stop when done.
     """
-    adj = graph.adjacency().astype(np.int64).astype(object)
-    power = np.identity(graph.n_vertices, dtype=np.int64).astype(object)
     total = 0
-    while True:
+    for power in adjacency_powers(graph):
         total += sum(c * (c + 1) // 2 for c in power.flat)
         yield total
-        power = power @ adj
 
 
 def truncated_left_mult(a: GradedElement, max_degree: int):

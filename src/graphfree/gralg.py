@@ -54,10 +54,6 @@ class GradedElement:
             x.terms[path] = coeff
         return x
 
-    @classmethod
-    def zero(cls, graph: Graph) -> "GradedElement":
-        return cls(graph)
-
     # -- ring-ish operations ---------------------------------------------
 
     def copy(self) -> "GradedElement":
@@ -84,9 +80,6 @@ class GradedElement:
         if scalar != 0:
             out.terms = {p: scalar * c for p, c in self.terms.items()}
         return out
-
-    def scaled(self, scalar) -> "GradedElement":
-        return scalar * self
 
     def _same_graph(self, other: "GradedElement"):
         if other.graph is not self.graph:

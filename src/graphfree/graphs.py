@@ -476,6 +476,18 @@ def delta_max(graph: Graph) -> float:
 # path enumeration
 
 
+def adjacency_powers(graph: Graph):
+    """Yield A^0, A^1, ... in Python integers, which do not overflow.
+
+    (A^n)[s, f] counts the paths of length n from s to f.  Never ends.
+    """
+    adj = graph.adjacency().astype(np.int64).astype(object)
+    power = np.identity(graph.n_vertices, dtype=np.int64).astype(object)
+    while True:
+        yield power
+        power = power @ adj
+
+
 def enumerate_paths(graph: Graph, start=None, length: int = 0, finish=None) -> list[Path]:
     """All paths of the given length, optionally with fixed endpoints.
 

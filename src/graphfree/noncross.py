@@ -47,12 +47,6 @@ class NCPartition:
     def is_pairing(self) -> bool:
         return all(len(b) == 2 for b in self.blocks)
 
-    def block_of(self, i: int) -> Block:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise ValueError(f"{i} not in ground set")
-
 
 def nc(n: int, blocks) -> NCPartition:
     """Canonicalizing constructor."""

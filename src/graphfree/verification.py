@@ -75,7 +75,7 @@ class _Runner:
         t0 = time.perf_counter()
         try:
             dev, tol = fn()
-            passed = dev <= tol
+            passed = bool(dev <= tol)  # numpy deviations give numpy.bool_
             witness = f"max deviation {dev:.3g} (tol {tol:.1g})"
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             passed, witness = False, f"error: {exc}"

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from graphfree.cli import main
+from graphfree.verification import SUITES
 
 A2_SPEC = """{
   "vertices": [
@@ -42,9 +43,28 @@ def test_trace_malformed_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_trace_degree_cap(a2_file, capsys):
-    code = main(["trace", a2_file, "--loop", "v,w,v,w,v", "--max-degree", "2"])
-    assert code == 2
+def test_trace_loop_has_no_degree_cap(a2_file, capsys):
+    assert main(["trace", a2_file, "--loop", "v,w,v,w,v"]) == 0
+    capsys.readouterr()
+    # length 20, past the old default cap of 16: Catalan(10)/2 on both routes
+    loop = ",".join(["v", "w"] * 10 + ["v"])
+    assert main(["trace", a2_file, "--loop", loop, "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["trace"][0]
+    assert row["pairing_trace"] == pytest.approx(8398, rel=1e-12)
+    assert row["transform_trace"] == pytest.approx(8398, rel=1e-12)
+
+
+def test_trace_refuses_too_many_loops(capsys):
+    assert main(["trace", "--named", "k1_4", "--all-loops", "--max-len", "60"]) == 2
+    err = capsys.readouterr().err
+    assert "43693 up to length 14" in err and "Traceback" not in err
+
+
+def test_unread_option_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--named", "a3", "--max-degree", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-degree" in capsys.readouterr().err
 
 
 def test_factor_named(capsys):
@@ -97,12 +117,13 @@ def test_verify_fast(capsys):
     assert "checks passed" in out
 
 
-def test_verify_json_schema(capsys):
-    assert main(["verify", "--suite", "factor", "--json"]) == 0
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_json_schema(capsys, suite):
+    assert main(["verify", "--suite", suite, "--max-degree", "2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert set(data) == {"suite", "passed", "failed", "ok", "suites", "checks"}
     assert data["ok"] is True
-    assert [(t["suite"], t["checks"]) for t in data["suites"]] == [("factor", len(data["checks"]))]
+    assert [(t["suite"], t["checks"]) for t in data["suites"]] == [(suite, len(data["checks"]))]
 
 
 def test_missing_graph_is_input_error(capsys):

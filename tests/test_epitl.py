@@ -20,7 +20,7 @@ def test_canonical_form_validation():
 
 def test_enumerate_hom_examples():
     assert [f.caps for f in epitl.enumerate_hom(4, 0)] == [(1, 2), (1, 3)]
-    assert [f.caps for f in epitl.enumerate_hom(4, 0, True)] == [(1, 3)]
+    assert [f.caps for f in epitl.enumerate_hom(4, 0) if f.is_nonnested()] == [(1, 3)]
     assert [f.caps for f in epitl.enumerate_hom(3, 1)] == [(1,), (2,)]
     for n in range(1, 7):
         assert len(epitl.enumerate_hom(2 * n, 0)) == ncx.catalan(n)

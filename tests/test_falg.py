@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphfree import falg
+from graphfree import epitl, falg
 from graphfree.gralg import GradedElement, bullet_mul, e_vertex, star, tau, unit
 from graphfree.graphs import delta_max, enumerate_paths, named_graph
 from graphfree.verification import random_element, standard_graphs
@@ -131,6 +131,64 @@ def test_trace_transport(battery):
             for p in enumerate_paths(g, None, n, None):
                 b = GradedElement.basis(g, p)
                 assert abs(tau(b) - falg.t_functional(falg.phi(b))) < 1e-10
+
+
+def _diagram_sum(g, p, inverse):
+    """The oracle: phi (or psi) of one path as a sum over epi-TL diagrams.
+
+    phi sums every diagram of Hom([n],[m]) for m = n, n-2, ...; psi sums
+    the non-nested ones with sign (-1)^(number of caps).
+    """
+    n = p.length
+    b = GradedElement.basis(g, p)
+    out: dict = {}
+    for m in range(n % 2, n + 1, 2):
+        sign = (-1.0) ** ((n - m) // 2) if inverse else 1.0
+        for f in epitl.enumerate_hom(n, m):
+            if inverse and not f.is_nonnested():
+                continue
+            for q, c in epitl.act(f, b).terms.items():
+                out[q] = out.get(q, 0.0) + sign * c
+    return GradedElement(g, out)
+
+
+def test_transforms_match_diagram_sum():
+    graphs = dict(standard_graphs(), fork=named_graph("fork"))
+    for g in graphs.values():
+        for n in range(9):
+            for p in enumerate_paths(g, None, n, None):
+                b = GradedElement.basis(g, p)
+                for fn, inverse in ((falg.phi, False), (falg.psi, True)):
+                    got, want = fn(b).terms, _diagram_sum(g, p, inverse).terms
+                    assert got.keys() == want.keys()
+                    for q, c in want.items():
+                        assert abs(got[q] - c) <= 1e-12 * abs(c)
+
+
+def test_transforms_enumerate_no_diagram(monkeypatch):
+    # phi and psi run the gap recursion, never the diagram enumeration,
+    # and leave the graph's cache as they found it
+    def refuse(*args, **kwargs):
+        raise AssertionError("cap diagram route used")
+
+    monkeypatch.setattr(epitl, "act", refuse)
+    monkeypatch.setattr(epitl, "enumerate_hom", refuse)
+    for name in ("a3", "k1_3", "dbl"):
+        g = named_graph(name)
+        paths = enumerate_paths(g, None, 6, None)
+        cached = dict(g._cache)
+        for p in paths:
+            b = GradedElement.basis(g, p)
+            assert falg.psi(falg.phi(b)).norm_inf_diff(b) < 1e-10
+        assert g._cache == cached
+
+
+def test_trace_transport_long_loops(a3, rng):
+    loops = [p for v in range(a3.n_vertices) for p in enumerate_paths(a3, v, 18, v)]
+    for k in rng.choice(len(loops), size=40, replace=False):
+        b = GradedElement.basis(a3, loops[k])
+        want = tau(b)
+        assert abs(falg.t_functional(falg.phi(b)) - want) <= 1e-12 * want
 
 
 def test_truncated_left_mult_bounds(a2):

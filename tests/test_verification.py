@@ -1,9 +1,11 @@
+import json
 import time
 
+import numpy as np
 import pytest
 
 from graphfree.cli import main
-from graphfree.verification import run_verification
+from graphfree.verification import VerificationReport, _Runner, run_verification
 
 
 def test_all_suites_pass_fast():
@@ -35,3 +37,11 @@ def test_verification_failure_exit_code(capsys):
                  "--tol", "1e-30"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_check_stores_plain_bool():
+    # a numpy deviation compares to numpy.bool_, which json cannot write
+    report = VerificationReport("x")
+    _Runner(report).check("numpy-deviation", lambda: (np.float64(0.0), 1e-9))
+    assert type(report.results[0].passed) is bool
+    json.dumps(report.as_dict())
