@@ -9,6 +9,7 @@ Graphs come from spec files (JSON records with ``vertices`` and
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -18,6 +19,7 @@ from . import cumulants, factors, falg, verification
 from .graphs import (Graph, GraphError, adjacency_powers, enumerate_paths,
                      graph_from_spec, named_graph, normalize_weights, pf_weighting)
 from .gralg import GradedElement, tau
+from .noncross import catalan
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -33,6 +35,12 @@ GRAM_MAX_PAIRS = 2_000_000
 # x86-64 host), a3 to length 18 (2,047 loops) takes 1.7 s, k1_4 to 12 (10,923)
 # 3.0 s and a3 to 24 (16,383) 34 s, about gram's budget.
 TRACE_MAX_LOOPS = 20_000
+
+# freeness refuses above this many (tuple, partition) extensions: the
+# composable generator tuples of order k, counted from A^(2k), times
+# Catalan(k), summed over k.  At about 3 us each (2-core x86-64 host) that is
+# some 30 s; fork needs 776,861 to order 7 (2.3 s) and 6,755,691 to order 8.
+FREENESS_MAX_EXTENSIONS = 10_000_000
 
 
 class CliError(Exception):
@@ -107,15 +115,19 @@ def cmd_trace(args) -> int:
     if args.loop:
         loops = [_parse_loop(g, args.loop)]
     elif args.all_loops:
-        # (A^n)[v, v] counts the loops of length n at v; stop as gram does.
-        total = 0
+        # (A^n)[v, v] counts the loops of length n at v; stop as gram does,
+        # and at the first zero power, past which no path exists.
+        total, max_len = 0, -1
         for n, power in zip(range(args.max_len + 1), adjacency_powers(g)):
+            if not power.any():
+                break
+            max_len = n
             total += sum(power.diagonal())
             if total > TRACE_MAX_LOOPS:
                 raise CliError(f"trace --all-loops --max-len {args.max_len} would trace "
                                f"more than {TRACE_MAX_LOOPS} loops: {total} up to "
                                f"length {n} alone; lower --max-len")
-        for n in range(0, args.max_len + 1, 2):
+        for n in range(0, max_len + 1, 2):
             for v in range(g.n_vertices):
                 loops.extend(enumerate_paths(g, v, n, v))
     else:
@@ -191,6 +203,21 @@ def cmd_cumulants(args) -> int:
 
 def cmd_freeness(args) -> int:
     g = _load_graph(args)
+    # The tuples of order k are the paths of length 2k between even vertices,
+    # and each costs one extension per partition in NC(k); past the first
+    # zero power there are none.
+    evens = g.vertices_of_parity(0)
+    total = 0
+    for k, power in zip(range(2, args.max_order + 1),
+                        itertools.islice(adjacency_powers(g), 4, None, 2)):
+        if not power.any():
+            break
+        total += int(power[np.ix_(evens, evens)].sum()) * catalan(k)
+        if total > FREENESS_MAX_EXTENSIONS:
+            raise CliError(f"freeness --max-order {args.max_order} would evaluate "
+                           f"more than {FREENESS_MAX_EXTENSIONS} (tuple, partition) "
+                           f"extensions: at least {total} up to order {k} alone; "
+                           "lower --max-order")
     rng = np.random.default_rng(args.seed)
     rep = cumulants.freeness_certificate(g, max_order=args.max_order,
                                          tol=args.tol, rng=rng)

@@ -60,6 +60,24 @@ def test_trace_refuses_too_many_loops(capsys):
     assert "43693 up to length 14" in err and "Traceback" not in err
 
 
+@pytest.fixture
+def point_file(tmp_path):
+    f = tmp_path / "point.graph"
+    f.write_text('{"vertices": [{"id": "v", "parity": "even", "weight2": 1.0}], '
+                 '"edges": []}')
+    return str(f)
+
+
+def test_trace_all_loops_stops_at_zero_power(point_file, capsys):
+    # without edges A is zero, so no loop is longer than 0 and neither the
+    # count nor the enumeration walks the lengths up to --max-len
+    assert main(["trace", point_file, "--all-loops", "--max-len", "100000000",
+                 "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["trace"]
+    assert [row["loop"] for row in rows] == ["v"]
+    assert rows[0]["pairing_trace"] == pytest.approx(1.0)
+
+
 def test_unread_option_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["factor", "--named", "a3", "--max-degree", "3"])
@@ -91,6 +109,22 @@ def test_freeness_command(capsys):
                  "--tol", "1e-10", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["passed"] is True
+
+
+def test_freeness_refuses_oversized_work(capsys):
+    # fork: 776,861 extensions to order 7, 6,755,691 to 8, 59,975,143 to 9
+    assert main(["freeness", "--named", "fork", "--max-order", "12"]) == 2
+    err = capsys.readouterr().err
+    assert "at least 59975143 up to order 9" in err and "Traceback" not in err
+
+
+def test_freeness_stops_at_zero_power(point_file, capsys):
+    # no generators: neither the work count nor the certificate walks the
+    # orders up to --max-order
+    assert main(["freeness", point_file, "--max-order", "100000000",
+                 "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is True and data["n_tuples"] == 0
 
 
 def test_moments_matrix(capsys):

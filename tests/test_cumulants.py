@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from graphfree import cumulants as cm, epitl, falg, noncross as ncx
 from graphfree.gralg import GradedElement, tau
-from graphfree.graphs import two_vertex_graph
+from graphfree.graphs import GraphError, named_graph, pf_weighting, two_vertex_graph
 
 
 def composable_tuples(gens, k):
@@ -12,6 +13,68 @@ def composable_tuples(gens, k):
         ok = all(a.finish == b.start for a, b in zip(tup, tup[1:]))
         if ok:
             yield tup
+
+
+def _extension_by_recursion(kernel, graph, pi, paths, pick="first"):
+    """The multiplicative extension by recursive block extraction: the oracle.
+
+    Extracts one interval block, folds its value into the argument on its
+    left, rebuilds the remaining partition through ``noncross.nc`` and
+    recurses.  ``cumulants.multiplicative_extension`` replays the same
+    extraction order from a plan computed once per partition.
+    """
+    n = pi.n
+    if len(paths) != n:
+        raise GraphError("arity mismatch")
+    if pi.num_blocks == 1:
+        return kernel(paths)
+    candidates = [b for b in pi.blocks
+                  if b[0] > 1 and b[-1] - b[0] + 1 == len(b)]
+    if not candidates:
+        raise GraphError("no interval block; partition is not non-crossing")
+    block = candidates[0] if pick == "first" else candidates[-1]
+    k, l = block[0] - 1, block[-1]
+    inner = kernel(tuple(paths[k:l]))
+    scalar = inner.get(paths[k - 1].finish, 0.0)
+    if scalar == 0.0:
+        return {}
+    rest_paths = tuple(paths[:k]) + tuple(paths[l:])
+    relabel = {}
+    for x in range(1, n + 1):
+        if not (k + 1 <= x <= l):
+            relabel[x] = len(relabel) + 1
+    rest_pi = ncx.nc(n - (l - k),
+                     [tuple(relabel[x] for x in b)
+                      for b in pi.blocks if b is not block])
+    rest = _extension_by_recursion(kernel, graph, rest_pi, rest_paths, pick)
+    return {v: scalar * c for v, c in rest.items()}
+
+
+def _seeded_loops(graph, k, count, rng):
+    """Up to ``count`` random composable k-tuples of generators that close."""
+    gens = cm.even_generators(graph)
+    out = []
+    for _ in range(50 * count):
+        tup = [gens[int(rng.integers(len(gens)))]]
+        while len(tup) < k:
+            pool = [p for p in gens if p.start == tup[-1].finish]
+            tup.append(pool[int(rng.integers(len(pool)))])
+        if tup[-1].finish == tup[0].start:
+            out.append(tuple(tup))
+            if len(out) == count:
+                break
+    return out
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    assert set(got) == set(want)
+    for v, c in want.items():
+        assert abs(got[v] - c) <= rel * abs(c)
+
+
+@pytest.fixture(scope="module")
+def pf_graphs():
+    return [pf_weighting(named_graph(name))[0] for name in ("fork", "a4")]
 
 
 def test_moment_single_generator(a2):
@@ -93,6 +156,84 @@ def test_extension_order_independent(fork):
             assert cm.b_diff_norm(a, b) < 1e-12
 
 
+def test_extension_plan_equals_recursion(pf_graphs):
+    rng = np.random.default_rng(7)
+    nonzero = 0
+    for g in pf_graphs:
+        values: dict[tuple, cm.BElement] = {}
+
+        def dense(ps, g=g):
+            # nonzero at every even vertex, so the argument each block folds
+            # into matters even where the moment kernels would vanish
+            key = tuple(ps)
+            if key not in values:
+                values[key] = {v: float(rng.uniform(-1, 1))
+                               for v in g.vertices_of_parity(0)}
+            return values[key]
+
+        kernels = (lambda ps, g=g: cm.moment_phi(g, ps),
+                   lambda ps, g=g: cm.kappa_starry(g, ps), dense)
+        for n in range(1, 7):
+            tuples = _seeded_loops(g, n, 4, rng)
+            assert tuples
+            for pi in ncx.enumerate_nc(n):
+                for pick in ("first", "last"):
+                    for kernel in kernels:
+                        for tup in tuples:
+                            want = _extension_by_recursion(kernel, g, pi, tup, pick)
+                            got = cm.multiplicative_extension(kernel, g, pi, tup, pick)
+                            _assert_rel_close(got, want)
+                            nonzero += bool(want)
+    assert nonzero > 1000
+
+
+def test_kappa_of_moments_equals_recursive_inversion(pf_graphs):
+    rng = np.random.default_rng(8)
+    for g in pf_graphs:
+        kernel = lambda ps, g=g: cm.moment_phi(g, ps)
+        for n in range(1, 7):
+            one = ncx.nc_one(n)
+            for tup in _seeded_loops(g, n, 3, rng):
+                want: cm.BElement = {}
+                for pi in ncx.enumerate_nc(n):
+                    mu = ncx.mobius_nc(pi, one)
+                    for v, c in _extension_by_recursion(kernel, g, pi, tup).items():
+                        want[v] = want.get(v, 0.0) + mu * c
+                want = {v: c for v, c in want.items() if c != 0}
+                _assert_rel_close(cm.kappa_of_moments(g, kernel, tup), want)
+
+
+def test_kappa_mobius_evaluates_each_block_once(fork, monkeypatch):
+    # an order-7 tuple of loops at v has 2^7 - 1 distinct blocks; the
+    # recursive route made 1,716 moment calls and 1,287 partitions on it
+    v = fork.index("v")
+    loops = [p for p in cm.even_generators(fork) if p.start == p.finish == v]
+    tup = tuple(loops[i % len(loops)] for i in range(7))
+    cm._mobius_row(7)
+    real = cm.moment_phi
+    calls = []
+
+    def counting(graph, paths):
+        calls.append(tuple(paths))
+        return real(graph, paths)
+
+    monkeypatch.setattr(cm, "moment_phi", counting)
+    got = cm.kappa_mobius(fork, tup)
+    assert 0 < len(calls) <= 2 ** 7 - 1
+    assert cm.b_diff_norm(got, cm.kappa_starry(fork, tup)) < 1e-9
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("partition rebuilt during evaluation")
+
+    monkeypatch.setattr(ncx, "nc", refuse)
+    assert cm.kappa_mobius(fork, tup) == got
+
+
+def test_extraction_plan_rejects_missing_interval_block():
+    with pytest.raises(GraphError):
+        cm._extraction_plan(ncx.NCPartition(0, ()))
+
+
 def test_kappa_one_and_two(a3):
     loop = a3.path_from_vertices(["v0", "v1", "v0"])
     k1 = cm.kappa_starry(a3, [loop])
@@ -167,6 +308,11 @@ def test_freeness_two_hub_graph(fork, rng):
     assert rep.n_tuples > 0
     assert rep.stp_checks > 0
     assert any("order" in n for n in rep.notes)
+
+
+def test_freeness_certificate_order_six(fork):
+    rep = cm.freeness_certificate(fork, max_order=6)
+    assert rep.passed and rep.n_tuples == 726
 
 
 def test_matrix_moments_catalan():
