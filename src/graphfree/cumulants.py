@@ -129,6 +129,8 @@ def _extend(plan, kernel, paths, memo: dict) -> BElement:
     out = memo.get(outer)
     if out is None:
         out = memo[outer] = kernel(tuple(paths[i] for i in outer))
+    # innermost scalar first, the association of the recursive route, so
+    # the two agree to the last bit
     for scalar in reversed(scalars):
         out = {v: scalar * c for v, c in out.items()}
     return out
