@@ -27,8 +27,8 @@ EXIT_INPUT = 2
 
 
 # gram refuses above this many in-block inner products (falg.gram_pair_counts).
-# At about 20 us each (2-core x86-64 host) that is some 40 s; at the default
-# degree 16, a3 needs 132,348 and k1_3 needs 64.6M.
+# At about 2 us each, path enumeration included (2-core x86-64 host), that is
+# some 4 s; at the default degree 16, a3 needs 132,348 and k1_3 needs 64.6M.
 GRAM_MAX_PAIRS = 2_000_000
 
 # trace --all-loops refuses above this many loops.  At 0.3-2 ms a loop (2-core
@@ -41,6 +41,11 @@ TRACE_MAX_LOOPS = 20_000
 # Catalan(k), summed over k.  At about 3 us each (2-core x86-64 host) that is
 # some 30 s; fork needs 776,861 to order 7 (2.3 s) and 6,755,691 to order 8.
 FREENESS_MAX_EXTENSIONS = 10_000_000
+
+# cumulants refuses tuples whose NC(n) has more partitions than this: Mobius
+# inversion enumerates and caches all Catalan(n) of them.  n = 11 (58,786)
+# took 4.7 s and 114 MB on a 2-core x86-64 host, and each order costs ~4x more.
+CUMULANTS_MAX_PARTITIONS = 100_000
 
 
 class CliError(Exception):
@@ -189,6 +194,10 @@ def cmd_cumulants(args) -> int:
     if not args.tuple:
         raise CliError("give --tuple 'v,w,v;v,w,v'")
     paths = _parse_tuple(g, args.tuple)
+    if catalan(len(paths)) > CUMULANTS_MAX_PARTITIONS:
+        raise CliError(f"cumulants of a {len(paths)}-tuple would invert over "
+                       f"{catalan(len(paths))} non-crossing partitions, more than "
+                       f"{CUMULANTS_MAX_PARTITIONS}; give a shorter tuple")
     via_mobius = cumulants.kappa_mobius(g, paths)
     via_closed = cumulants.kappa_starry(g, paths)
     diff = cumulants.b_diff_norm(via_mobius, via_closed)

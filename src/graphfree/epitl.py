@@ -173,37 +173,29 @@ def enumerate_hom(n: int, m: int) -> list[EpiMorphism]:
 # the action on path spaces
 
 
-def _gen_apply(graph: Graph, i: int, path: Path):
-    """Apply the single-cap generator at position i to a basis path.
-
-    Returns (coefficient, shorter path) or None when the Kronecker delta
-    kills the term.
-    """
-    if path.edges[i - 1] != graph.erev[path.edges[i]]:
-        return None
-    coeff = graph.mu(path.vertices[i]) / graph.mu(path.vertices[i + 1])
-    return coeff, path.drop_edge_pair(i)
-
-
 def act(f: EpiMorphism, x: GradedElement) -> GradedElement:
     """Linear action of a morphism on a homogeneous element.
 
     Applies the canonical single-cap decomposition factor by factor,
-    innermost (largest level) first.
+    innermost (largest level, last cap) first.  The generator at
+    position i kills a path unless e_{i+1} reverses e_i, and otherwise
+    drops that edge pair, weighing mu(v_i)/mu(v_{i+1}).
     """
     g = x.graph
     if not x.is_zero() and x.degree() != f.source:
         raise GraphError(f"degree {x.degree()} element fed to [{f.source}] morphism")
-    terms = dict(x.terms)
-    for _, i in reversed(f.word()):
-        new: dict[Path, float] = {}
-        for p, c in terms.items():
-            hit = _gen_apply(g, i, p)
-            if hit is not None:
-                coeff, q = hit
-                new[q] = new.get(q, 0.0) + c * coeff
-        terms = new
-    return GradedElement(g, terms)
+    mu, erev = g.mu, g.erev
+    out: dict[Path, float] = {}
+    for (verts, edges), c in x.terms.items():
+        for i in reversed(f.caps):
+            if edges[i - 1] != erev[edges[i]]:
+                break
+            c *= mu(verts[i]) / mu(verts[i + 1])
+            verts, edges = verts[:i] + verts[i + 2:], edges[:i - 1] + edges[i + 1:]
+        else:
+            q = Path(verts, edges)
+            out[q] = out.get(q, 0.0) + c
+    return GradedElement(g, out)
 
 
 def act_direct(f: EpiMorphism, x: GradedElement) -> GradedElement:

@@ -17,34 +17,33 @@ import numpy as np
 from .graphs import (Graph, Path, adjacency_powers, delta_max, enumerate_paths,
                      vertex_path)
 from .gralg import GradedElement
-from . import epitl
 
 
 def sharp_mul(x: GradedElement, y: GradedElement) -> GradedElement:
     """The filtered product.
 
-    For paths of lengths m and n, the degree m+n-2k component is the
+    For paths p, q of lengths m and n, the degree m+n-2k component is the
     chain of k cap generators at the junction applied to the
-    concatenation; endpoint mismatches vanish with the concatenation.
+    concatenation: it survives while the last k edges of p reverse the
+    first k of q, and then is p minus its last k edges followed by q minus
+    its first k, weighing mu(q_0)/mu(q_k) (the generators' mu-ratios
+    telescope).  Endpoint mismatches vanish with the concatenation.
     """
     x._same_graph(y)
     g = x.graph
+    mu, erev = g.mu, g.erev
     out: dict[Path, float] = {}
-    for p, a in x.terms.items():
-        for q, b in y.terms.items():
-            pq = p.concat(q)
-            if pq is None:
+    for (pv, pe), a in x.terms.items():
+        m = len(pe)
+        for (qv, qe), b in y.terms.items():
+            if pv[m] != qv[0]:
                 continue
-            m, n = p.length, q.length
-            coeff, cur = a * b, pq
-            out[cur] = out.get(cur, 0.0) + coeff
-            for k in range(1, min(m, n) + 1):
-                hit = epitl._gen_apply(g, m - k + 1, cur)
-                if hit is None:
+            ab = a * b * mu(qv[0])
+            for k in range(min(m, len(qe)) + 1):
+                if k and pe[m - k] != erev[qe[k - 1]]:
                     break
-                c, cur = hit
-                coeff *= c
-                out[cur] = out.get(cur, 0.0) + coeff
+                t = Path(pv[:m - k + 1] + qv[k + 1:], pe[:m - k] + qe[k:])
+                out[t] = out.get(t, 0.0) + ab / mu(qv[k])
     return GradedElement(g, out)
 
 
@@ -55,9 +54,15 @@ def t_functional(x: GradedElement) -> float:
 
 
 def inner(x: GradedElement, y: GradedElement) -> float:
-    """<x, y> = t(y* # x); paths are orthogonal with norm^2 mu(s)mu(f)."""
-    from .gralg import star
-    return t_functional(sharp_mul(star(y), x))
+    """<x, y> = t(y* # x); paths are orthogonal with norm^2 mu(s)mu(f).
+
+    Only the full contraction of q* # p reaches degree zero, and it
+    survives exactly when q = p, where it weighs mu(s)mu(f).
+    """
+    x._same_graph(y)
+    mu, ys = x.graph.mu, y.terms
+    return sum(a * ys[p].conjugate() * mu(p.start) * mu(p.finish)
+               for p, a in x.terms.items() if p in ys)
 
 
 def braced(graph: Graph, path: Path) -> GradedElement:
@@ -147,10 +152,10 @@ def gram_blocks(graph: Graph, max_degree: int):
     for p in truncated_basis(graph, max_degree):
         blocks.setdefault((p.length, p.start, p.finish), []).append(p)
     for paths in blocks.values():
+        elems = [GradedElement.basis(graph, p) for p in paths]
         for i, p in enumerate(paths):
-            bp = GradedElement.basis(graph, p)
-            for q in paths[i:]:
-                yield p, q, inner(bp, GradedElement.basis(graph, q))
+            for q, bq in zip(paths[i:], elems[i:]):
+                yield p, q, inner(elems[i], bq)
 
 
 def gram_pair_counts(graph: Graph):

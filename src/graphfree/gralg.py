@@ -35,8 +35,10 @@ class GradedElement:
     def __init__(self, graph: Graph, terms=None):
         self.graph = graph
         self.terms: dict[Path, float] = {}
-        if terms:
-            for p, c in (terms.items() if isinstance(terms, dict) else terms):
+        if isinstance(terms, dict):  # distinct keys: nothing to add up
+            self.terms = {p: c for p, c in terms.items() if c != 0}
+        elif terms:
+            for p, c in terms:
                 if c != 0:
                     self.terms[p] = self.terms.get(p, 0.0) + c
             self._prune()

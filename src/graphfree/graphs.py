@@ -11,7 +11,7 @@ the path algebras built on top of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,34 +41,42 @@ def _parity_code(p) -> int:
     raise GraphError(f"unknown parity {p!r}")
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(tuple):
     """A path: vertex indices v_0..v_n and the edge ids joining them.
 
     ``vertices`` always has one more entry than ``edges``; a length-0
-    path is a bare vertex.  Instances are plain data and hashable; the
-    operations that need weights or reversals take the graph as an
-    argument.
+    path is a bare vertex.  A path is the immutable pair (vertices,
+    edges), so it hashes and compares as a tuple; the operations that
+    need weights or reversals take the graph as an argument.
     """
 
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.vertices) != len(self.edges) + 1:
+    def __new__(cls, vertices: tuple[int, ...], edges: tuple[int, ...]):
+        if len(vertices) != len(edges) + 1:
             raise GraphError("path vertex/edge count mismatch")
+        return tuple.__new__(cls, (vertices, edges))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Path(vertices={self[0]}, edges={self[1]})"
+
+    vertices = property(itemgetter(0))
+    edges = property(itemgetter(1))
 
     @property
     def length(self) -> int:
-        return len(self.edges)
+        return len(self[1])
 
     @property
     def start(self) -> int:
-        return self.vertices[0]
+        return self[0][0]
 
     @property
     def finish(self) -> int:
-        return self.vertices[-1]
+        return self[0][-1]
 
     def reversed_in(self, graph: "Graph") -> "Path":
         return Path(tuple(reversed(self.vertices)),
@@ -107,7 +115,7 @@ class Graph:
 
     __slots__ = ("ids", "parity", "mu2", "star",
                  "estart", "efinish", "erev",
-                 "_index", "_out", "_cache")
+                 "_index", "_out", "_cache", "_mu")
 
     def __init__(self, ids, parity, mu2, estart, efinish, erev,
                  star=None, tol: float = DEFAULT_TOL):
@@ -121,6 +129,7 @@ class Graph:
         self._index = {vid: i for i, vid in enumerate(self.ids)}
         self._cache = {}
         self._validate(tol)
+        self._mu = tuple(math.sqrt(w) for w in self.mu2)
         out = [[] for _ in self.ids]
         for e, u in enumerate(self.estart):
             out[u].append(e)
@@ -189,7 +198,7 @@ class Graph:
             raise GraphError(f"unknown vertex {v!r}") from None
 
     def mu(self, v: int) -> float:
-        return math.sqrt(self.mu2[v])
+        return self._mu[v]
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         return self._out[v]

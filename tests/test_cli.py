@@ -104,6 +104,15 @@ def test_cumulants_command(capsys):
     assert "difference" in out
 
 
+def test_cumulants_refuses_oversized_tuple(capsys):
+    # NC(12) has 208,012 partitions, NC(8) 1,430
+    loop = "v0,v1,v0"
+    assert main(["cumulants", "--named", "a3", "--tuple", ";".join([loop] * 12)]) == 2
+    err = capsys.readouterr().err
+    assert "208012" in err and "Traceback" not in err
+    assert main(["cumulants", "--named", "a3", "--tuple", ";".join([loop] * 8)]) == 0
+
+
 def test_freeness_command(capsys):
     assert main(["freeness", "--named", "fork", "--max-order", "3",
                  "--tol", "1e-10", "--json"]) == 0

@@ -3,8 +3,107 @@ import pytest
 
 from graphfree import epitl, falg
 from graphfree.gralg import GradedElement, bullet_mul, e_vertex, star, tau, unit
-from graphfree.graphs import delta_max, enumerate_paths, named_graph
+from graphfree.graphs import Path, delta_max, enumerate_paths, named_graph
 from graphfree.verification import random_element, standard_graphs
+
+
+def _gen_apply(graph, i, path):
+    """The oracle single-cap generator at position i on a basis path.
+
+    Returns (coefficient, shorter path) or None when the Kronecker delta
+    kills the term.
+    """
+    if path.edges[i - 1] != graph.erev[path.edges[i]]:
+        return None
+    coeff = graph.mu(path.vertices[i]) / graph.mu(path.vertices[i + 1])
+    return coeff, path.drop_edge_pair(i)
+
+
+def _chain_sharp_mul(x, y):
+    """The oracle # product: cap generators applied one by one at the
+    junction of each concatenation, k = 1, 2, ... until one kills it."""
+    g = x.graph
+    out = {}
+    for p, a in x.terms.items():
+        for q, b in y.terms.items():
+            cur = p.concat(q)
+            if cur is None:
+                continue
+            m, n = p.length, q.length
+            coeff = a * b
+            out[cur] = out.get(cur, 0.0) + coeff
+            for k in range(1, min(m, n) + 1):
+                hit = _gen_apply(g, m - k + 1, cur)
+                if hit is None:
+                    break
+                c, cur = hit
+                coeff *= c
+                out[cur] = out.get(cur, 0.0) + coeff
+    return GradedElement(g, out)
+
+
+def test_sharp_matches_chain_oracle_all_short_pairs():
+    for g in standard_graphs().values():
+        paths = [p for n in range(5) for p in enumerate_paths(g, None, n, None)]
+        for p in paths:
+            bp = GradedElement.basis(g, p)
+            for q in paths:
+                bq = GradedElement.basis(g, q)
+                got = falg.sharp_mul(bp, bq).terms
+                want = _chain_sharp_mul(bp, bq).terms
+                assert got.keys() == want.keys()
+                for t, c in want.items():
+                    assert abs(got[t] - c) <= 1e-12 * abs(c)
+
+
+def test_inner_matches_chain_state(rng):
+    for g in standard_graphs().values():
+        hits = 0
+        for _ in range(50):
+            x = random_element(g, rng, max_len=4, n_terms=4)
+            # y shares some of x's paths (rescaled) and adds random ones, so
+            # the pairs mix matched, mismatched-length and mismatched-endpoint
+            # terms
+            shared = list(x.terms)[:int(rng.integers(0, len(x.terms) + 1))]
+            y = random_element(g, rng, max_len=4, n_terms=3) + GradedElement(
+                g, {p: float(rng.uniform(-1, 1)) for p in shared})
+            want = falg.t_functional(_chain_sharp_mul(star(y), x))
+            assert abs(falg.inner(x, y) - want) <= 1e-12 * max(1.0, abs(want))
+            hits += want != 0
+        assert hits >= 10
+
+
+def _count_paths(monkeypatch):
+    """Count every Path construction, by any route, from here on."""
+    built = []
+    new = Path.__new__
+
+    def counting(cls, vertices, edges):
+        built.append(1)
+        return new(cls, vertices, edges)
+
+    monkeypatch.setattr(Path, "__new__", counting)
+    return built
+
+
+def test_kernels_build_paths_linearly(monkeypatch, a2):
+    # deterministic work counters: inner builds no path, # builds one per
+    # output term, and a morphism's action one per surviving input path
+    loops = {n: GradedElement.basis(a2, enumerate_paths(a2, 0, n, 0)[0])
+             for n in (4, 6, 8, 12)}
+    built = _count_paths(monkeypatch)
+    assert falg.inner(loops[12], loops[12]) == pytest.approx(a2.mu2[0])
+    assert not built
+    for m, n in ((4, 8), (8, 6), (12, 12)):
+        # on a2 every junction contracts fully, so all min(m, n)+1 terms occur
+        built.clear()
+        out = falg.sharp_mul(loops[m], loops[n])
+        assert len(built) == len(out.terms) == min(m, n) + 1
+    for k in (1, 3, 6):
+        f = epitl.EpiMorphism(12, 12 - 2 * k, tuple(range(1, 2 * k, 2)))
+        built.clear()
+        assert not epitl.act(f, loops[12]).is_zero()
+        assert len(built) <= 1
 
 
 def test_sharp_loop_square(a2):

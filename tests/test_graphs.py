@@ -1,13 +1,15 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from graphfree.graphs import (EVEN, ODD, GraphError, build_graph,
+from graphfree.graphs import (EVEN, ODD, GraphError, Path, build_graph,
                               connected_component, connected_components,
                               delta_v, enumerate_paths, graph_from_spec,
                               line_graph, pf_weighting, star_graph,
-                              subgraph_star, two_vertex_graph)
+                              subgraph_star, two_vertex_graph, vertex_path)
 
 SQ2 = math.sqrt(2.0)
 
@@ -126,6 +128,41 @@ def test_paths_deterministic_and_reversal(a3):
         r = p.reversed_in(a3)
         assert r.start == p.finish and r.finish == p.start
         assert r.reversed_in(a3) == p
+
+
+def test_path_value_contract(a3):
+    # equal paths reached by different routes compare and hash equal
+    p = a3.path_from_vertices(["v0", "v1", "v2", "v1", "v0"])
+    direct = Path(p.vertices, p.edges)
+    routes = [
+        p.segment(0, 2).concat(p.segment(2, 4)),
+        p.segment(0, 4),
+        p.reversed_in(a3).reversed_in(a3),
+        a3.path_from_vertices(["v0", "v1", "v0", "v1", "v2", "v1", "v0"])
+        .drop_edge_pair(2),
+        Path(tuple(list(p.vertices)), tuple(list(p.edges))),
+        pickle.loads(pickle.dumps(p)),
+        copy.deepcopy(p),
+    ]
+    for q in routes:
+        assert type(q) is Path
+        assert q == p and hash(q) == hash(p) and q == direct
+    assert p.segment(0, 0) == vertex_path(0)
+    assert hash(p.segment(4, 4)) == hash(vertex_path(0))
+    assert len({p, direct, *routes}) == 1
+    assert p.segment(0, 2) != p.segment(2, 4)
+    # parallel edges: same vertices, different paths
+    dbl = two_vertex_graph(2)
+    assert dbl.path(0, (0,)).vertices == dbl.path(0, (2,)).vertices
+    assert dbl.path(0, (0,)) != dbl.path(0, (2,))
+    with pytest.raises(AttributeError):
+        p.vertices = (0,)
+    with pytest.raises(AttributeError):
+        p.edges = ()
+    with pytest.raises(GraphError):
+        Path((0, 1), ())
+    with pytest.raises(GraphError):
+        Path((0,), (0,))
 
 
 def test_subgraph_star_k12():
