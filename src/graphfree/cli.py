@@ -194,10 +194,14 @@ def cmd_cumulants(args) -> int:
     if not args.tuple:
         raise CliError("give --tuple 'v,w,v;v,w,v'")
     paths = _parse_tuple(g, args.tuple)
-    if catalan(len(paths)) > CUMULANTS_MAX_PARTITIONS:
-        raise CliError(f"cumulants of a {len(paths)}-tuple would invert over "
-                       f"{catalan(len(paths))} non-crossing partitions, more than "
-                       f"{CUMULANTS_MAX_PARTITIONS}; give a shorter tuple")
+    # the first order past the budget, never Catalan(n) itself: it has
+    # ~0.6 n digits, too many to format for a long tuple
+    n = len(paths)
+    k = next((k for k in range(n + 1) if catalan(k) > CUMULANTS_MAX_PARTITIONS), None)
+    if k is not None:
+        raise CliError(f"cumulants of a {n}-tuple would invert over at least "
+                       f"Catalan({k}) = {catalan(k)} non-crossing partitions, more "
+                       f"than {CUMULANTS_MAX_PARTITIONS}; give a shorter tuple")
     via_mobius = cumulants.kappa_mobius(g, paths)
     via_closed = cumulants.kappa_starry(g, paths)
     diff = cumulants.b_diff_norm(via_mobius, via_closed)

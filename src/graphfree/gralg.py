@@ -34,14 +34,8 @@ class GradedElement:
 
     def __init__(self, graph: Graph, terms=None):
         self.graph = graph
-        self.terms: dict[Path, float] = {}
-        if isinstance(terms, dict):  # distinct keys: nothing to add up
-            self.terms = {p: c for p, c in terms.items() if c != 0}
-        elif terms:
-            for p, c in terms:
-                if c != 0:
-                    self.terms[p] = self.terms.get(p, 0.0) + c
-            self._prune()
+        self.terms: dict[Path, float] = {p: c for p, c in (terms or {}).items()
+                                         if c != 0}
 
     def _prune(self):
         for p in [p for p, c in self.terms.items() if c == 0]:

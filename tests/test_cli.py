@@ -111,6 +111,11 @@ def test_cumulants_refuses_oversized_tuple(capsys):
     err = capsys.readouterr().err
     assert "208012" in err and "Traceback" not in err
     assert main(["cumulants", "--named", "a3", "--tuple", ";".join([loop] * 8)]) == 0
+    capsys.readouterr()
+    # Catalan(8000) has ~4,800 digits, past Python's int-to-str limit
+    assert main(["cumulants", "--named", "a3", "--tuple", ";".join([loop] * 8000)]) == 2
+    err = capsys.readouterr().err
+    assert "8000-tuple" in err and "208012" in err and "Traceback" not in err
 
 
 def test_freeness_command(capsys):
