@@ -31,10 +31,15 @@ EXIT_INPUT = 2
 # some 4 s; at the default degree 16, a3 needs 132,348 and k1_3 needs 64.6M.
 GRAM_MAX_PAIRS = 2_000_000
 
-# trace --all-loops refuses above this many loops.  At 0.3-2 ms a loop (2-core
-# x86-64 host), a3 to length 18 (2,047 loops) takes 1.7 s, k1_4 to 12 (10,923)
-# 3.0 s and a3 to 24 (16,383) 34 s, about gram's budget.
+# trace --all-loops refuses above this many loops.  At 0.2-2 ms a loop (2-core
+# x86-64 host), a3 to length 18 (2,047 loops) takes 1.0 s, k1_4 to 12 (10,923)
+# 2.1 s and a3 to 24 (16,383) 31 s, about gram's budget.
 TRACE_MAX_LOOPS = 20_000
+
+# trace refuses loops longer than this: phi of one loop has up to Catalan-many
+# terms.  On the same host a random k1_4 loop of length 40 takes 1.0-1.7 s,
+# of length 48 12-16 s (about 1M terms).
+TRACE_MAX_LEN = 40
 
 # freeness refuses above this many (tuple, partition) extensions: the
 # composable generator tuples of order k, counted from A^(2k), times
@@ -119,6 +124,9 @@ def cmd_trace(args) -> int:
     loops = []
     if args.loop:
         loops = [_parse_loop(g, args.loop)]
+        if loops[0].length > TRACE_MAX_LEN:
+            raise CliError(f"trace takes loops of length at most {TRACE_MAX_LEN}; "
+                           f"--loop has length {loops[0].length}")
     elif args.all_loops:
         # (A^n)[v, v] counts the loops of length n at v; stop as gram does,
         # and at the first zero power, past which no path exists.
@@ -128,6 +136,10 @@ def cmd_trace(args) -> int:
                 break
             max_len = n
             total += sum(power.diagonal())
+            if n > TRACE_MAX_LEN and power.diagonal().any():
+                raise CliError(f"trace --all-loops --max-len {args.max_len} would trace "
+                               f"loops of length {n}, past the limit of {TRACE_MAX_LEN}; "
+                               f"lower --max-len")
             if total > TRACE_MAX_LOOPS:
                 raise CliError(f"trace --all-loops --max-len {args.max_len} would trace "
                                f"more than {TRACE_MAX_LOOPS} loops: {total} up to "

@@ -7,7 +7,9 @@ reads off degree zero; it induces the inner product in which rescaled
 paths are orthonormal.  The transforms phi (sum over all cap diagrams)
 and psi (signed sum over non-nested ones) are mutually inverse
 *-isomorphisms between the two pictures carrying tau to t.  Both act on each
-path by a recursion over its capped gaps, not by enumerating diagrams.
+path by a recursion over its capped gaps, not by enumerating diagrams: one
+backward pass over the path keeps, per position, only the intervals that cap
+off completely (a sparse row of gap weights) and the sums over through edges.
 """
 
 from __future__ import annotations
@@ -78,40 +80,46 @@ def braced(graph: Graph, path: Path) -> GradedElement:
 def _transform(x: GradedElement, inverse: bool) -> GradedElement:
     """phi (or psi) of x, path by path, by a recursion over capped gaps.
 
-    On a path v_0 e_1 v_1 ... e_n v_n, W[i][j] weighs the cappings of
+    On a path v_0 e_1 v_1 ... e_n v_n, W(i,j) weighs the cappings of
     e_{i+1}..e_j: W(i,i) = 1, and e_{i+1} caps with some e_k = rev(e_{i+1})
     around the capped gap e_{i+2}..e_{k-1}, weighing c_i = mu(v_{i+1})/mu(v_i)
     as a single-cap generator does: W(i,j) = c_i sum_k W(i+1,k-1) W(k,j).
-    psi nests no caps (k = i+2 only) and weighs each cap -c_i.  No through
-    strand sits inside a cap, so a diagram maps the path to its through
-    edges e_{t_1}..e_{t_m} with weight W(0,t_1-1) W(t_1,t_2-1) ... W(t_m,n);
-    tails[i] sums these over the through edges of e_{i+1}..e_n.
+    psi nests no caps (k = i+2 only) and weighs each cap -c_i.  Row i is
+    the dict {j: W(i,j)} of its nonzero entries, filled from the partners k
+    with W(i+1,k-1) != 0, so the work follows the cappable intervals, not
+    (n+1)^2 cells.  No through strand sits inside a cap, so a diagram maps
+    the path to its through edges e_{t_1}..e_{t_m} with weight
+    W(0,t_1-1) W(t_1,t_2-1) ... W(t_m,n); tails[i] sums these over the
+    through edges of e_{i+1}..e_n.  One backward pass fills row i and then
+    tails[i] from it and the tails[j+1] already filled.
     """
     g = x.graph
+    erev, estart, efinish = g.erev, g.estart, g.efinish
     out: dict[Path, float] = {}
     for p, a in x.terms.items():
         n, v, e = p.length, p.vertices, p.edges
-        w = [[float(i == j) for j in range(n + 1)] for i in range(n + 1)]
-        for i in range(n - 2, -1, -1):
-            back = g.erev[e[i]]
-            last = i + 2 if inverse else n
-            partners = [k for k in range(i + 2, last + 1, 2) if e[k - 1] == back]
-            if not partners:
-                continue
-            cap = (-1.0 if inverse else 1.0) * g.mu(v[i + 1]) / g.mu(v[i])
-            for j in range(partners[0], n + 1, 2):
-                w[i][j] = cap * sum(w[i + 1][k - 1] * w[k][j] for k in partners if k <= j)
+        rows: list[dict[int, float]] = [{}] * (n + 1)
         tails: list[dict[tuple[int, ...], float]] = [{}] * (n + 1)
         for i in range(n, -1, -1):
-            acc = {(): w[i][n]} if w[i][n] else {}
-            for j in range(i, n):
-                if w[i][j]:
+            row = {i: 1.0}
+            if i < n:
+                back = erev[e[i]]
+                for m, w in ((i + 1, -1.0),) if inverse else rows[i + 1].items():
+                    if m < n and e[m] == back:
+                        w *= g.mu(v[i + 1]) / g.mu(v[i])
+                        for j, c in rows[m + 1].items():
+                            row[j] = row.get(j, 0.0) + w * c
+            rows[i] = row
+            acc = {(): row[n]} if n in row else {}
+            for j, w in row.items():
+                if j < n:
+                    ej = e[j]
                     for rest, c in tails[j + 1].items():
-                        key = (e[j],) + rest
-                        acc[key] = acc.get(key, 0.0) + w[i][j] * c
+                        key = (ej,) + rest
+                        acc[key] = acc.get(key, 0.0) + w * c
             tails[i] = acc
         for edges, c in tails[0].items():
-            q = (Path((g.estart[edges[0]],) + tuple(g.efinish[k] for k in edges), edges)
+            q = (Path((estart[edges[0]],) + tuple(map(efinish.__getitem__, edges)), edges)
                  if edges else vertex_path(p.finish))
             out[q] = out.get(q, 0.0) + a * c
     return GradedElement(g, out)
@@ -228,17 +236,21 @@ def operator_norm(mat: np.ndarray) -> float:
 
     Rows and columns split into the connected components of the bipartite
     graph of nonzero entries.  Permuted by components the matrix is a
-    direct sum, whose norm is the largest norm of its blocks; rows and
-    columns that are all zero form no block.
+    direct sum, whose norm is the largest norm of its blocks.  Only the
+    components holding a nonzero are visited; one holding a single entry
+    has norm |entry|, and an all-zero matrix has norm 0.
     """
     n_rows, n_cols = mat.shape
     rows, cols = np.nonzero(mat)
-    label = _components(rows, n_rows + cols, n_rows + n_cols)
-    nodes = np.argsort(label, kind="stable")
-    cuts = np.flatnonzero(np.diff(label[nodes])) + 1
+    if not rows.size:
+        return 0.0
+    label = _components(rows, n_rows + cols, n_rows + n_cols)[rows]
+    order = np.argsort(label, kind="stable")
     best = 0.0
-    for comp in np.split(nodes, cuts):
-        r, c = comp[comp < n_rows], comp[comp >= n_rows] - n_rows
-        if r.size and c.size:
-            best = max(best, float(np.linalg.norm(mat[np.ix_(r, c)], 2)))
+    for k in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+        if k.size == 1:
+            best = max(best, float(abs(mat[rows[k[0]], cols[k[0]]])))
+        else:
+            block = mat[np.ix_(np.unique(rows[k]), np.unique(cols[k]))]
+            best = max(best, float(np.linalg.norm(block, 2)))
     return best

@@ -60,6 +60,24 @@ def test_trace_refuses_too_many_loops(capsys):
     assert "43693 up to length 14" in err and "Traceback" not in err
 
 
+def test_trace_refuses_long_loops(capsys):
+    # phi of one loop can have Catalan-many terms: lengths past 40 are refused
+    # up front, by --loop and by --all-loops at the first length with a loop
+    assert main(["trace", "--named", "a2", "--all-loops", "--max-len", "19998"]) == 2
+    err = capsys.readouterr().err
+    assert "loops of length 42" in err and "Traceback" not in err
+    loop = ",".join(["c", "l0"] * 24 + ["c"])
+    assert main(["trace", "--named", "k1_4", "--loop", loop]) == 2
+    err = capsys.readouterr().err
+    assert "length 48" in err and "Traceback" not in err
+    # length 40 itself is traced, not refused
+    loop = ",".join(["v0", "v1"] * 20 + ["v0"])
+    assert main(["trace", "--named", "a2", "--loop", loop, "--json"]) != 2
+    row = json.loads(capsys.readouterr().out)["trace"][0]
+    assert row["transform_trace"] == pytest.approx(row["pairing_trace"], rel=1e-12)
+    assert main(["trace", "--named", "a3", "--all-loops", "--max-len", "18"]) == 0
+
+
 @pytest.fixture
 def point_file(tmp_path):
     f = tmp_path / "point.graph"

@@ -106,6 +106,25 @@ def test_kernels_build_paths_linearly(monkeypatch, a2):
         assert len(built) <= 1
 
 
+def test_transforms_build_one_path_per_term(monkeypatch, a2):
+    # phi and psi build one Path per output term; a path that never
+    # backtracks caps nowhere, so it maps to itself and builds one Path
+    loops = [GradedElement.basis(a2, enumerate_paths(a2, 0, n, 0)[0]) for n in (4, 8, 12)]
+    dbl = named_graph("dbl")
+    straight = next(p for p in enumerate_paths(dbl, None, 6, None)
+                    if all(f != dbl.erev[e] for e, f in zip(p.edges, p.edges[1:])))
+    b = GradedElement.basis(dbl, straight)
+    built = _count_paths(monkeypatch)
+    for fn in (falg.phi, falg.psi):
+        for x in loops:
+            built.clear()
+            out = fn(x)
+            assert len(built) == len(out.terms) > 1
+        built.clear()
+        assert fn(b).terms == {straight: 1.0}
+        assert len(built) == 1
+
+
 def test_sharp_loop_square(a2):
     loop = GradedElement.basis(a2, a2.path_from_vertices(["v0", "v1", "v0"]))
     out = falg.sharp_mul(loop, loop)
@@ -340,6 +359,10 @@ def _norm_cases(rng):
     yield np.zeros((6, 9))
     yield np.zeros((0, 0))
     yield rng.standard_normal((1, 12)) * (rng.random((1, 12)) < 0.5)
+    # scattered like a truncation matrix: mostly single-entry components
+    big = np.zeros((1000, 1000))
+    big[rng.integers(0, 1000, 500), rng.integers(0, 1000, 500)] = rng.standard_normal(500)
+    yield big
 
 
 def test_operator_norm_matches_dense_svd(rng):
