@@ -14,6 +14,8 @@ off completely (a sparse row of gap weights) and the sums over through edges.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .graphs import (Graph, Path, adjacency_powers, delta_max, enumerate_paths,
@@ -179,26 +181,69 @@ def gram_pair_counts(graph: Graph):
         yield total
 
 
+class SparseMatrix(NamedTuple):
+    """A matrix of the given shape by its nonzero triplets.
+
+    Entry (rows[k], cols[k]) is vals[k]; each position appears once and
+    every other entry is zero.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+
 def truncated_left_mult(a: GradedElement, max_degree: int):
     """Matrix of sharp-multiplication by a on paths of degree <= max_degree.
 
     Expressed in the orthonormal rescaled-path basis; components pushed
     past the cap are compressed away, which can only shrink singular
-    values.  Returns (matrix, basis).
+    values.  Returns (SparseMatrix, basis).
+
+    Only the nonzeros are visited.  A term q = (v, e) of a, of length m,
+    contracts k edges exactly with the columns p = rev(e[m-k:]) s, for s
+    a path from v[m-k]; the image row is v[:m-k] s, weighing
+    c mu(v[m])/mu(v[m-k]) as in `sharp_mul`.  Both lengths stay within
+    the cap while |s| <= max_degree - max(k, m-k), so a term longer than
+    the cap still acts through its deep contractions.  Each entry is
+    rescaled once its contributions are summed, by sqrt(mu(v[0])/mu(v[m]))
+    (row and column share the finish); entries that cancel exactly are
+    dropped.
     """
     g = a.graph
+    mu, erev = g.mu, g.erev
     basis = truncated_basis(g, max_degree)
+    # Paths are (vertices, edges) tuples: plain tuples look them up
     index = {p: i for i, p in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)))
-    for j, p in enumerate(basis):
-        scale_p = (g.mu(p.start) * g.mu(p.finish)) ** 0.5
-        img = sharp_mul(a, GradedElement.basis(g, p))
-        for q, c in img.terms.items():
-            i = index.get(q)
-            if i is not None:
-                scale_q = (g.mu(q.start) * g.mu(q.finish)) ** 0.5
-                mat[i, j] = c * scale_q / scale_p
-    return mat, basis
+    by_start: dict[tuple[int, int], list[Path]] = {}
+    for p in basis:
+        by_start.setdefault((p.start, p.length), []).append(p)
+    acc: dict[tuple[int, int], float] = {}
+    for (pv, pe), c in a.terms.items():
+        m = len(pe)
+        for k in range(min(m, max_degree) + 1):
+            room = max_degree - max(k, m - k)
+            head_v, head_e = pv[:m - k + 1], pe[:m - k]
+            back_v = pv[m - k:][::-1]
+            back_e = tuple(erev[e] for e in reversed(pe[m - k:]))
+            w = c * mu(pv[m]) / mu(pv[m - k])
+            for length in range(room + 1):
+                for sv, se in by_start.get((pv[m - k], length), ()):
+                    key = (index[(head_v + sv[1:], head_e + se)],
+                           index[(back_v + sv[1:], back_e + se)])
+                    acc[key] = acc.get(key, 0.0) + w
+    scale = [(mu(p.start) * mu(p.finish)) ** 0.5 for p in basis]
+    kept = [(i, j, val) for (i, j), w in acc.items() if (val := w * scale[i] / scale[j])]
+    rows, cols, vals = zip(*kept) if kept else ((), (), ())
+    n = len(basis)
+    return SparseMatrix(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                        np.array(vals, dtype=float), (n, n)), basis
 
 
 def left_mult_norm_bound(graph: Graph, path: Path) -> float:
@@ -231,26 +276,31 @@ def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
             label = up
 
 
-def operator_norm(mat: np.ndarray) -> float:
-    """Spectral norm, taken block by block over the nonzero pattern.
+def operator_norm(mat) -> float:
+    """Spectral norm of a SparseMatrix (or a dense array), block by block.
 
     Rows and columns split into the connected components of the bipartite
     graph of nonzero entries.  Permuted by components the matrix is a
     direct sum, whose norm is the largest norm of its blocks.  Only the
-    components holding a nonzero are visited; one holding a single entry
-    has norm |entry|, and an all-zero matrix has norm 0.
+    triplets are visited: the single-entry components are read at once as
+    the largest |entry| among them, each other block is filled from its
+    triplets, and a matrix without nonzeros has norm 0.
     """
-    n_rows, n_cols = mat.shape
-    rows, cols = np.nonzero(mat)
-    if not rows.size:
+    if not isinstance(mat, SparseMatrix):
+        rows, cols = np.nonzero(mat)
+        mat = SparseMatrix(rows, cols, mat[rows, cols], mat.shape)
+    (n_rows, n_cols), rows, cols, vals = mat.shape, mat.rows, mat.cols, mat.vals
+    if not vals.size:
         return 0.0
     label = _components(rows, n_rows + cols, n_rows + n_cols)[rows]
-    order = np.argsort(label, kind="stable")
-    best = 0.0
-    for k in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-        if k.size == 1:
-            best = max(best, float(abs(mat[rows[k[0]], cols[k[0]]])))
-        else:
-            block = mat[np.ix_(np.unique(rows[k]), np.unique(cols[k]))]
-            best = max(best, float(np.linalg.norm(block, 2)))
+    multi = np.bincount(label)[label] > 1
+    best = float(np.abs(vals[~multi]).max(initial=0.0))
+    order = np.flatnonzero(multi)
+    order = order[np.argsort(label[order], kind="stable")]
+    for part in np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if order.size else ():
+        r, ri = np.unique(rows[part], return_inverse=True)
+        c, ci = np.unique(cols[part], return_inverse=True)
+        block = np.zeros((r.size, c.size))
+        block[ri, ci] = vals[part]
+        best = max(best, float(np.linalg.norm(block, 2)))
     return best

@@ -70,9 +70,10 @@ def test_trace_refuses_long_loops(capsys):
     assert main(["trace", "--named", "k1_4", "--loop", loop]) == 2
     err = capsys.readouterr().err
     assert "length 48" in err and "Traceback" not in err
-    # length 40 itself is traced, not refused
+    # length 40 itself is traced, not refused, and its trace of about 3.3e9
+    # passes: the routes are judged relative to the size of the trace
     loop = ",".join(["v0", "v1"] * 20 + ["v0"])
-    assert main(["trace", "--named", "a2", "--loop", loop, "--json"]) != 2
+    assert main(["trace", "--named", "a2", "--loop", loop, "--json"]) == 0
     row = json.loads(capsys.readouterr().out)["trace"][0]
     assert row["transform_trace"] == pytest.approx(row["pairing_trace"], rel=1e-12)
     assert main(["trace", "--named", "a3", "--all-loops", "--max-len", "18"]) == 0

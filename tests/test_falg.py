@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from graphfree import epitl, falg
+from graphfree import cdelta, epitl, falg
 from graphfree.gralg import GradedElement, bullet_mul, e_vertex, star, tau, unit
-from graphfree.graphs import Path, delta_max, enumerate_paths, named_graph
+from graphfree.graphs import (Path, adjacency_powers, delta_max, enumerate_paths,
+                              named_graph, two_vertex_graph)
 from graphfree.verification import random_element, standard_graphs
 
 
@@ -329,7 +330,80 @@ def test_truncated_left_mult_projection_and_symmetry(a3, rng):
     # self-adjoint elements give symmetric truncations on matched degrees;
     # compare against the adjoint of the truncation of the adjoint element
     m3, _ = falg.truncated_left_mult(star(sym), 3)
-    assert np.max(np.abs(m2 - m3.T)) < 1e-9
+    assert np.max(np.abs(m2.toarray() - m3.toarray().T)) < 1e-9
+
+
+def _left_mult_by_columns(a, max_degree):
+    """The oracle truncation: one # product per basis column, rescaled."""
+    g = a.graph
+    basis = falg.truncated_basis(g, max_degree)
+    index = {p: i for i, p in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)))
+    for j, p in enumerate(basis):
+        scale_p = (g.mu(p.start) * g.mu(p.finish)) ** 0.5
+        for q, c in falg.sharp_mul(a, GradedElement.basis(g, p)).terms.items():
+            i = index.get(q)
+            if i is not None:
+                mat[i, j] = c * (g.mu(q.start) * g.mu(q.finish)) ** 0.5 / scale_p
+    return mat
+
+
+def _assert_matches_columns(a, max_degree):
+    got, basis = falg.truncated_left_mult(a, max_degree)
+    want = _left_mult_by_columns(a, max_degree)
+    n = len(basis)
+    assert got.shape == want.shape == (n, n)
+    assert len(set(zip(got.rows.tolist(), got.cols.tolist()))) == got.vals.size
+    assert np.all(got.vals != 0)
+    assert np.all(np.abs(got.toarray() - want) <= 1e-15 * np.abs(want))
+
+
+def test_truncated_left_mult_matches_column_oracle(rng):
+    g = two_vertex_graph(2, 0.8, 0.2)
+    for m in (1, 2, 3):
+        xm = cdelta.zv_truncation(g, "v", m)
+        for d in range(9):
+            _assert_matches_columns(xm, d)
+    longer = 0
+    for g in standard_graphs().values():
+        for v in range(g.n_vertices):
+            _assert_matches_columns(e_vertex(g, v), 4)
+        for d in range(2, 6):
+            for _ in range(3):
+                x = random_element(g, rng, max_len=d + 2, n_terms=5)
+                longer += any(p.length > d for p in x.terms)
+                _assert_matches_columns(x, d)
+    assert longer >= 20
+
+
+def test_truncated_left_mult_builds_no_path_per_entry(monkeypatch):
+    # deterministic work counter: at most 2 paths per (term, k, s)
+    # contribution, counted here from powers of A.  The only paths built
+    # are the basis, on the first call on a graph, and no product is
+    # formed per column
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-column product used")
+
+    monkeypatch.setattr(falg, "sharp_mul", refuse)
+    built = _count_paths(monkeypatch)
+    for d in (8, 10):
+        g = two_vertex_graph(2, 0.8, 0.2)
+        powers = [np.array(p) for _, p in zip(range(d + 1), adjacency_powers(g))]
+        xs = [cdelta.zv_truncation(g, "v", m) for m in (1, 2, 3)]
+        for xm in xs:
+            contributions = 0
+            for pv, pe in xm.terms:
+                n = len(pe)
+                for k in range(min(n, d) + 1):
+                    room = d - max(k, n - k)
+                    contributions += sum(int(powers[s][pv[n - k]].sum())
+                                         for s in range(room + 1))
+            built.clear()
+            mat, basis = falg.truncated_left_mult(xm, d)
+            assert len(basis) == sum(p.sum() for p in powers)
+            assert len(built) == (len(basis) if xm is xs[0] else 0)
+            assert len(built) <= 2 * contributions
+            assert 0 < mat.vals.size <= contributions < len(basis) * len(xm.terms)
 
 
 def test_norm_bound_all_unit_paths(battery):
@@ -368,7 +442,14 @@ def _norm_cases(rng):
 def test_operator_norm_matches_dense_svd(rng):
     for mat in _norm_cases(rng):
         want = float(np.linalg.norm(mat, 2)) if mat.size else 0.0
-        assert abs(falg.operator_norm(mat) - want) <= 1e-12 * want
+        rows, cols = np.nonzero(mat)
+        sparse = falg.SparseMatrix(rows, cols, mat[rows, cols], mat.shape)
+        assert np.array_equal(sparse.toarray(), mat)
+        for given in (mat, sparse):
+            assert abs(falg.operator_norm(given) - want) <= 1e-12 * want
+    empty = np.array([], dtype=np.intp)
+    for shape in ((0, 0), (0, 5), (4, 0), (6, 9)):
+        assert falg.operator_norm(falg.SparseMatrix(empty, empty, np.array([]), shape)) == 0.0
 
 
 def test_gram_blocks_match_all_pairs_loop():
