@@ -18,7 +18,7 @@ import numpy as np
 from . import cumulants, factors, falg, verification
 from .graphs import (Graph, GraphError, adjacency_powers, enumerate_paths,
                      graph_from_spec, named_graph, normalize_weights, pf_weighting)
-from .gralg import GradedElement, tau
+from .gralg import tau_path
 from .noncross import catalan
 
 EXIT_OK = 0
@@ -31,15 +31,14 @@ EXIT_INPUT = 2
 # some 4 s; at the default degree 16, a3 needs 132,348 and k1_3 needs 64.6M.
 GRAM_MAX_PAIRS = 2_000_000
 
-# trace --all-loops refuses above this many loops.  At 0.2-2 ms a loop (2-core
-# x86-64 host), a3 to length 18 (2,047 loops) takes 1.0 s, k1_4 to 12 (10,923)
-# 2.1 s and a3 to 24 (16,383) 31 s, about gram's budget.
+# trace --all-loops refuses above this many loops, and trace refuses above
+# this much work: both routes run O(n^3) interval recursions on a loop of
+# length n, so the work is the sum of n^3 over the loops, counted from
+# diag(A^n) before any loop is built.  On a 2-core x86-64 host a3 to length
+# 24 (16,383 loops, 1.8e8 steps) takes 2.2-3.0 s, and the a2 alternating loop
+# of length 792 (5e8, the densest recursion there is) 5.5-5.8 s.
 TRACE_MAX_LOOPS = 20_000
-
-# trace refuses loops longer than this: phi of one loop has up to Catalan-many
-# terms.  On the same host a random k1_4 loop of length 40 takes 1.0-1.7 s,
-# of length 48 12-16 s (about 1M terms).
-TRACE_MAX_LEN = 40
+TRACE_MAX_WORK = 500_000_000
 
 # freeness refuses above this many (tuple, partition) extensions: the
 # composable generator tuples of order k, counted from A^(2k), times
@@ -124,26 +123,29 @@ def cmd_trace(args) -> int:
     loops = []
     if args.loop:
         loops = [_parse_loop(g, args.loop)]
-        if loops[0].length > TRACE_MAX_LEN:
-            raise CliError(f"trace takes loops of length at most {TRACE_MAX_LEN}; "
-                           f"--loop has length {loops[0].length}")
+        n = loops[0].length
+        if n ** 3 > TRACE_MAX_WORK:
+            raise CliError(f"tracing a loop of length {n} takes some n^3 = {n ** 3} "
+                           f"steps, more than {TRACE_MAX_WORK}; give a shorter loop")
     elif args.all_loops:
         # (A^n)[v, v] counts the loops of length n at v; stop as gram does,
         # and at the first zero power, past which no path exists.
-        total, max_len = 0, -1
+        total, work, max_len = 0, 0, -1
         for n, power in zip(range(args.max_len + 1), adjacency_powers(g)):
             if not power.any():
                 break
             max_len = n
-            total += sum(power.diagonal())
-            if n > TRACE_MAX_LEN and power.diagonal().any():
-                raise CliError(f"trace --all-loops --max-len {args.max_len} would trace "
-                               f"loops of length {n}, past the limit of {TRACE_MAX_LEN}; "
-                               f"lower --max-len")
+            count = sum(power.diagonal())
+            total += count
+            work += count * n ** 3
             if total > TRACE_MAX_LOOPS:
                 raise CliError(f"trace --all-loops --max-len {args.max_len} would trace "
                                f"more than {TRACE_MAX_LOOPS} loops: {total} up to "
                                f"length {n} alone; lower --max-len")
+            if work > TRACE_MAX_WORK:
+                raise CliError(f"trace --all-loops --max-len {args.max_len} would take "
+                               f"more than {TRACE_MAX_WORK} steps (n^3 per loop of length "
+                               f"n): {work} up to length {n} alone; lower --max-len")
         for n in range(0, max_len + 1, 2):
             for v in range(g.n_vertices):
                 loops.extend(enumerate_paths(g, v, n, v))
@@ -151,9 +153,8 @@ def cmd_trace(args) -> int:
         raise CliError("give --loop or --all-loops")
     rows, payload = [], []
     for p in loops:
-        x = GradedElement.basis(g, p)
-        via_pairings = tau(x)
-        via_transform = falg.t_functional(falg.phi(x))
+        via_pairings = tau_path(g, p)
+        via_transform = falg.t_phi_path(g, p)
         name = "->".join(g.ids[v] for v in p.vertices)
         rows.append([name, f"{via_pairings:.12g}", f"{via_transform:.12g}",
                      f"{abs(via_pairings - via_transform):.3g}"])

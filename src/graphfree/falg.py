@@ -9,7 +9,9 @@ and psi (signed sum over non-nested ones) are mutually inverse
 *-isomorphisms between the two pictures carrying tau to t.  Both act on each
 path by a recursion over its capped gaps, not by enumerating diagrams: one
 backward pass over the path keeps, per position, only the intervals that cap
-off completely (a sparse row of gap weights) and the sums over through edges.
+off completely (a sparse row of gap weights), and a second one the sums over
+through edges.  t(phi(path)) needs only the first pass: it is one corner of
+the rows.
 """
 
 from __future__ import annotations
@@ -79,39 +81,51 @@ def braced(graph: Graph, path: Path) -> GradedElement:
 # the graded <-> filtered transforms
 
 
-def _transform(x: GradedElement, inverse: bool) -> GradedElement:
-    """phi (or psi) of x, path by path, by a recursion over capped gaps.
+def _gap_rows(graph: Graph, path: Path, inverse: bool) -> list[dict[int, float]]:
+    """The gap weights W of a path, row i the dict {j: W(i,j)} of its nonzeros.
 
     On a path v_0 e_1 v_1 ... e_n v_n, W(i,j) weighs the cappings of
     e_{i+1}..e_j: W(i,i) = 1, and e_{i+1} caps with some e_k = rev(e_{i+1})
     around the capped gap e_{i+2}..e_{k-1}, weighing c_i = mu(v_{i+1})/mu(v_i)
     as a single-cap generator does: W(i,j) = c_i sum_k W(i+1,k-1) W(k,j).
     psi nests no caps (k = i+2 only) and weighs each cap -c_i.  Row i is
-    the dict {j: W(i,j)} of its nonzero entries, filled from the partners k
-    with W(i+1,k-1) != 0, so the work follows the cappable intervals, not
-    (n+1)^2 cells.  No through strand sits inside a cap, so a diagram maps
-    the path to its through edges e_{t_1}..e_{t_m} with weight
+    filled from the partners k with W(i+1,k-1) != 0, so the work follows the
+    cappable intervals, not (n+1)^2 cells.
+    """
+    n, v, e = path.length, path.vertices, path.edges
+    mu, erev = graph.mu, graph.erev
+    rows: list[dict[int, float]] = [{}] * (n + 1)
+    for i in range(n, -1, -1):
+        row = {i: 1.0}
+        if i < n:
+            back, cap = erev[e[i]], mu(v[i + 1]) / mu(v[i])
+            for m, w in ((i + 1, -1.0),) if inverse else rows[i + 1].items():
+                if m < n and e[m] == back:
+                    w *= cap
+                    for j, c in rows[m + 1].items():
+                        row[j] = row.get(j, 0.0) + w * c
+        rows[i] = row
+    return rows
+
+
+def _transform(x: GradedElement, inverse: bool) -> GradedElement:
+    """phi (or psi) of x, path by path, from the gap rows of :func:`_gap_rows`.
+
+    No through strand sits inside a cap, so a diagram maps the path to its
+    through edges e_{t_1}..e_{t_m} with weight
     W(0,t_1-1) W(t_1,t_2-1) ... W(t_m,n); tails[i] sums these over the
-    through edges of e_{i+1}..e_n.  One backward pass fills row i and then
-    tails[i] from it and the tails[j+1] already filled.
+    through edges of e_{i+1}..e_n.  One backward pass fills tails[i] from
+    row i and the tails[j+1] already filled.
     """
     g = x.graph
-    erev, estart, efinish = g.erev, g.estart, g.efinish
+    estart, efinish = g.estart, g.efinish
     out: dict[Path, float] = {}
     for p, a in x.terms.items():
-        n, v, e = p.length, p.vertices, p.edges
-        rows: list[dict[int, float]] = [{}] * (n + 1)
+        n, e = p.length, p.edges
+        rows = _gap_rows(g, p, inverse)
         tails: list[dict[tuple[int, ...], float]] = [{}] * (n + 1)
         for i in range(n, -1, -1):
-            row = {i: 1.0}
-            if i < n:
-                back = erev[e[i]]
-                for m, w in ((i + 1, -1.0),) if inverse else rows[i + 1].items():
-                    if m < n and e[m] == back:
-                        w *= g.mu(v[i + 1]) / g.mu(v[i])
-                        for j, c in rows[m + 1].items():
-                            row[j] = row.get(j, 0.0) + w * c
-            rows[i] = row
+            row = rows[i]
             acc = {(): row[n]} if n in row else {}
             for j, w in row.items():
                 if j < n:
@@ -125,6 +139,16 @@ def _transform(x: GradedElement, inverse: bool) -> GradedElement:
                  if edges else vertex_path(p.finish))
             out[q] = out.get(q, 0.0) + a * c
     return GradedElement(g, out)
+
+
+def t_phi_path(graph: Graph, path: Path) -> float:
+    """t(phi(path)): the all-capped corner W(0,n) of the gap rows, times mu^2(v_0).
+
+    Degree zero of phi(path) is the single vertex path at v_n, weighing
+    W(0,n); that entry is nonzero only on a loop, where v_n = v_0.  The
+    through-edge sums of phi are never built.
+    """
+    return _gap_rows(graph, path, False)[0].get(path.length, 0.0) * graph.mu2[path.start]
 
 
 def phi(x: GradedElement) -> GradedElement:

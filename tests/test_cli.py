@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from graphfree.cli import main
@@ -61,17 +62,27 @@ def test_trace_refuses_too_many_loops(capsys):
 
 
 def test_trace_refuses_long_loops(capsys):
-    # phi of one loop can have Catalan-many terms: lengths past 40 are refused
-    # up front, by --loop and by --all-loops at the first length with a loop
+    # both routes cost O(n^3) on a loop of length n, so trace refuses by the
+    # sum of n^3 over its loops, counted from diag(A^n) before any loop is
+    # built: --all-loops at the first length past the budget, with the count
     assert main(["trace", "--named", "a2", "--all-loops", "--max-len", "19998"]) == 2
     err = capsys.readouterr().err
-    assert "loops of length 42" in err and "Traceback" not in err
-    loop = ",".join(["c", "l0"] * 24 + ["c"])
-    assert main(["trace", "--named", "k1_4", "--loop", loop]) == 2
+    assert "514563856 up to length 212" in err and "Traceback" not in err
+    loop = ",".join(["v0", "v1"] * 400 + ["v0"])
+    assert main(["trace", "--named", "a2", "--loop", loop]) == 2
     err = capsys.readouterr().err
-    assert "length 48" in err and "Traceback" not in err
-    # length 40 itself is traced, not refused, and its trace of about 3.3e9
-    # passes: the routes are judged relative to the size of the trace
+    assert "length 800" in err and "512000000" in err and "Traceback" not in err
+    # no length cap: k1_4 loops of length 48 and 100 are traced, and the
+    # routes agree relative to the trace
+    rng = np.random.default_rng(48)
+    for n in (48, 100):
+        loop = ",".join(f"c,l{k}" for k in rng.integers(4, size=n // 2)) + ",c"
+        assert main(["trace", "--named", "k1_4", "--loop", loop, "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)["trace"][0]
+        assert row["loop"].count("->") == n
+        assert row["transform_trace"] == pytest.approx(row["pairing_trace"], rel=1e-12)
+    # the a2 loop of length 40 has a trace of about 3.3e9 and passes: the
+    # routes are judged relative to the size of the trace
     loop = ",".join(["v0", "v1"] * 20 + ["v0"])
     assert main(["trace", "--named", "a2", "--loop", loop, "--json"]) == 0
     row = json.loads(capsys.readouterr().out)["trace"][0]

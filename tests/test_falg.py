@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphfree import cdelta, epitl, falg
+from graphfree import cdelta, epitl, falg, gralg
 from graphfree.gralg import GradedElement, bullet_mul, e_vertex, star, tau, unit
 from graphfree.graphs import (Path, adjacency_powers, delta_max, enumerate_paths,
                               named_graph, two_vertex_graph)
@@ -308,6 +308,45 @@ def test_trace_transport_long_loops(a3, rng):
         b = GradedElement.basis(a3, loops[k])
         want = tau(b)
         assert abs(falg.t_functional(falg.phi(b)) - want) <= 1e-12 * want
+
+
+def _row_work(graph, path, rows):
+    """Cells a row pass filled, and the multiply-adds it made.
+
+    Row i adds row m+1 once per partner m: a key of row i+1 whose next
+    edge e[m] reverses e[i].
+    """
+    n, e, erev = path.length, path.edges, graph.erev
+    cells = sum(len(row) for row in rows)
+    adds = sum(len(rows[m + 1]) for i in range(n) for m in rows[i + 1]
+               if m < n and e[m] == erev[e[i]])
+    return cells, adds
+
+
+@pytest.mark.parametrize("row_pass", [lambda g, p: gralg._face_rows(g, p),
+                                      lambda g, p: falg._gap_rows(g, p, False)],
+                         ids=["tau", "phi"])
+def test_row_passes_grow_cubically(a2, row_pass):
+    # deterministic work counters on the a2 alternating loops, where every
+    # interval of even length caps: the cells fill one parity of the table
+    # and the multiply-adds stay below n^3/16 (they tend to n^3/24), where
+    # the pairing sum would grow like Catalan(n/2)
+    for n in (20, 40, 80):
+        loop = a2.path_from_vertices(["v0", "v1"] * (n // 2) + ["v0"])
+        cells, adds = _row_work(a2, loop, row_pass(a2, loop))
+        assert cells <= (n + 2) ** 2 // 4
+        assert adds <= n ** 3 / 16
+
+
+def test_t_phi_path_reads_the_corner(battery):
+    # t(phi(p)) without the through-edge pass, on every path to length 8,
+    # open ones included; the loops also match the pairing route
+    for g in battery.values():
+        for n in range(9):
+            for p in enumerate_paths(g, None, n, None):
+                got = falg.t_phi_path(g, p)
+                assert got == falg.t_functional(falg.phi(GradedElement.basis(g, p)))
+                assert got == pytest.approx(gralg.tau_path(g, p), rel=1e-12, abs=1e-15)
 
 
 def test_truncated_left_mult_bounds(a2):

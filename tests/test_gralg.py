@@ -1,5 +1,6 @@
 import pytest
 
+from graphfree import cumulants, gralg
 from graphfree import noncross as ncx
 from graphfree.gralg import (GradedElement, bullet_mul, corner, corner_trace,
                              e_parity, e_vertex, star, tau, tau_pairing, tau_path,
@@ -103,6 +104,77 @@ def test_tau_alternating_loop_is_half_catalan(a2, m):
     loop = a2.path_from_vertices(["v0", "v1"] * m + ["v0"])
     got = tau(GradedElement.basis(a2, loop))
     assert got == pytest.approx(ncx.catalan(m) / 2, rel=1e-12)
+
+
+def _dense_face_sum(graph, path):
+    """The oracle: F(0,n) from the full (n+1)^2 table of the face recursion.
+
+    F(i,i) = 1, F(i,j) = 0 when v_i != v_j, and otherwise
+    F(i,j) = mu^2(v_{i+1}) * sum_k F(i+1,k-1) * F(k,j) over the partners
+    e_k = rev(e_{i+1}), k = i+2, i+4, ..., j.
+    """
+    n, v, e = path.length, path.vertices, path.edges
+    mu2, erev = graph.mu2, graph.erev
+    f = [[0.0] * (n + 1) for _ in range(n + 1)]
+    f[n][n] = 1.0
+    for i in range(n - 1, -1, -1):
+        f[i][i] = 1.0
+        back = erev[e[i]]
+        partners = [k for k in range(i + 2, n + 1, 2) if e[k - 1] == back]
+        for j in range(i + 2, n + 1, 2):
+            if v[j] == v[i]:
+                f[i][j] = mu2[v[i + 1]] * sum(f[i + 1][k - 1] * f[k][j]
+                                              for k in partners if k <= j)
+    return f[0][n]
+
+
+def _matrix_moment_paths(q, kmax):
+    """The paths whose traces omega_matrix_moments(q-edge graph, kmax) takes."""
+    seen = []
+    face_sum = gralg._face_sum
+
+    def record(graph, path):
+        seen.append(path)
+        return face_sum(graph, path)
+
+    g = two_vertex_graph(q, 0.3, 0.7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gralg, "_face_sum", record)
+        cumulants.omega_matrix_moments(g, kmax)
+    return g, seen
+
+
+def test_face_sum_matches_dense_table():
+    cases = [(g, list(_paths(g, range(2, 13, 2), True)))
+             for g in map(named_graph, ("a2", "a3", "k1_3", "dbl"))]
+    cases += [_matrix_moment_paths(q, 6) for q in (2, 3)]
+    for g, paths in cases:
+        assert paths
+        for p in paths:
+            want = _dense_face_sum(g, p)
+            assert gralg._face_sum(g, p) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_face_rows_fill_only_the_pairable_cells():
+    # a q=3 matrix-moment path pairs only where its edges reverse, so its
+    # rows hold fewer than the (n+1)^2 cells of the dense table
+    g, paths = _matrix_moment_paths(3, 6)
+    p = max(paths, key=lambda p: (p.length, len(set(p.edges))))
+    assert p.length == 12 and len(set(p.edges)) == 6
+    cells = sum(len(row) for row in gralg._face_rows(g, p))
+    assert cells < (p.length + 1) ** 2 // 4
+
+
+def test_tau_memo_is_bounded():
+    # dbl has 10,922 loops of length <= 12, more than the memo holds; the
+    # oldest are forgotten, and traced again they give the same value
+    g = named_graph("dbl")
+    loops = list(_paths(g, range(2, 13, 2), True))
+    assert len(loops) > gralg.TAU_MEMO_MAX
+    first = [tau_path(g, p) for p in loops]
+    assert len(g._cache["tau"]) == gralg.TAU_MEMO_MAX
+    assert [tau_path(g, p) for p in loops[:10]] == first[:10]
+    assert len(g._cache["tau"]) == gralg.TAU_MEMO_MAX
 
 
 def test_corner_examples(a2):
