@@ -53,10 +53,6 @@ class TPQMorphism:
         return _size(self.p)
 
 
-def identity_tpq(n: int) -> TPQMorphism:
-    return TPQMorphism(n, n, _norm(1, n), _norm(1, n))
-
-
 def a_minus(n: int) -> TPQMorphism:
     """Single cap at the bottom left: [n] -> [n-1]."""
     if n < 1:

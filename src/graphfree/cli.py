@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -324,9 +325,29 @@ def cmd_verify(args) -> int:
 # argument plumbing
 
 
-_FLAGS = {"--tol": {"type": float, "default": 1e-9},
-          "--max-degree": {"type": int, "default": 16},
-          "--seed": {"type": int, "default": 0}}
+def _checked(convert, ok, name: str):
+    """An argparse type: ``convert``, then refuse values failing ``ok``.
+
+    argparse reports the refusal as "invalid <name> value" and exits 2.
+    """
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    parse.__name__ = name
+    return parse
+
+
+_COUNT = _checked(int, lambda n: n >= 0, "non-negative integer")
+_FLAGS = {"--tol": {"type": _checked(float, lambda t: 0 <= t < math.inf,
+                                     "finite non-negative float"), "default": 1e-9},
+          "--max-degree": {"type": _COUNT, "default": 16},
+          "--max-len": {"type": _COUNT, "default": 4},
+          "--seed": {"type": _COUNT, "default": 0},
+          "--matrix-moments": {"type": _checked(int, lambda n: n >= 1, "positive integer"),
+                               "metavar": "K",
+                               "help": "normalized matrix moments up to order K"}}
 
 
 def _add_common(p, *flags, graph_arg: bool = True):
@@ -351,17 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="trace of loops via both routes")
-    _add_common(p, "--tol")
+    _add_common(p, "--tol", "--max-len")
     p.add_argument("--loop", help="comma-separated vertex ids")
     p.add_argument("--all-loops", action="store_true")
-    p.add_argument("--max-len", type=int, default=4)
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("moments", help="base-valued or matrix moments")
-    _add_common(p)
+    _add_common(p, "--matrix-moments")
     p.add_argument("--tuple", help="semicolon-separated loops of length 2")
-    p.add_argument("--matrix-moments", type=int, metavar="K",
-                   help="normalized matrix moments up to order K")
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("cumulants", help="cumulants by both routes")
@@ -394,9 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "max_degree", 16) < 0:
-        print("error: --max-degree must be >= 0", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.fn(args)
     except CliError as exc:

@@ -23,7 +23,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, Path
-from .gralg import GradedElement, tau, tau_path
+from .gralg import GradedElement, max_abs_diff, tau, tau_path
 from . import epitl, noncross
 
 BElement = dict[int, float]  # vertex index -> coefficient of the idempotent
@@ -33,9 +33,7 @@ def b_norm(a: BElement) -> float:
     return max((abs(c) for c in a.values()), default=0.0)
 
 
-def b_diff_norm(a: BElement, b: BElement) -> float:
-    keys = set(a) | set(b)
-    return max((abs(a.get(v, 0.0) - b.get(v, 0.0)) for v in keys), default=0.0)
+b_diff_norm = max_abs_diff
 
 
 def _compose_all(paths) -> Path | None:

@@ -85,10 +85,6 @@ class EpiMorphism:
         return tuple((m + 2 * j, i) for j, i in enumerate(self.caps, start=1))
 
 
-def identity_epi(n: int) -> EpiMorphism:
-    return EpiMorphism(n, n, ())
-
-
 def cap_generator(n: int, i: int) -> EpiMorphism:
     """The single-cap generator joining bottom points i, i+1 of [n]."""
     if not 1 <= i < n:
@@ -198,38 +194,6 @@ def act(f: EpiMorphism, x: GradedElement) -> GradedElement:
     return GradedElement(g, out)
 
 
-def act_direct(f: EpiMorphism, x: GradedElement) -> GradedElement:
-    """Oracle action straight from the diagram.
-
-    Each cap contributes a reversal delta and a mu-ratio; the surviving
-    through edges concatenate in increasing order (the finish vertex
-    alone when nothing passes through).
-    """
-    g = x.graph
-    if not x.is_zero() and x.degree() != f.source:
-        raise GraphError("degree mismatch")
-    pairs, through = f.cap_pairs()
-    out = GradedElement(g)
-    for p, c in x.terms.items():
-        coeff = c
-        dead = False
-        for a, b in pairs:
-            if p.edges[a - 1] != g.erev[p.edges[b - 1]]:
-                dead = True
-                break
-            coeff *= g.mu(p.vertices[a]) / g.mu(p.vertices[b])
-        if dead:
-            continue
-        if through:
-            verts = (p.vertices[through[0] - 1],) + tuple(p.vertices[t] for t in through)
-            q = Path(verts, tuple(p.edges[t - 1] for t in through))
-        else:
-            q = vertex_path(p.finish)
-        out.terms[q] = out.terms.get(q, 0.0) + coeff
-    out._prune()
-    return out
-
-
 def closed_cap_value(graph: Graph, t: noncross.NCPartition, path: Path) -> float:
     """Closed form for a full pairing acting on a path of length 2n.
 
@@ -255,15 +219,11 @@ def diffexp_check(f: EpiMorphism, x: GradedElement, tol: float = 1e-12) -> bool:
         raise GraphError("closed form applies to morphisms into [0]")
     g = x.graph
     t = to_tl(f)
-    lhs = act(f, x)
-    rhs = GradedElement(g)
+    rhs: dict[Path, float] = {}
     for p, c in x.terms.items():
-        val = c * closed_cap_value(g, t, p)
-        if val != 0:
-            q = vertex_path(p.finish)
-            rhs.terms[q] = rhs.terms.get(q, 0.0) + val
-    rhs._prune()
-    return lhs.norm_inf_diff(rhs) <= tol
+        q = vertex_path(p.finish)
+        rhs[q] = rhs.get(q, 0.0) + c * closed_cap_value(g, t, p)
+    return act(f, x).norm_inf_diff(GradedElement(g, rhs)) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,6 @@ def lf(t: float, weight: float = 1.0, **kw) -> AlgDesc:
     return AlgDesc((), ((t, weight),), **kw)
 
 
-def lz(weight: float = 1.0) -> AlgDesc:
-    return lf(1.0, weight)
-
-
-def atom_plus_lf(atom: float, t: float, **kw) -> AlgDesc:
-    return AlgDesc((atom,), ((t, 1.0 - atom),), **kw)
-
-
 def fdim(a: AlgDesc) -> float:
     """Free dimension: sum g^2 (t - 1) + 1 - sum atom^2."""
     return (sum(g * g * (t - 1.0) for t, g in a.diffuse)

@@ -35,7 +35,7 @@ def sharp_mul(x: GradedElement, y: GradedElement) -> GradedElement:
     its first k, weighing mu(q_0)/mu(q_k) (the generators' mu-ratios
     telescope).  Endpoint mismatches vanish with the concatenation.
     """
-    x._same_graph(y)
+    x._check(y)
     g = x.graph
     mu, erev = g.mu, g.erev
     out: dict[Path, float] = {}
@@ -65,16 +65,10 @@ def inner(x: GradedElement, y: GradedElement) -> float:
     Only the full contraction of q* # p reaches degree zero, and it
     survives exactly when q = p, where it weighs mu(s)mu(f).
     """
-    x._same_graph(y)
+    x._check(y)
     mu, ys = x.graph.mu, y.terms
     return sum(a * ys[p].conjugate() * mu(p.start) * mu(p.finish)
                for p, a in x.terms.items() if p in ys)
-
-
-def braced(graph: Graph, path: Path) -> GradedElement:
-    """The unit-normalized path mu(s)^{-1/2} mu(f)^{-1/2} [path]."""
-    scale = (graph.mu(path.start) * graph.mu(path.finish)) ** -0.5
-    return GradedElement.basis(graph, path, scale)
 
 
 # ---------------------------------------------------------------------------

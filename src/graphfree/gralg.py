@@ -1,7 +1,9 @@
 """The graded path *-probability space of a graph.
 
 Elements are finite linear combinations of paths (mixed degrees are
-allowed so the filtered picture can reuse the container).  The product
+allowed so the filtered picture can reuse the container).  Their
+arithmetic lives in :class:`SparseElement`, which the path-pair
+combinations of the towers share.  The product
 is concatenation, the involution reverses paths, and the trace sums
 Temperley-Lieb pairings weighted by Kreweras-complement mu-factors.
 
@@ -23,69 +25,83 @@ from .graphs import Graph, GraphError, Path, vertex_path
 from . import noncross
 
 
-class GradedElement:
-    """Finite scalar combination of paths of a fixed graph.
+def max_abs_diff(a: dict, b: dict) -> float:
+    """max |a[k] - b[k]| over both key sets, a missing key reading 0."""
+    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys()),
+               default=0.0)
 
-    Zero coefficients are pruned.  Supports +, -, scalar *, the graded
-    concatenation product via :func:`bullet_mul` and the involution via
-    :func:`star`.
+
+class SparseElement:
+    """Finite scalar combination of basis keys over a fixed graph.
+
+    Zero coefficients are dropped on construction, and every operation
+    builds its result once.  Subclasses say how to build a result like
+    themselves (:meth:`_build`) and which operands combine with them
+    (:meth:`_check`).
     """
 
     __slots__ = ("graph", "terms")
 
     def __init__(self, graph: Graph, terms=None):
         self.graph = graph
-        self.terms: dict[Path, float] = {p: c for p, c in (terms or {}).items()
-                                         if c != 0}
+        terms = terms or {}
+        # dict() copies the stored key hashes; the comprehension rehashes
+        # every key, so it runs only when there is a zero to drop
+        self.terms = ({k: c for k, c in terms.items() if c != 0} if 0 in terms.values()
+                      else dict(terms))
 
-    def _prune(self):
-        for p in [p for p, c in self.terms.items() if c == 0]:
-            del self.terms[p]
+    def _build(self, terms: dict):
+        return type(self)(self.graph, terms)
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def basis(cls, graph: Graph, path: Path, coeff=1.0) -> "GradedElement":
-        x = cls(graph)
-        if coeff != 0:
-            x.terms[path] = coeff
-        return x
-
-    # -- ring-ish operations ---------------------------------------------
-
-    def copy(self) -> "GradedElement":
-        out = GradedElement(self.graph)
-        out.terms = dict(self.terms)
-        return out
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._same_graph(other)
-        out = self.copy()
-        for p, c in other.terms.items():
-            out.terms[p] = out.terms.get(p, 0.0) + c
-        out._prune()
-        return out
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "GradedElement":
-        return (-1.0) * self
-
-    def __rmul__(self, scalar) -> "GradedElement":
-        out = GradedElement(self.graph)
-        if scalar != 0:
-            out.terms = {p: scalar * c for p, c in self.terms.items()}
-        return out
-
-    def _same_graph(self, other: "GradedElement"):
+    def _check(self, other):
         if other.graph is not self.graph:
             raise GraphError("elements live on different graphs")
 
-    # -- inspection -------------------------------------------------------
+    @classmethod
+    def basis(cls, graph: Graph, key, coeff=1.0):
+        return cls(graph, {key: coeff})
+
+    def copy(self):
+        return self._build(self.terms)
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0.0) + c
+        return self._build(terms)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def __rmul__(self, scalar):
+        return self._build({k: scalar * c for k, c in self.terms.items()})
+
+    def coeff(self, key) -> float:
+        return self.terms.get(key, 0.0)
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def norm_inf_diff(self, other) -> float:
+        # a zero element is zero on every level, so only two nonzero
+        # elements have to combine
+        if self.terms and other.terms:
+            self._check(other)
+        return max_abs_diff(self.terms, other.terms)
+
+
+class GradedElement(SparseElement):
+    """Finite scalar combination of paths of a fixed graph.
+
+    Mixed degrees are allowed.  The graded concatenation product is
+    :func:`bullet_mul` and the involution :func:`star`.
+    """
+
+    __slots__ = ()
 
     def degrees(self) -> list[int]:
         return sorted({p.length for p in self.terms})
@@ -100,14 +116,6 @@ class GradedElement:
         if len(degs) != 1:
             raise GraphError(f"element not homogeneous (degrees {degs})")
         return degs[0]
-
-    def coeff(self, path: Path) -> float:
-        return self.terms.get(path, 0.0)
-
-    def norm_inf_diff(self, other: "GradedElement") -> float:
-        self._same_graph(other)
-        keys = set(self.terms) | set(other.terms)
-        return max((abs(self.coeff(p) - other.coeff(p)) for p in keys), default=0.0)
 
     def __repr__(self):
         if not self.terms:
@@ -139,24 +147,21 @@ def e_parity(graph: Graph, parity: int) -> GradedElement:
 
 def bullet_mul(x: GradedElement, y: GradedElement) -> GradedElement:
     """Concatenation product; terms with mismatched endpoints drop out."""
-    x._same_graph(y)
-    out = GradedElement(x.graph)
+    x._check(y)
+    out: dict[Path, float] = {}
     for p, a in x.terms.items():
         for q, b in y.terms.items():
             pq = p.concat(q)
             if pq is not None:
-                out.terms[pq] = out.terms.get(pq, 0.0) + a * b
-    out._prune()
-    return out
+                out[pq] = out.get(pq, 0.0) + a * b
+    return GradedElement(x.graph, out)
 
 
 def star(x: GradedElement) -> GradedElement:
     """The involution: conjugate coefficients on reversed paths."""
     g = x.graph
-    out = GradedElement(g)
-    for p, c in x.terms.items():
-        out.terms[p.reversed_in(g)] = c.conjugate() if isinstance(c, complex) else c
-    return out
+    return GradedElement(g, {p.reversed_in(g): c.conjugate() if isinstance(c, complex) else c
+                             for p, c in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------

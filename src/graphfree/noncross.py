@@ -141,32 +141,6 @@ def enumerate_nc(n: int) -> list[NCPartition]:
     return [nc(n, bs) for bs in _nc_blocks(1, n)]
 
 
-def enumerate_set_partitions(n: int):
-    """All set partitions of {1..n} (restricted-growth enumeration)."""
-    if n == 0:
-        yield ()
-        return
-
-    def grow(i, blocks):
-        if i > n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from grow(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from grow(i + 1, blocks)
-        blocks.pop()
-
-    yield from grow(1, [])
-
-
-def enumerate_nc_oracle(n: int) -> list[NCPartition]:
-    """Backtracking oracle: filter all set partitions for non-crossing."""
-    return [nc(n, bs) for bs in enumerate_set_partitions(n) if is_noncrossing(bs)]
-
-
 @functools.cache
 def enumerate_tl(two_n: int) -> list[NCPartition]:
     """All Temperley-Lieb pairings of {1..two_n}."""
@@ -255,15 +229,6 @@ def kreweras_oracle(p: NCPartition) -> NCPartition:
             if merged:
                 break
     return nc(n, [tuple(b) for b in blocks])
-
-
-def rotate(p: NCPartition, shift: int = 1) -> NCPartition:
-    """Cyclic relabeling i -> i + shift (mod n)."""
-    n = p.n
-    if n == 0:
-        return p
-    return nc(n, [tuple(sorted((x - 1 + shift) % n + 1 for x in b))
-                  for b in p.blocks])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, Path, delta_v, enumerate_paths
-from .gralg import GradedElement
+from .gralg import GradedElement, SparseElement
 from . import noncross
 
 
@@ -43,73 +43,26 @@ class PathPair:
         return self.plus.length
 
 
-class TowerElement:
+class TowerElement(SparseElement):
     """Finite combination of level-n path pairs."""
 
-    __slots__ = ("graph", "level", "terms")
+    __slots__ = ("level",)
 
     def __init__(self, graph: Graph, level: int, terms=None):
-        self.graph = graph
+        super().__init__(graph, terms)
         self.level = level
-        self.terms: dict[PathPair, float] = {}
-        if terms:
-            for k, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c != 0:
-                    if k.level != level:
-                        raise GraphError("pair level mismatch")
-                    self.terms[k] = self.terms.get(k, 0.0) + c
-            self._prune()
 
-    def _prune(self):
-        for k in [k for k, c in self.terms.items() if c == 0]:
-            del self.terms[k]
+    def _build(self, terms: dict) -> "TowerElement":
+        return TowerElement(self.graph, self.level, terms)
+
+    def _check(self, other: "TowerElement"):
+        super()._check(other)
+        if other.level != self.level:
+            raise GraphError(f"levels {self.level} and {other.level} differ")
 
     @classmethod
     def basis(cls, graph: Graph, pair: PathPair, coeff=1.0) -> "TowerElement":
         return cls(graph, pair.level, {pair: coeff})
-
-    def copy(self) -> "TowerElement":
-        out = TowerElement(self.graph, self.level)
-        out.terms = dict(self.terms)
-        return out
-
-    def __add__(self, other: "TowerElement") -> "TowerElement":
-        self._compat(other)
-        out = self.copy()
-        for k, c in other.terms.items():
-            out.terms[k] = out.terms.get(k, 0.0) + c
-        out._prune()
-        return out
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "TowerElement":
-        out = TowerElement(self.graph, self.level)
-        if scalar != 0:
-            out.terms = {k: scalar * c for k, c in self.terms.items()}
-        return out
-
-    def _compat(self, other: "TowerElement"):
-        if other.graph is not self.graph:
-            raise GraphError("different graphs")
-        if other.level != self.level:
-            raise GraphError(f"levels {self.level} and {other.level} differ")
-
-    def coeff(self, pair: PathPair) -> float:
-        return self.terms.get(pair, 0.0)
-
-    def norm_inf_diff(self, other: "TowerElement") -> float:
-        # zero elements carry no meaningful level; compare them freely
-        if self.is_zero() or other.is_zero():
-            both = list(self.terms.values()) + list(other.terms.values())
-            return max((abs(c) for c in both), default=0.0)
-        self._compat(other)
-        keys = set(self.terms) | set(other.terms)
-        return max((abs(self.coeff(k) - other.coeff(k)) for k in keys), default=0.0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self):
         return f"TowerElement(level={self.level}, {len(self.terms)} terms)"
@@ -126,18 +79,11 @@ def _star(graph: Graph) -> int:
 
 
 def pair_basis(graph: Graph, n: int) -> list[PathPair]:
-    key = ("pairs", n)
-    cached = graph._cache.get(key)
-    if cached is None:
-        base = _star(graph)
-        paths = enumerate_paths(graph, base, n, None)
-        by_finish: dict[int, list[Path]] = {}
-        for p in paths:
-            by_finish.setdefault(p.finish, []).append(p)
-        cached = [PathPair(p, q) for f in sorted(by_finish)
-                  for p in by_finish[f] for q in by_finish[f]]
-        graph._cache[key] = cached
-    return cached
+    by_finish: dict[int, list[Path]] = {}
+    for p in enumerate_paths(graph, _star(graph), n, None):
+        by_finish.setdefault(p.finish, []).append(p)
+    return [PathPair(p, q) for f in sorted(by_finish)
+            for p in by_finish[f] for q in by_finish[f]]
 
 
 def identity_element(graph: Graph, n: int) -> TowerElement:
@@ -148,25 +94,21 @@ def identity_element(graph: Graph, n: int) -> TowerElement:
 
 def mult(x: TowerElement, y: TowerElement) -> TowerElement:
     """Matrix-unit product: (a,b)(c,d) = [b = c] (a,d)."""
-    x._compat(y)
+    x._check(y)
     by_plus: dict[Path, list[tuple[PathPair, float]]] = {}
     for k, c in y.terms.items():
         by_plus.setdefault(k.plus, []).append((k, c))
-    out = TowerElement(x.graph, x.level)
+    out: dict[PathPair, float] = {}
     for k, c in x.terms.items():
         for k2, c2 in by_plus.get(k.minus, ()):
             pair = PathPair(k.plus, k2.minus)
-            out.terms[pair] = out.terms.get(pair, 0.0) + c * c2
-    out._prune()
-    return out
+            out[pair] = out.get(pair, 0.0) + c * c2
+    return x._build(out)
 
 
 def star_t(x: TowerElement) -> TowerElement:
-    out = TowerElement(x.graph, x.level)
-    for k, c in x.terms.items():
-        out.terms[PathPair(k.minus, k.plus)] = \
-            c.conjugate() if isinstance(c, complex) else c
-    return out
+    return x._build({PathPair(k.minus, k.plus): c.conjugate() if isinstance(c, complex) else c
+                     for k, c in x.terms.items()})
 
 
 def trace_t(x: TowerElement, delta: float | None = None) -> float:
@@ -189,15 +131,15 @@ def trace_t(x: TowerElement, delta: float | None = None) -> float:
 def include(x: TowerElement) -> TowerElement:
     """Unital inclusion: extend both legs by every length-1 continuation."""
     g = x.graph
-    out = TowerElement(g, x.level + 1)
+    out: dict[PathPair, float] = {}
     for k, c in x.terms.items():
         for e in g.out_edges(k.plus.finish):
             w = g.efinish[e]
             plus = Path(k.plus.vertices + (w,), k.plus.edges + (e,))
             minus = Path(k.minus.vertices + (w,), k.minus.edges + (e,))
             pair = PathPair(plus, minus)
-            out.terms[pair] = out.terms.get(pair, 0.0) + c
-    return out
+            out[pair] = out.get(pair, 0.0) + c
+    return TowerElement(g, x.level + 1, out)
 
 
 def cond_exp(x: TowerElement, delta: float | None = None) -> TowerElement:
@@ -207,7 +149,7 @@ def cond_exp(x: TowerElement, delta: float | None = None) -> TowerElement:
         raise GraphError("cannot project below level 0")
     if delta is None:
         delta = delta_v(g, _star(g))
-    out = TowerElement(g, x.level - 1)
+    out: dict[PathPair, float] = {}
     for k, c in x.terms.items():
         if k.plus.edges[-1] != k.minus.edges[-1]:
             continue
@@ -216,9 +158,8 @@ def cond_exp(x: TowerElement, delta: float | None = None) -> TowerElement:
         coeff = c * g.mu2[w] / (delta * g.mu2[prev])
         pair = PathPair(k.plus.segment(0, x.level - 1),
                         k.minus.segment(0, x.level - 1))
-        out.terms[pair] = out.terms.get(pair, 0.0) + coeff
-    out._prune()
-    return out
+        out[pair] = out.get(pair, 0.0) + coeff
+    return TowerElement(g, x.level - 1, out)
 
 
 def jones_projection(graph: Graph, n: int, delta: float | None = None) -> TowerElement:
@@ -234,29 +175,24 @@ def jones_projection(graph: Graph, n: int, delta: float | None = None) -> TowerE
         delta = delta_v(g, _star(g))
     if delta <= 1:
         raise GraphError("Jones projections need modulus > 1")
-    out = TowerElement(g, n)
+    out: dict[PathPair, float] = {}
     for pair in pair_basis(g, n):
         p, m = pair.plus, pair.minus
         if p.segment(0, n - 2) != m.segment(0, n - 2):
             continue
         if p.edges[-2] != g.erev[p.edges[-1]] or m.edges[-2] != g.erev[m.edges[-1]]:
             continue
-        coeff = (g.mu(p.vertices[n - 1]) * g.mu(m.vertices[n - 1])
-                 / (delta * g.mu2[p.finish]))
-        out.terms[pair] = coeff
-    return out
+        out[pair] = (g.mu(p.vertices[n - 1]) * g.mu(m.vertices[n - 1])
+                     / (delta * g.mu2[p.finish]))
+    return TowerElement(g, n, out)
 
 
 def _jones_tower(graph: Graph, level: int, t: int) -> TowerElement:
     """e_t included up to the given level."""
-    key = ("jones", level, t)
-    cached = graph._cache.get(key)
-    if cached is None:
-        cached = jones_projection(graph, t)
-        for _ in range(level - t):
-            cached = include(cached)
-        graph._cache[key] = cached
-    return cached
+    out = jones_projection(graph, t)
+    for _ in range(level - t):
+        out = include(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +223,7 @@ def ztl(graph: Graph, t: noncross.NCPartition) -> TowerElement:
     n = t.n // 2
     g = graph
     up, down, through = _tl_split(t, n)
-    out = TowerElement(g, n)
+    out: dict[PathPair, float] = {}
     for pair in pair_basis(g, n):
         p, m = pair.plus, pair.minus
         coeff = 1.0
@@ -313,8 +249,8 @@ def ztl(graph: Graph, t: noncross.NCPartition) -> TowerElement:
             coeff *= g.mu(p.vertices[2 * n + 1 - i]) / g.mu(p.vertices[2 * n + 1 - j])
         if not ok:
             continue
-        out.terms[pair] = out.terms.get(pair, 0.0) + coeff
-    return out
+        out[pair] = coeff
+    return TowerElement(g, n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +284,7 @@ def gr0_mul(x: TowerElement, y: TowerElement) -> TowerElement:
     if x.graph is not y.graph:
         raise GraphError("different graphs")
     m, n = x.level, y.level
-    out = TowerElement(g, m + n)
+    out: dict[PathPair, float] = {}
     for kx, cx in x.terms.items():
         lx = pair_to_loop(g, kx)
         for ky, cy in y.terms.items():
@@ -357,9 +293,8 @@ def gr0_mul(x: TowerElement, y: TowerElement) -> TowerElement:
             coeff = (cx * cy * g.mu(lx.vertices[m]) * g.mu(ly.vertices[n])
                      / (g.mu(loop.vertices[m + n]) * g.mu(ly.vertices[0])))
             pair = loop_to_pair(g, loop)
-            out.terms[pair] = out.terms.get(pair, 0.0) + coeff
-    out._prune()
-    return out
+            out[pair] = out.get(pair, 0.0) + coeff
+    return TowerElement(g, m + n, out)
 
 
 def _gr0_middle_pairing(m: int, n: int) -> noncross.NCPartition:
@@ -407,13 +342,11 @@ def theta(graph: Graph, x: GradedElement) -> TowerElement:
     if len(degs) != 1:
         raise GraphError("theta needs a homogeneous element")
     n = degs[0] // 2
-    out = TowerElement(g, n)
+    out: dict[PathPair, float] = {}
     for p, c in x.terms.items():
         pair = loop_to_pair(g, p)
-        coeff = c * g.mu(p.vertices[0]) / g.mu(p.vertices[n])
-        out.terms[pair] = out.terms.get(pair, 0.0) + coeff
-    out._prune()
-    return out
+        out[pair] = out.get(pair, 0.0) + c * g.mu(p.vertices[0]) / g.mu(p.vertices[n])
+    return TowerElement(g, n, out)
 
 
 def gr0_trace(x: TowerElement) -> float:
@@ -499,7 +432,7 @@ def gr1_mul(x: TowerElement, y: TowerElement) -> TowerElement:
     m, n = x.level, y.level
     if m < 1 or n < 1:
         raise GraphError("shifted product needs positive levels")
-    out = TowerElement(g, m + n - 1)
+    out: dict[PathPair, float] = {}
     for kx, cx in x.terms.items():
         lx = pair_to_loop(g, kx)
         for ky, cy in y.terms.items():
@@ -510,9 +443,8 @@ def gr1_mul(x: TowerElement, y: TowerElement) -> TowerElement:
             coeff = (cx * cy * g.mu(lx.vertices[m]) * g.mu(ly.vertices[n])
                      / (g.mu(loop.vertices[m + n - 1]) * g.mu(ly.vertices[1])))
             pair = loop_to_pair(g, loop)
-            out.terms[pair] = out.terms.get(pair, 0.0) + coeff
-    out._prune()
-    return out
+            out[pair] = out.get(pair, 0.0) + coeff
+    return TowerElement(g, m + n - 1, out)
 
 
 def gr1_trace_raw(x: TowerElement) -> float:
@@ -552,14 +484,11 @@ def theta1(graph: Graph, v, x: GradedElement) -> TowerElement:
     if len(degs) != 1:
         raise GraphError("theta1 needs a homogeneous element")
     n = degs[0] // 2
-    out = TowerElement(g, n + 1)
     nurev = nu.reversed_in(g)
+    out: dict[PathPair, float] = {}
     for p, c in x.terms.items():
         if p.start != g.index(v) or p.finish != p.start:
             raise GraphError("theta1 needs loops at the chosen vertex")
-        loop = nu.concat(p).concat(nurev)
-        coeff = c * g.mu(p.vertices[0]) / g.mu(p.vertices[n])
-        pair = loop_to_pair(g, loop)
-        out.terms[pair] = out.terms.get(pair, 0.0) + coeff
-    out._prune()
-    return out
+        pair = loop_to_pair(g, nu.concat(p).concat(nurev))
+        out[pair] = out.get(pair, 0.0) + c * g.mu(p.vertices[0]) / g.mu(p.vertices[n])
+    return TowerElement(g, n + 1, out)

@@ -9,6 +9,11 @@ from graphfree.graphs import (GraphError, delta_v, enumerate_paths,
                               two_vertex_graph)
 
 
+def identity_tpq(n: int) -> cd.TPQMorphism:
+    through = (1, n) if n else None
+    return cd.TPQMorphism(n, n, through, through)
+
+
 def loop_basis(g, v, n):
     return enumerate_paths(g, v, 2 * n, v)
 
@@ -39,9 +44,9 @@ def test_compose_paper_figure():
 def test_compose_annihilation_and_exchange():
     for n in range(4):
         power, m = cd.tpq_compose(cd.a_minus(n + 1), cd.c_minus(n))
-        assert power == 1 and m == cd.identity_tpq(n)
+        assert power == 1 and m == identity_tpq(n)
         power, m = cd.tpq_compose(cd.a_plus(n + 1), cd.c_plus(n))
-        assert power == 1 and m == cd.identity_tpq(n)
+        assert power == 1 and m == identity_tpq(n)
         assert cd.tpq_compose(cd.c_minus(n + 1), cd.c_plus(n)) == \
             cd.tpq_compose(cd.c_plus(n + 1), cd.c_minus(n))
 
@@ -58,7 +63,7 @@ def test_generator_word_roundtrip(rng):
             t = cd.TPQMorphism(n, m, (plo, plo + size - 1), (qlo, qlo + size - 1))
         word = cd.generator_word(t)
         if not word:  # identities have empty words
-            assert t == cd.identity_tpq(t.source)
+            assert t == identity_tpq(t.source)
             continue
         power, back = cd.compose_word(word)
         assert power == 0 and back == t
@@ -66,7 +71,7 @@ def test_generator_word_roundtrip(rng):
 
 def test_weight_functional_values():
     assert cd.weight_functional(cd.c_minus(3), 2.0) == pytest.approx(math.sqrt(2))
-    assert cd.weight_functional(cd.identity_tpq(4), 2.0) == pytest.approx(1.0)
+    assert cd.weight_functional(identity_tpq(4), 2.0) == pytest.approx(1.0)
 
 
 def test_weight_functional_multiplicative(rng):

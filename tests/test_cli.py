@@ -115,6 +115,26 @@ def test_unread_option_is_rejected(capsys):
     assert "unrecognized arguments: --max-degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--named", "a3", "--all-loops", "--max-len", "-3"],
+    ["moments", "--named", "k1_2", "--matrix-moments", "-2"],
+    ["moments", "--named", "k1_2", "--matrix-moments", "0"],
+    ["trace", "--named", "a3", "--loop", "v0,v1,v0", "--tol", "-1"],
+    ["trace", "--named", "a3", "--loop", "v0,v1,v0", "--tol", "nan"],
+    ["freeness", "--named", "fork", "--seed", "-1"],
+    ["verify", "--suite", "factor", "--seed", "-1"],
+    ["gram", "--named", "a3", "--max-degree", "-1"],
+], ids=["max-len-negative", "matrix-moments-negative", "matrix-moments-zero",
+        "tol-negative", "tol-nan", "freeness-seed-negative", "verify-seed-negative",
+        "max-degree-negative"])
+def test_out_of_range_flag_is_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: invalid" in err and "Traceback" not in err
+
+
 def test_factor_named(capsys):
     assert main(["factor", "--named", "k1_4", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

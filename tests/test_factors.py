@@ -8,6 +8,14 @@ from graphfree.graphs import (EVEN, ODD, GraphError, build_graph, line_graph,
                               star_graph, two_vertex_graph)
 
 
+def lz(weight: float = 1.0) -> fc.AlgDesc:
+    return fc.lf(1.0, weight)
+
+
+def atom_plus_lf(atom: float, t: float, **kw) -> fc.AlgDesc:
+    return fc.AlgDesc((atom,), ((t, 1.0 - atom),), **kw)
+
+
 def test_fdim_values():
     assert fc.fdim(fc.lf(3.0)) == pytest.approx(3.0)
     assert fc.fdim(fc.AlgDesc((0.5, 0.5))) == pytest.approx(0.5)
@@ -26,7 +34,7 @@ def test_desc_validation():
 
 
 def test_free_product_diffuse():
-    assert fc.free_product(fc.lz(), fc.lz()).pretty() == "LF(2)"
+    assert fc.free_product(lz(), lz()).pretty() == "LF(2)"
     got = fc.free_product(fc.lf(1.5), fc.lf(2.5))
     assert got.diffuse[0][0] == pytest.approx(4.0)
 
@@ -44,7 +52,7 @@ def test_free_product_atoms_and_flag():
     assert p.atoms == pytest.approx((0.6,))
     assert p.diffuse[0][1] == pytest.approx(0.4)
     assert p.hyperfinite_possible
-    q = fc.free_product(fc.lz(), fc.AlgDesc((0.8, 0.2)))
+    q = fc.free_product(lz(), fc.AlgDesc((0.8, 0.2)))
     assert not q.hyperfinite_possible
 
 
@@ -52,9 +60,9 @@ def test_free_product_degenerate_inputs():
     with pytest.raises(GraphError):
         fc.free_product(fc.AlgDesc((1.0,)), fc.AlgDesc((1.0,)))
     with pytest.raises(GraphError):
-        fc.free_product(fc.AlgDesc((), ((1.5, 0.5), (2.0, 0.5))), fc.lz())
+        fc.free_product(fc.AlgDesc((), ((1.5, 0.5), (2.0, 0.5))), lz())
     # the trivial algebra is a unit for the free product
-    d = fc.atom_plus_lf(0.3, 1.7)
+    d = atom_plus_lf(0.3, 1.7)
     got = fc.free_product(fc.AlgDesc((1.0,)), d)
     assert got.atoms == pytest.approx(d.atoms)
     assert got.diffuse[0] == pytest.approx(d.diffuse[0])

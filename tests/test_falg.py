@@ -8,6 +8,12 @@ from graphfree.graphs import (Path, adjacency_powers, delta_max, enumerate_paths
 from graphfree.verification import random_element, standard_graphs
 
 
+def braced(graph, path):
+    """The unit-normalized path mu(s)^{-1/2} mu(f)^{-1/2} [path]."""
+    scale = (graph.mu(path.start) * graph.mu(path.finish)) ** -0.5
+    return GradedElement.basis(graph, path, scale)
+
+
 def _gen_apply(graph, i, path):
     """The oracle single-cap generator at position i on a basis path.
 
@@ -192,9 +198,9 @@ def test_state_tracial(battery, rng):
 def test_braced_orthonormal(a3):
     basis = falg.truncated_basis(a3, 3)
     for i, p in enumerate(basis):
-        bp = falg.braced(a3, p)
+        bp = braced(a3, p)
         for j, q in enumerate(basis):
-            val = falg.inner(bp, falg.braced(a3, q))
+            val = falg.inner(bp, braced(a3, q))
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
 
@@ -351,7 +357,7 @@ def test_t_phi_path_reads_the_corner(battery):
 
 def test_truncated_left_mult_bounds(a2):
     edge = a2.path_from_vertices(["v0", "v1"])
-    a = falg.braced(a2, edge)
+    a = braced(a2, edge)
     mat, basis = falg.truncated_left_mult(a, 6)
     bound = falg.left_mult_norm_bound(a2, edge)
     assert falg.operator_norm(mat) <= bound + 1e-9
@@ -449,7 +455,7 @@ def test_norm_bound_all_unit_paths(battery):
     for g in battery.values():
         for m in (1, 2, 3):
             for p in enumerate_paths(g, None, m, None)[:6]:
-                a = falg.braced(g, p)
+                a = braced(g, p)
                 mat, _ = falg.truncated_left_mult(a, 5)
                 assert falg.operator_norm(mat) <= \
                     falg.left_mult_norm_bound(g, p) + 1e-9
