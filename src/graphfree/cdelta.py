@@ -4,16 +4,19 @@ The object [n] is 2n points; a basis morphism carries an interval of
 through pairs between source and target, with the remaining pairs
 capped or cupped off without nesting.  Loops are worth a scalar delta,
 instantiated as the local index delta(v) of the ambient vertex when
-acting on loops at v.  The module also builds the distinguished
-elements c, c_{2n}, d, the alternating truncations x_m of the
-central-atom element, and the center/atom report.
+acting on loops at v.  The four generators, a cap or a cup at either
+end of a loop, act through the cap and cup kernels of :mod:`epitl`;
+this module only says where each one sits.  It also builds the
+distinguished elements c, c_{2n}, d, the alternating truncations x_m
+of the central-atom element, and the center/atom report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, Path, delta_v, is_connected
+from . import epitl
+from .graphs import Graph, GraphError, delta_v, is_connected
 from .gralg import GradedElement, e_vertex
 
 Interval = tuple[int, int] | None  # inclusive (lo, hi); None is empty
@@ -75,6 +78,9 @@ def c_minus(n: int) -> TPQMorphism:
 def c_plus(n: int) -> TPQMorphism:
     """Single cup at the top right: [n] -> [n+1]."""
     return TPQMorphism(n, n + 1, _norm(1, n), _norm(1, n))
+
+
+GENERATORS = {"A-": a_minus, "A+": a_plus, "C-": c_minus, "C+": c_plus}
 
 
 def tpq_compose(f: TPQMorphism, g: TPQMorphism) -> tuple[int, TPQMorphism]:
@@ -139,11 +145,10 @@ def generator_word(t: TPQMorphism) -> list[tuple[str, int]]:
 
 def compose_word(word: list[tuple[str, int]]):
     """Compose a generator word with the composition rule (test helper)."""
-    makers = {"A-": a_minus, "A+": a_plus, "C-": c_minus, "C+": c_plus}
     total_power = 0
     out = None
     for kind, level in word:
-        gmor = makers[kind](level)
+        gmor = GENERATORS[kind](level)
         if out is None:
             out = gmor
         else:
@@ -156,75 +161,41 @@ def compose_word(word: list[tuple[str, int]]):
 # the action on loops at a vertex
 
 
-def _check_loops(graph: Graph, v: int, x: GradedElement, length: int):
-    for p in x.terms:
-        if p.length != length or p.start != v or p.finish != v:
-            raise GraphError(f"element must live on length-{length} loops at {graph.ids[v]}")
-
-
-def _act_a_minus(graph: Graph, v: int, x: GradedElement) -> GradedElement:
-    out: dict[Path, float] = {}
-    for p, c in x.terms.items():
-        if p.edges[0] == graph.erev[p.edges[1]]:
-            q = p.segment(2, p.length)
-            val = c * graph.mu(p.vertices[1]) / graph.mu(v)
-            out[q] = out.get(q, 0.0) + val
-    return GradedElement(graph, out)
-
-
-def _act_a_plus(graph: Graph, v: int, x: GradedElement) -> GradedElement:
-    out: dict[Path, float] = {}
-    for p, c in x.terms.items():
-        if p.edges[-2] == graph.erev[p.edges[-1]]:
-            q = p.segment(0, p.length - 2)
-            val = c * graph.mu(p.vertices[-2]) / graph.mu(v)
-            out[q] = out.get(q, 0.0) + val
-    return GradedElement(graph, out)
-
-
-def _doubled_edges(graph: Graph, v: int) -> list[tuple[Path, float]]:
-    out = []
-    for e in graph.out_edges(v):
-        w = graph.efinish[e]
-        out.append((Path((v, w, v), (e, graph.erev[e])), graph.mu(w) / graph.mu(v)))
-    return out
-
-
-def _act_c_minus(graph: Graph, v: int, x: GradedElement) -> GradedElement:
-    out: dict[Path, float] = {}
-    for p, c in x.terms.items():
-        for rho, w in _doubled_edges(graph, v):
-            q = rho.concat(p)
-            out[q] = out.get(q, 0.0) + c * w
-    return GradedElement(graph, out)
-
-
-def _act_c_plus(graph: Graph, v: int, x: GradedElement) -> GradedElement:
-    out: dict[Path, float] = {}
-    for p, c in x.terms.items():
-        for rho, w in _doubled_edges(graph, v):
-            q = p.concat(rho)
-            out[q] = out.get(q, 0.0) + c * w
-    return GradedElement(graph, out)
-
-
-_GEN_ACT = {"A-": _act_a_minus, "A+": _act_a_plus,
-            "C-": _act_c_minus, "C+": _act_c_plus}
+def _check_loops(graph: Graph, v: int, x: GradedElement) -> int:
+    """The one even length of the loops at v that a nonzero x lives on."""
+    length = len(next(iter(x.terms)).edges)
+    for verts, edges in x.terms:
+        if len(edges) != length or verts[0] != v or verts[-1] != v or length % 2:
+            raise GraphError(f"element must live on loops at {graph.ids[v]} of one even length")
+    return length
 
 
 def gen_act(graph: Graph, v, kind: str, x: GradedElement) -> GradedElement:
-    return _GEN_ACT[kind](graph, graph.index(v), x)
+    """A cap (A-, A+) or cup (C-, C+) at one end of the loops at v.
+
+    The loops must share one even length, at least 2 under a cap.
+    """
+    vi = graph.index(v)
+    if kind not in GENERATORS:
+        raise GraphError(f"unknown generator {kind!r}")
+    if x.is_zero():
+        return GradedElement(graph)
+    length = _check_loops(graph, vi, x)
+    if kind[0] == "C":
+        return epitl.cup(x, 0 if kind == "C-" else length)
+    if length < 2:
+        raise GraphError("a cap needs loops of length at least 2")
+    return epitl.act(epitl.cap_generator(length, 1 if kind == "A-" else length - 1), x)
 
 
 def tpq_act(graph: Graph, v, t: TPQMorphism, x: GradedElement) -> GradedElement:
     """Action of a basis morphism on loops at v of length 2*source."""
     vi = graph.index(v)
-    if not x.is_zero():
-        _check_loops(graph, vi, x, 2 * t.source)
-    cur = x
+    if not x.is_zero() and _check_loops(graph, vi, x) != 2 * t.source:
+        raise GraphError(f"element must live on length-{2 * t.source} loops at {graph.ids[vi]}")
     for kind, _ in generator_word(t):
-        cur = _GEN_ACT[kind](graph, vi, cur)
-    return cur
+        x = gen_act(graph, vi, kind, x)
+    return x
 
 
 def weight_functional(t: TPQMorphism, delta: float) -> float:
@@ -238,53 +209,38 @@ def weight_functional(t: TPQMorphism, delta: float) -> float:
 
 def c_element(graph: Graph, v) -> GradedElement:
     """The doubled-edge sum at v (one cup applied to the corner unit)."""
-    vi = graph.index(v)
-    return _act_c_minus(graph, vi, e_vertex(graph, vi))
+    return epitl.cup(e_vertex(graph, v), 0)
 
 
 def c_2n(graph: Graph, v, n: int) -> GradedElement:
     """n left cups applied to the corner unit; top term of the n-th power."""
-    vi = graph.index(v)
-    cur = e_vertex(graph, vi)
+    cur = e_vertex(graph, v)
     for _ in range(n):
-        cur = _act_c_minus(graph, vi, cur)
+        cur = epitl.cup(cur, 0)
     return cur
 
 
 def d_element(graph: Graph, v) -> GradedElement:
-    """The depth-two exploration sum at v with weights mu(x)/mu(v)."""
-    vi = graph.index(v)
-    out: dict[Path, float] = {}
-    for e in graph.out_edges(vi):
-        w = graph.efinish[e]
-        for e2 in graph.out_edges(w):
-            xv = graph.efinish[e2]
-            p = Path((vi, w, xv, w, vi),
-                     (e, e2, graph.erev[e2], graph.erev[e]))
-            out[p] = out.get(p, 0.0) + graph.mu(xv) / graph.mu(vi)
-    return GradedElement(graph, out)
+    """The depth-two exploration sum at v: a cup at vertex 1 of c, so the
+    loop v-w-x-w-v weighs mu(x)/mu(v)."""
+    return epitl.cup(c_element(graph, v), 1)
 
 
 def zv_truncation(graph: Graph, v, m: int) -> GradedElement:
     """Alternating partial sum x_m = sum (-1)^n c_{2n}, n <= m."""
-    vi = graph.index(v)
     out = GradedElement(graph)
-    cur = e_vertex(graph, vi)
+    cur = e_vertex(graph, v)
     for n in range(m + 1):
         out = out + ((-1.0) ** n) * cur
-        cur = _act_c_minus(graph, vi, cur)
+        cur = epitl.cup(cur, 0)
     return out
 
 
 def cpaq_operator(graph: Graph, v, p: int, q: int, x: GradedElement) -> GradedElement:
     """q left caps then p left cups, as in the block form of x_m."""
-    vi = graph.index(v)
-    cur = x
-    for _ in range(q):
-        cur = _act_a_minus(graph, vi, cur)
-    for _ in range(p):
-        cur = _act_c_minus(graph, vi, cur)
-    return cur
+    for kind in ["A-"] * q + ["C-"] * p:
+        x = gen_act(graph, v, kind, x)
+    return x
 
 
 def xm_block(graph: Graph, v, m: int, i: int, j: int, x: GradedElement) -> GradedElement:

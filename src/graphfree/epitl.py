@@ -7,6 +7,11 @@ tuple of left endpoints of its caps, which is a complete invariant.
 Composition is implemented twice: by tracing strands through the
 stacked diagram (production) and by rewriting generator words with the
 exchange relation (oracle).
+
+This module holds the only kernels of the two local generators: the
+cap (:func:`act`, one factor per cap of a morphism) and its adjoint
+cup (:func:`cup`).  The interval-through category of :mod:`cdelta`
+acts through them.
 """
 
 from __future__ import annotations
@@ -85,6 +90,8 @@ class EpiMorphism:
         return tuple((m + 2 * j, i) for j, i in enumerate(self.caps, start=1))
 
 
+# cached: cdelta.gen_act asks for the same two end caps on every call
+@functools.lru_cache(maxsize=256)
 def cap_generator(n: int, i: int) -> EpiMorphism:
     """The single-cap generator joining bottom points i, i+1 of [n]."""
     if not 1 <= i < n:
@@ -178,11 +185,11 @@ def act(f: EpiMorphism, x: GradedElement) -> GradedElement:
     drops that edge pair, weighing mu(v_i)/mu(v_{i+1}).
     """
     g = x.graph
-    if not x.is_zero() and x.degree() != f.source:
-        raise GraphError(f"degree {x.degree()} element fed to [{f.source}] morphism")
     mu, erev = g.mu, g.erev
     out: dict[Path, float] = {}
     for (verts, edges), c in x.terms.items():
+        if len(edges) != f.source:
+            raise GraphError(f"length-{len(edges)} path fed to [{f.source}] morphism")
         for i in reversed(f.caps):
             if edges[i - 1] != erev[edges[i]]:
                 break
@@ -191,6 +198,28 @@ def act(f: EpiMorphism, x: GradedElement) -> GradedElement:
         else:
             q = Path(verts, edges)
             out[q] = out.get(q, 0.0) + c
+    return GradedElement(g, out)
+
+
+def cup(x: GradedElement, i: int) -> GradedElement:
+    """Splice every doubled edge rho.rho~ at vertex v_i of each path.
+
+    The adjoint of the cap joining edges i+1, i+2: with w the far end
+    of rho, the spliced path weighs mu(w)/mu(v_i).  Every path of x
+    needs length at least i.
+    """
+    g = x.graph
+    mu, efinish, erev = g.mu, g.efinish, g.erev
+    out: dict[Path, float] = {}
+    for (verts, edges), c in x.terms.items():
+        if not 0 <= i <= len(edges):
+            raise GraphError(f"cup slot {i} out of range for a length-{len(edges)} path")
+        v = verts[i]
+        head, tail = verts[:i + 1], (v,) + verts[i + 1:]
+        for e in g.out_edges(v):
+            w = efinish[e]
+            q = Path(head + (w,) + tail, edges[:i] + (e, erev[e]) + edges[i:])
+            out[q] = out.get(q, 0.0) + c * (mu(w) / mu(v))
     return GradedElement(g, out)
 
 
@@ -227,49 +256,34 @@ def diffexp_check(f: EpiMorphism, x: GradedElement, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# matrices of the action (orthonormal path basis)
+# matrices of the action
 
 
-def _braced_scale(graph: Graph, p: Path) -> float:
-    return (graph.mu(p.start) * graph.mu(p.finish)) ** 0.5
+def _path_matrix(graph: Graph, source: int, target: int, linear_map) -> np.ndarray:
+    """Dense matrix of a linear map from length-source to length-target paths.
 
-
-def hom_matrix(graph: Graph, f: EpiMorphism, orthonormal: bool = True) -> np.ndarray:
-    """Matrix of the action from length-source paths to length-target paths.
-
-    With ``orthonormal`` the bases are the unit-normalized paths, which
-    is the right basis for adjoints and operator norms.
+    Caps and cups keep both ends of a path, so the matrix on bare paths
+    is also the one on unit paths p / sqrt(mu(start) mu(finish)), the
+    orthonormal basis that adjoints and operator norms need.
     """
-    rows = enumerate_paths(graph, None, f.target, None)
-    cols = enumerate_paths(graph, None, f.source, None)
-    row_index = {p: i for i, p in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)))
-    for j, p in enumerate(cols):
-        img = act(f, GradedElement.basis(graph, p))
-        for q, c in img.terms.items():
-            val = c
-            if orthonormal:
-                val = c * _braced_scale(graph, q) / _braced_scale(graph, p)
-            mat[row_index[q], j] = val
-    return mat
-
-
-def cap_adjoint_matrix(graph: Graph, n: int, i: int) -> np.ndarray:
-    """Matrix of the explicit adjoint formula for the cap generator.
-
-    Maps unit paths of length n-2 to length n by splicing every doubled
-    edge rho.rho~ at slot i with weight mu(w)/mu(v_{i-1}).
-    """
-    rows = enumerate_paths(graph, None, n, None)
-    cols = enumerate_paths(graph, None, n - 2, None)
+    rows = enumerate_paths(graph, None, target, None)
+    cols = enumerate_paths(graph, None, source, None)
     row_index = {p: k for k, p in enumerate(rows)}
     mat = np.zeros((len(rows), len(cols)))
     for j, p in enumerate(cols):
-        v = p.vertices[i - 1]
-        for e in graph.out_edges(v):
-            w = graph.efinish[e]
-            spliced = Path(
-                p.vertices[:i] + (w,) + p.vertices[i - 1:],
-                p.edges[:i - 1] + (e, graph.erev[e]) + p.edges[i - 1:])
-            mat[row_index[spliced], j] += graph.mu(w) / graph.mu(v)
+        for q, c in linear_map(GradedElement.basis(graph, p)).terms.items():
+            mat[row_index[q], j] = c
     return mat
+
+
+def hom_matrix(graph: Graph, f: EpiMorphism) -> np.ndarray:
+    """Matrix of the action from length-source paths to length-target paths."""
+    return _path_matrix(graph, f.source, f.target, lambda x: act(f, x))
+
+
+def cap_adjoint_matrix(graph: Graph, n: int, i: int) -> np.ndarray:
+    """Matrix of the cup at vertex v_{i-1}, the adjoint of cap generator i.
+
+    Maps unit paths of length n-2 to length n.
+    """
+    return _path_matrix(graph, n - 2, n, lambda x: cup(x, i - 1))

@@ -18,6 +18,7 @@ import numpy as np
 EVEN = 0
 ODD = 1
 
+# How far the vertex weights of a graph may sum from 1.
 DEFAULT_TOL = 1e-9
 
 # Power iteration settings for the Perron-Frobenius weighting.
@@ -117,8 +118,7 @@ class Graph:
                  "estart", "efinish", "erev",
                  "_index", "_out", "_cache", "_mu")
 
-    def __init__(self, ids, parity, mu2, estart, efinish, erev,
-                 star=None, tol: float = DEFAULT_TOL):
+    def __init__(self, ids, parity, mu2, estart, efinish, erev, star=None):
         self.ids = tuple(ids)
         self.parity = tuple(parity)
         self.mu2 = tuple(float(x) for x in mu2)
@@ -128,7 +128,7 @@ class Graph:
         self.star = star
         self._index = {vid: i for i, vid in enumerate(self.ids)}
         self._cache = {}
-        self._validate(tol)
+        self._validate()
         self._mu = tuple(math.sqrt(w) for w in self.mu2)
         out = [[] for _ in self.ids]
         for e, u in enumerate(self.estart):
@@ -137,7 +137,7 @@ class Graph:
 
     # -- validation -----------------------------------------------------
 
-    def _validate(self, tol):
+    def _validate(self):
         if len(self._index) != len(self.ids):
             raise GraphError("duplicate vertex id")
         if len(self.parity) != len(self.ids) or len(self.mu2) != len(self.ids):
@@ -148,7 +148,7 @@ class Graph:
         for w in self.mu2:
             if not w > 0:
                 raise GraphError("vertex weights must be positive")
-        if abs(sum(self.mu2) - 1.0) > tol:
+        if abs(sum(self.mu2) - 1.0) > DEFAULT_TOL:
             raise GraphError(f"vertex weights must sum to 1, got {sum(self.mu2)}")
         ne = len(self.estart)
         if len(self.efinish) != ne or len(self.erev) != ne:
@@ -238,9 +238,9 @@ class Graph:
             edges.append(cands[0])
         return Path(tuple(idx), tuple(edges))
 
-    def with_mu2(self, mu2, tol: float = DEFAULT_TOL) -> "Graph":
+    def with_mu2(self, mu2) -> "Graph":
         return Graph(self.ids, self.parity, mu2,
-                     self.estart, self.efinish, self.erev, self.star, tol)
+                     self.estart, self.efinish, self.erev, self.star)
 
     def __repr__(self):
         return (f"Graph({len(self.ids)} vertices, {self.n_edges} edges"
@@ -267,7 +267,7 @@ def normalize_weights(weights) -> list[float]:
     return [w / total for w in scaled]
 
 
-def build_graph(vertices, edges, star=None, tol: float = DEFAULT_TOL) -> Graph:
+def build_graph(vertices, edges, star=None) -> Graph:
     """Build a graph from an undirected edge list.
 
     vertices: iterable of (id, parity) or (id, parity, weight2) or dicts
@@ -326,7 +326,7 @@ def build_graph(vertices, edges, star=None, tol: float = DEFAULT_TOL) -> Graph:
             erev.extend([f + 1, f])
 
     star_idx = index[star] if star is not None else None
-    return Graph(ids, parity, mu2, estart, efinish, erev, star_idx, tol)
+    return Graph(ids, parity, mu2, estart, efinish, erev, star_idx)
 
 
 _SPEC_VERTEX_FIELDS = {"id", "parity", "weight2"}
@@ -349,7 +349,7 @@ def _check_spec_id(x, what: str):
         raise GraphError(f"{what} must be a string, got {x!r}")
 
 
-def graph_from_spec(record: dict, tol: float = DEFAULT_TOL):
+def graph_from_spec(record: dict):
     """Parse the external graph-spec record.
 
     The record has exactly the fields ``vertices: [{id, parity, weight2?}]``
@@ -397,7 +397,7 @@ def graph_from_spec(record: dict, tol: float = DEFAULT_TOL):
     if weighted and len(weighted) != len(vs):
         raise GraphError("either every vertex or none carries weight2")
     pf_requested = not weighted
-    graph = build_graph(vs, es, tol=tol)
+    graph = build_graph(vs, es)
     if pf_requested and vs:
         graph, _ = pf_weighting(graph)
     return graph, pf_requested
@@ -431,9 +431,7 @@ def is_connected(graph: Graph) -> bool:
     return len(connected_components(graph)) <= 1
 
 
-def pf_weighting(graph: Graph,
-                 convergence: float = PF_CONVERGENCE,
-                 max_iter: int = PF_MAX_ITER):
+def pf_weighting(graph: Graph):
     """Perron-Frobenius weighting: mu2 is the positive eigenvector of the
     adjacency matrix (with multiplicities), normalized to total mass 1.
 
@@ -449,14 +447,14 @@ def pf_weighting(graph: Graph,
     m = a + np.eye(graph.n_vertices)
     x = np.ones(graph.n_vertices) / graph.n_vertices
     rayleigh = float(x @ a @ x) / float(x @ x)
-    for _ in range(max_iter):
+    for _ in range(PF_MAX_ITER):
         x = m @ x
         x /= np.linalg.norm(x)
         new = float(x @ a @ x)
         # Rayleigh settles quadratically; also demand a small eigen-residual
         # so the vector itself is converged, not just the quotient.
         residual = float(np.max(np.abs(a @ x - new * x))) / float(np.min(np.abs(x)))
-        if abs(new - rayleigh) <= convergence and residual <= convergence:
+        if abs(new - rayleigh) <= PF_CONVERGENCE and residual <= PF_CONVERGENCE:
             rayleigh = new
             break
         rayleigh = new
@@ -537,7 +535,7 @@ def enumerate_paths(graph: Graph, start=None, length: int = 0, finish=None) -> l
 # derived subgraphs
 
 
-def _induced(graph: Graph, keep: list[int], star=None, tol: float = DEFAULT_TOL):
+def _induced(graph: Graph, keep: list[int], star=None):
     keep_set = set(keep)
     old_to_new = {v: i for i, v in enumerate(keep)}
     gamma = sum(graph.mu2[v] for v in keep)
@@ -552,7 +550,7 @@ def _induced(graph: Graph, keep: list[int], star=None, tol: float = DEFAULT_TOL)
         erev.append(emap[graph.erev[e]])
     new_star = old_to_new.get(star) if star is not None else None
     sub = Graph([graph.ids[v] for v in keep], [graph.parity[v] for v in keep],
-                mu2, estart, efinish, erev, new_star, tol)
+                mu2, estart, efinish, erev, new_star)
     return sub, gamma
 
 

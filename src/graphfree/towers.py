@@ -111,12 +111,11 @@ def star_t(x: TowerElement) -> TowerElement:
                      for k, c in x.terms.items()})
 
 
-def trace_t(x: TowerElement, delta: float | None = None) -> float:
+def trace_t(x: TowerElement) -> float:
     """Normalized Markov trace: delta^-n mu2(finish)/mu2(base) per diagonal pair."""
     g = x.graph
     base = _star(g)
-    if delta is None:
-        delta = delta_v(g, base)
+    delta = delta_v(g, base)
     out = 0.0
     for k, c in x.terms.items():
         if k.plus == k.minus:
@@ -142,13 +141,12 @@ def include(x: TowerElement) -> TowerElement:
     return TowerElement(g, x.level + 1, out)
 
 
-def cond_exp(x: TowerElement, delta: float | None = None) -> TowerElement:
+def cond_exp(x: TowerElement) -> TowerElement:
     """Trace-preserving conditional expectation one level down."""
     g = x.graph
     if x.level == 0:
         raise GraphError("cannot project below level 0")
-    if delta is None:
-        delta = delta_v(g, _star(g))
+    delta = delta_v(g, _star(g))
     out: dict[PathPair, float] = {}
     for k, c in x.terms.items():
         if k.plus.edges[-1] != k.minus.edges[-1]:
@@ -162,7 +160,7 @@ def cond_exp(x: TowerElement, delta: float | None = None) -> TowerElement:
     return TowerElement(g, x.level - 1, out)
 
 
-def jones_projection(graph: Graph, n: int, delta: float | None = None) -> TowerElement:
+def jones_projection(graph: Graph, n: int) -> TowerElement:
     """The level-n Jones projection (n >= 2).
 
     Pairs whose last two edges double back, weighted by
@@ -171,8 +169,7 @@ def jones_projection(graph: Graph, n: int, delta: float | None = None) -> TowerE
     if n < 2:
         raise GraphError("Jones projections start at level 2")
     g = graph
-    if delta is None:
-        delta = delta_v(g, _star(g))
+    delta = delta_v(g, _star(g))
     if delta <= 1:
         raise GraphError("Jones projections need modulus > 1")
     out: dict[PathPair, float] = {}
@@ -273,12 +270,13 @@ def pair_to_loop(graph: Graph, pair: PathPair) -> Path:
 # graded products on the loop picture
 
 
-def gr0_mul(x: TowerElement, y: TowerElement) -> TowerElement:
-    """Graded loop product in closed form.
+def _loop_product(x: TowerElement, y: TowerElement, shift: int) -> TowerElement:
+    """Concatenate the loops of x (level m) and y (level n), first
+    dropping the last `shift` edges of each x loop against the first
+    `shift` edges of each y loop, which must reverse them.
 
-    On loops xi (level m) and eta (level n) the product is the
-    concatenated loop weighted by
-    mu(mid xi) mu(mid eta) / (mu(v_(m+n) of the concatenation) mu(base)).
+    The result, at level m+n-shift, is weighted by
+    mu(mid x) mu(mid y) / (mu(v_(m+n-shift)) mu(v_shift of y)).
     """
     g = x.graph
     if x.graph is not y.graph:
@@ -289,12 +287,19 @@ def gr0_mul(x: TowerElement, y: TowerElement) -> TowerElement:
         lx = pair_to_loop(g, kx)
         for ky, cy in y.terms.items():
             ly = pair_to_loop(g, ky)
-            loop = lx.concat(ly)
+            if shift and lx.edges[-1] != g.erev[ly.edges[0]]:
+                continue
+            loop = lx.segment(0, 2 * m - shift).concat(ly.segment(shift, 2 * n))
             coeff = (cx * cy * g.mu(lx.vertices[m]) * g.mu(ly.vertices[n])
-                     / (g.mu(loop.vertices[m + n]) * g.mu(ly.vertices[0])))
+                     / (g.mu(loop.vertices[m + n - shift]) * g.mu(ly.vertices[shift])))
             pair = loop_to_pair(g, loop)
             out[pair] = out.get(pair, 0.0) + coeff
-    return TowerElement(g, m + n, out)
+    return TowerElement(g, m + n - shift, out)
+
+
+def gr0_mul(x: TowerElement, y: TowerElement) -> TowerElement:
+    """Graded loop product in closed form: the loops concatenate whole."""
+    return _loop_product(x, y, 0)
 
 
 def _gr0_middle_pairing(m: int, n: int) -> noncross.NCPartition:
@@ -349,24 +354,28 @@ def theta(graph: Graph, x: GradedElement) -> TowerElement:
     return TowerElement(g, n, out)
 
 
-def gr0_trace(x: TowerElement) -> float:
-    """The loop-picture trace on a tower level.
-
-    Sums, over all pairings of the 2n boundary points, the picture-trace
-    evaluation of the pairing element against x (the reflected pairing
-    closes the diagram); this is the trace the loop isomorphism carries
-    the corner trace to, and it is computed entirely from matrix units.
-    """
+def _picture_sum(x: TowerElement, pairings) -> float:
+    """delta^n times the summed Markov traces of each pairing element,
+    reflected so that it closes the diagram, multiplied into x."""
     g = x.graph
     n = x.level
-    delta = delta_v(g, _star(g))
     total = 0.0
-    for t in noncross.enumerate_tl(2 * n):
+    for t in pairings:
         reflected = noncross.nc(
             2 * n, [tuple(sorted((2 * n + 1 - a, 2 * n + 1 - b)))
                     for a, b in t.blocks])
-        total += delta ** n * trace_t(mult(ztl(g, reflected), x), delta)
-    return total
+        total += trace_t(mult(ztl(g, reflected), x))
+    return delta_v(g, _star(g)) ** n * total
+
+
+def gr0_trace(x: TowerElement) -> float:
+    """The loop-picture trace on a tower level.
+
+    The picture sum over all pairings of the 2n boundary points; this is
+    the trace the loop isomorphism carries the corner trace to, and it
+    is computed entirely from matrix units.
+    """
+    return _picture_sum(x, noncross.enumerate_tl(2 * x.level))
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +397,12 @@ def annular_cap(graph: Graph, n: int, i: int, x: TowerElement) -> TowerElement:
     g = x.graph
     delta = delta_v(g, _star(g))
     if i == n:
-        return delta * cond_exp(x, delta)
+        return delta * cond_exp(x)
     if i > n:
         return star_t(annular_cap(g, n, 2 * n - i, star_t(x)))
-    cur = x
-    chain = None
     for t in range(i + 1, n + 1):
-        et = _jones_tower(g, n, t)
-        chain = et if chain is None else mult(chain, et)
-    cur = mult(cur, chain)
-    return delta ** (n - i + 1) * cond_exp(cur, delta)
+        x = mult(x, _jones_tower(g, n, t))
+    return delta ** (n - i + 1) * cond_exp(x)
 
 
 # ---------------------------------------------------------------------------
@@ -423,52 +428,25 @@ def gr1_mul(x: TowerElement, y: TowerElement) -> TowerElement:
     """Shifted graded product: levels m and n multiply to level m+n-1.
 
     In loop coordinates the last edge of the first loop must reverse the
-    first edge of the second; the surviving concatenation is weighted by
-    mu(mid x) mu(mid y) / (mu(v_(m+n-1)) mu(v_1 of y)).
+    first edge of the second, and the concatenation drops both.
     """
-    g = x.graph
-    if x.graph is not y.graph:
-        raise GraphError("different graphs")
-    m, n = x.level, y.level
-    if m < 1 or n < 1:
+    if x.level < 1 or y.level < 1:
         raise GraphError("shifted product needs positive levels")
-    out: dict[PathPair, float] = {}
-    for kx, cx in x.terms.items():
-        lx = pair_to_loop(g, kx)
-        for ky, cy in y.terms.items():
-            ly = pair_to_loop(g, ky)
-            if lx.edges[-1] != g.erev[ly.edges[0]]:
-                continue
-            loop = lx.segment(0, 2 * m - 1).concat(ly.segment(1, 2 * n))
-            coeff = (cx * cy * g.mu(lx.vertices[m]) * g.mu(ly.vertices[n])
-                     / (g.mu(loop.vertices[m + n - 1]) * g.mu(ly.vertices[1])))
-            pair = loop_to_pair(g, loop)
-            out[pair] = out.get(pair, 0.0) + coeff
-    return TowerElement(g, m + n - 1, out)
+    return _loop_product(x, y, 1)
 
 
 def gr1_trace_raw(x: TowerElement) -> float:
     """Unnormalized shifted-picture trace.
 
-    Sums, over pairings of 2k points whose first and last points are
-    matched (the reserved strand closing around), the scaled trace of
-    the pairing element times x.  Normalize by the value on the
-    distinguished projection to get the corner trace.
+    The picture sum over the pairings of 2k points whose first and last
+    points are matched (the reserved strand closing around).  Normalize
+    by the value on the distinguished projection to get the corner trace.
     """
-    g = x.graph
     k = x.level
     if k < 1:
         raise GraphError("shifted picture starts at level 1")
-    delta = delta_v(g, _star(g))
-    total = 0.0
-    for t in noncross.enumerate_tl(2 * k):
-        if (1, 2 * k) not in t.blocks:
-            continue
-        reflected = noncross.nc(
-            2 * k, [tuple(sorted((2 * k + 1 - a, 2 * k + 1 - b)))
-                    for a, b in t.blocks])
-        total += delta ** k * trace_t(mult(ztl(g, reflected), x), delta)
-    return total
+    return _picture_sum(x, [t for t in noncross.enumerate_tl(2 * k)
+                            if (1, 2 * k) in t.blocks])
 
 
 def theta1(graph: Graph, v, x: GradedElement) -> TowerElement:

@@ -310,9 +310,6 @@ def _suite_epitl(run: _Runner, graphs, nmax: int, tol: float, seed: int):
 
 
 def _suite_cdelta(run: _Runner, graphs, tol: float, seed: int):
-    gens = {"A-": cdelta.a_minus, "A+": cdelta.a_plus,
-            "C-": cdelta.c_minus, "C+": cdelta.c_plus}
-
     def relations():
         # each relation acts on loops of length 2*source; words are listed
         # in application order (first entry applied first)
@@ -392,10 +389,8 @@ def _suite_cdelta(run: _Runner, graphs, tol: float, seed: int):
                 cur += 1 if kind.startswith("C") else -1
             power, comp = cdelta.compose_word(word)
             w_word = 1.0
-            makers = {"A-": cdelta.a_minus, "A+": cdelta.a_plus,
-                      "C-": cdelta.c_minus, "C+": cdelta.c_plus}
             for kind, lvl in word:
-                w_word *= cdelta.weight_functional(makers[kind](lvl), delta)
+                w_word *= cdelta.weight_functional(cdelta.GENERATORS[kind](lvl), delta)
             w_comp = delta ** power * cdelta.weight_functional(comp, delta)
             dev = max(dev, abs(w_word - w_comp))
         return dev, tol

@@ -5,8 +5,8 @@ import pytest
 
 from graphfree import cdelta as cd, falg
 from graphfree.gralg import GradedElement, bullet_mul, e_vertex
-from graphfree.graphs import (GraphError, delta_v, enumerate_paths,
-                              two_vertex_graph)
+from graphfree.graphs import (GraphError, Path, delta_v, enumerate_paths,
+                              named_graph, two_vertex_graph)
 
 
 def identity_tpq(n: int) -> cd.TPQMorphism:
@@ -285,3 +285,46 @@ def _rand_tpq(n, m, rng):
     plo = int(rng.integers(1, m - size + 2))
     qlo = int(rng.integers(1, n - size + 2))
     return cd.TPQMorphism(n, m, (plo, plo + size - 1), (qlo, qlo + size - 1))
+
+
+def d_element_direct(graph, vi: int) -> GradedElement:
+    """Oracle for d: the explicit depth-two exploration sum at vi, the
+    loop vi-w-x-w-vi along edges e, e2 weighing mu(x)/mu(vi)."""
+    out = {}
+    for e in graph.out_edges(vi):
+        w = graph.efinish[e]
+        for e2 in graph.out_edges(w):
+            xv = graph.efinish[e2]
+            p = Path((vi, w, xv, w, vi), (e, e2, graph.erev[e2], graph.erev[e]))
+            out[p] = out.get(p, 0.0) + graph.mu(xv) / graph.mu(vi)
+    return GradedElement(graph, out)
+
+
+@pytest.mark.parametrize("name", ["a3", "dbl", "k1_3"])
+def test_d_element_matches_depth_two_sum(name):
+    g = named_graph(name)
+    for vi in range(g.n_vertices):
+        d = cd.d_element(g, vi)
+        assert d.terms.keys() == d_element_direct(g, vi).terms.keys()
+        assert d.norm_inf_diff(d_element_direct(g, vi)) < 1e-12
+
+
+def _bad_input(g, case):
+    # elements that gen_act must refuse at v1 of a3
+    if case == "other-vertex":
+        return GradedElement.basis(g, g.path_from_vertices(["v0", "v1", "v0"]))
+    if case == "odd-length":
+        return GradedElement.basis(g, g.path_from_vertices(["v1", "v0"]))
+    if case == "mixed-length":
+        return (GradedElement.basis(g, g.path_from_vertices(["v1", "v0", "v1"]))
+                + e_vertex(g, "v1"))
+    return e_vertex(g, "v1")  # length 0: no cap fits
+
+
+@pytest.mark.parametrize("kind, case", [
+    (kind, case) for kind in ("A-", "A+", "C-", "C+")
+    for case in ("other-vertex", "odd-length", "mixed-length")
+] + [("A-", "length-0"), ("A+", "length-0"), ("B+", "length-0")])
+def test_gen_act_rejects_bad_input(a3, kind, case):
+    with pytest.raises(GraphError):
+        cd.gen_act(a3, "v1", kind, _bad_input(a3, case))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +275,17 @@ def test_huge_weights_normalize(tmp_path, capsys):
     assert main(["trace", str(f), "--loop", "v,w,v", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["trace"][0]["pairing_trace"] == pytest.approx(0.5)
+
+
+GRAPH_SPECS = sorted((Path(__file__).parent.parent / "graphs").glob("*.graph"))
+
+
+def test_graph_specs_present():
+    assert len(GRAPH_SPECS) >= 5
+
+
+@pytest.mark.parametrize("spec", GRAPH_SPECS, ids=lambda p: p.name)
+def test_committed_graph_specs_run(spec, capsys):
+    assert main(["factor", str(spec)]) == 0
+    assert main(["trace", str(spec), "--all-loops", "--max-len", "6"]) == 0
+    capsys.readouterr()

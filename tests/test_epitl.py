@@ -203,3 +203,29 @@ def test_cap_adjoint_and_norm(battery):
                 adj = epitl.cap_adjoint_matrix(g, n, i)
                 assert np.max(np.abs(mat.T - adj)) < 1e-12 if mat.size else True
                 assert falg.operator_norm(mat) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("n, i", [(n, i) for n in (0, 1, 2, 3) for i in range(n + 1)])
+def test_cup_is_cap_adjoint_at_every_slot(battery, n, i):
+    # the cup at vertex v_i of length-n paths is the transpose of the cap
+    # joining edges i+1, i+2 of length-(n+2) paths, so its norm is bounded
+    # by sqrt(delta_max) as well
+    for g in battery.values():
+        rows = enumerate_paths(g, None, n + 2, None)
+        cols = enumerate_paths(g, None, n, None)
+        row_index = {p: k for k, p in enumerate(rows)}
+        mat = np.zeros((len(rows), len(cols)))
+        for j, p in enumerate(cols):
+            for q, c in epitl.cup(GradedElement.basis(g, p), i).terms.items():
+                assert q.start == p.start and q.finish == p.finish
+                mat[row_index[q], j] = c
+        cap = epitl.hom_matrix(g, epitl.cap_generator(n + 2, i + 1))
+        assert np.max(np.abs(cap.T - mat)) < 1e-12
+        assert falg.operator_norm(mat) <= math.sqrt(delta_max(g)) + 1e-9
+
+
+def test_cup_slot_out_of_range(a3):
+    x = GradedElement.basis(a3, a3.path_from_vertices(["v0", "v1", "v0"]))
+    for i in (-1, 3):
+        with pytest.raises(GraphError):
+            epitl.cup(x, i)
