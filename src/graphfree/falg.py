@@ -4,14 +4,12 @@ Same underlying space as the graded picture, but the product of two
 paths contracts k pairs of edges at the junction for every feasible k
 (a chain of cap generators applied to the concatenation).  The state t
 reads off degree zero; it induces the inner product in which rescaled
-paths are orthonormal.  The transforms phi (sum over all cap diagrams)
-and psi (signed sum over non-nested ones) are mutually inverse
-*-isomorphisms between the two pictures carrying tau to t.  Both act on each
-path by a recursion over its capped gaps, not by enumerating diagrams: one
-backward pass over the path keeps, per position, only the intervals that cap
-off completely (a sparse row of gap weights), and a second one the sums over
-through edges.  t(phi(path)) needs only the first pass: it is one corner of
-the rows.
+paths are orthonormal.  The transforms phi (sum over all cap diagrams) and
+psi (signed sum over non-nested ones) are mutually inverse *-isomorphisms
+between the two pictures carrying tau to t.  Neither enumerates diagrams:
+phi fixes edges, so phi(e r) = e # phi(r), where e # q contracts at most one
+edge, and psi inverts that one-edge rule.  t(phi(path)) is the all-capped
+corner of a sparse table of gap weights, read without building phi.
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import (Graph, Path, adjacency_powers, delta_max, enumerate_paths,
-                     vertex_path)
+from .graphs import Graph, Path, adjacency_powers, delta_max, enumerate_paths
 from .gralg import GradedElement
 
 
@@ -75,16 +72,15 @@ def inner(x: GradedElement, y: GradedElement) -> float:
 # the graded <-> filtered transforms
 
 
-def _gap_rows(graph: Graph, path: Path, inverse: bool) -> list[dict[int, float]]:
+def _gap_rows(graph: Graph, path: Path) -> list[dict[int, float]]:
     """The gap weights W of a path, row i the dict {j: W(i,j)} of its nonzeros.
 
     On a path v_0 e_1 v_1 ... e_n v_n, W(i,j) weighs the cappings of
     e_{i+1}..e_j: W(i,i) = 1, and e_{i+1} caps with some e_k = rev(e_{i+1})
     around the capped gap e_{i+2}..e_{k-1}, weighing c_i = mu(v_{i+1})/mu(v_i)
     as a single-cap generator does: W(i,j) = c_i sum_k W(i+1,k-1) W(k,j).
-    psi nests no caps (k = i+2 only) and weighs each cap -c_i.  Row i is
-    filled from the partners k with W(i+1,k-1) != 0, so the work follows the
-    cappable intervals, not (n+1)^2 cells.
+    Row i is filled from the partners k with W(i+1,k-1) != 0, so the work
+    follows the cappable intervals, not (n+1)^2 cells.
     """
     n, v, e = path.length, path.vertices, path.edges
     mu, erev = graph.mu, graph.erev
@@ -93,7 +89,7 @@ def _gap_rows(graph: Graph, path: Path, inverse: bool) -> list[dict[int, float]]
         row = {i: 1.0}
         if i < n:
             back, cap = erev[e[i]], mu(v[i + 1]) / mu(v[i])
-            for m, w in ((i + 1, -1.0),) if inverse else rows[i + 1].items():
+            for m, w in rows[i + 1].items():
                 if m < n and e[m] == back:
                     w *= cap
                     for j, c in rows[m + 1].items():
@@ -102,47 +98,49 @@ def _gap_rows(graph: Graph, path: Path, inverse: bool) -> list[dict[int, float]]
     return rows
 
 
-def _transform(x: GradedElement, inverse: bool) -> GradedElement:
-    """phi (or psi) of x, path by path, from the gap rows of :func:`_gap_rows`.
+def _suffix_transforms(graph: Graph, path: Path, inverse: bool):
+    """Yield phi (or psi) of e_{i+1}..e_n for i = n..0, as {through edges: coeff}.
 
-    No through strand sits inside a cap, so a diagram maps the path to its
-    through edges e_{t_1}..e_{t_m} with weight
-    W(0,t_1-1) W(t_1,t_2-1) ... W(t_m,n); tails[i] sums these over the
-    through edges of e_{i+1}..e_n.  One backward pass fills tails[i] from
-    row i and the tails[j+1] already filled.
+    phi(e_{i+1} r) = e_{i+1} # phi(r): each term q gains e_{i+1} in front, and
+    one starting with rev(e_{i+1}) also contracts to q[1:] times
+    c_i = mu(v_{i+1})/mu(v_i).  Inverting, psi(e_{i+1} r) = e_{i+1} psi(r) -
+    c_i psi(r[1:]) when r starts with rev(e_{i+1}).
     """
+    n, v, e = path.length, path.vertices, path.edges
+    mu, erev = graph.mu, graph.erev
+    older = prev = {(): 1.0}
+    yield prev
+    for i in range(n - 1, -1, -1):
+        back, cap = erev[e[i]], mu(v[i + 1]) / mu(v[i])
+        acc = {(e[i],) + q: c for q, c in prev.items()}
+        if not inverse:
+            for q, c in prev.items():
+                if q and q[0] == back:
+                    acc[q[1:]] = acc.get(q[1:], 0.0) + cap * c
+        elif i + 1 < n and e[i + 1] == back:
+            for q, c in older.items():
+                acc[q] = acc.get(q, 0.0) - cap * c
+        older, prev = prev, acc
+        yield acc
+
+
+def _transform(x: GradedElement, inverse: bool) -> GradedElement:
+    """phi (or psi) of x, path by path; a transform keeps both ends, so outputs start at v_0."""
     g = x.graph
-    estart, efinish = g.estart, g.efinish
+    efinish = g.efinish
     out: dict[Path, float] = {}
     for p, a in x.terms.items():
-        n, e = p.length, p.edges
-        rows = _gap_rows(g, p, inverse)
-        tails: list[dict[tuple[int, ...], float]] = [{}] * (n + 1)
-        for i in range(n, -1, -1):
-            row = rows[i]
-            acc = {(): row[n]} if n in row else {}
-            for j, w in row.items():
-                if j < n:
-                    ej = e[j]
-                    for rest, c in tails[j + 1].items():
-                        key = (ej,) + rest
-                        acc[key] = acc.get(key, 0.0) + w * c
-            tails[i] = acc
-        for edges, c in tails[0].items():
-            q = (Path((estart[edges[0]],) + tuple(map(efinish.__getitem__, edges)), edges)
-                 if edges else vertex_path(p.finish))
+        for whole in _suffix_transforms(g, p, inverse):
+            pass
+        for edges, c in whole.items():
+            q = Path((p.start, *map(efinish.__getitem__, edges)), edges)
             out[q] = out.get(q, 0.0) + a * c
     return GradedElement(g, out)
 
 
 def t_phi_path(graph: Graph, path: Path) -> float:
-    """t(phi(path)): the all-capped corner W(0,n) of the gap rows, times mu^2(v_0).
-
-    Degree zero of phi(path) is the single vertex path at v_n, weighing
-    W(0,n); that entry is nonzero only on a loop, where v_n = v_0.  The
-    through-edge sums of phi are never built.
-    """
-    return _gap_rows(graph, path, False)[0].get(path.length, 0.0) * graph.mu2[path.start]
+    """t(phi(path)) without building phi: mu^2(v_0) times the all-capped corner W(0,n)."""
+    return _gap_rows(graph, path)[0].get(path.length, 0.0) * graph.mu2[path.start]
 
 
 def phi(x: GradedElement) -> GradedElement:

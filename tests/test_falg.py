@@ -291,8 +291,8 @@ def test_transforms_match_diagram_sum():
 
 
 def test_transforms_enumerate_no_diagram(monkeypatch):
-    # phi and psi run the gap recursion, never the diagram enumeration,
-    # and leave the graph's cache as they found it
+    # phi and psi run the one-edge recursion, never the diagram
+    # enumeration, and leave the graph's cache as they found it
     def refuse(*args, **kwargs):
         raise AssertionError("cap diagram route used")
 
@@ -316,6 +316,53 @@ def test_trace_transport_long_loops(a3, rng):
         assert abs(falg.t_functional(falg.phi(b)) - want) <= 1e-12 * want
 
 
+def test_transforms_fill_no_gap_rows(monkeypatch, battery):
+    # phi and psi recurse on suffixes; the gap rows serve t_phi_path alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("gap rows filled")
+
+    monkeypatch.setattr(falg, "_gap_rows", refuse)
+    for g in battery.values():
+        for p in enumerate_paths(g, None, 6, None):
+            b = GradedElement.basis(g, p)
+            assert falg.psi(falg.phi(b)).norm_inf_diff(b) < 1e-10
+    with pytest.raises(AssertionError, match="gap rows filled"):
+        falg.t_phi_path(g, p)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["phi", "psi"])
+def test_suffix_transforms_grow_quadratically(a2, inverse):
+    # deterministic work counter on the a2 alternating loops: a suffix of
+    # length k maps to the k//2 + 1 alternating paths of lengths k, k-2, ...,
+    # so the suffix transforms hold (n+2)^2/4 terms in all, where the gap
+    # rows made about n^3/24 multiply-adds
+    for n in (20, 40, 80):
+        loop = a2.path_from_vertices(["v0", "v1"] * (n // 2) + ["v0"])
+        terms = sum(map(len, falg._suffix_transforms(a2, loop, inverse)))
+        assert terms <= (n + 2) ** 2 // 4
+
+
+def test_transforms_on_long_loops(a2, rng):
+    # past the diagram-sum oracle's reach.  The a2 loop of length 200 meets
+    # the pairing route; its coefficients reach 7.7e57, so a round trip
+    # would cancel on any route and is not run there.  Random k1_4 and a3
+    # loops of length 24 make the round trip, relative to phi's largest term
+    loop = a2.path_from_vertices(["v0", "v1"] * 100 + ["v0"])
+    b = GradedElement.basis(a2, loop)
+    want = tau(b)
+    assert abs(falg.t_functional(falg.phi(b)) - want) <= 1e-12 * max(1.0, abs(want))
+    for name, hub, leaves in (("k1_4", "c", ("l0", "l1", "l2", "l3")),
+                              ("a3", "v1", ("v0", "v2"))):
+        g = named_graph(name)
+        for _ in range(2):
+            names = [v for k in rng.integers(len(leaves), size=12) for v in (hub, leaves[k])]
+            b = GradedElement.basis(g, g.path_from_vertices(names + [hub]))
+            fb = falg.phi(b)
+            scale = max(map(abs, fb.terms.values()))
+            assert falg.psi(fb).norm_inf_diff(b) <= 1e-12 * scale
+            assert falg.phi(falg.psi(b)).norm_inf_diff(b) <= 1e-12 * scale
+
+
 def _row_work(graph, path, rows):
     """Cells a row pass filled, and the multiply-adds it made.
 
@@ -329,9 +376,7 @@ def _row_work(graph, path, rows):
     return cells, adds
 
 
-@pytest.mark.parametrize("row_pass", [lambda g, p: gralg._face_rows(g, p),
-                                      lambda g, p: falg._gap_rows(g, p, False)],
-                         ids=["tau", "phi"])
+@pytest.mark.parametrize("row_pass", [gralg._face_rows, falg._gap_rows], ids=["tau", "phi"])
 def test_row_passes_grow_cubically(a2, row_pass):
     # deterministic work counters on the a2 alternating loops, where every
     # interval of even length caps: the cells fill one parity of the table
@@ -351,7 +396,8 @@ def test_t_phi_path_reads_the_corner(battery):
         for n in range(9):
             for p in enumerate_paths(g, None, n, None):
                 got = falg.t_phi_path(g, p)
-                assert got == falg.t_functional(falg.phi(GradedElement.basis(g, p)))
+                want = falg.t_functional(falg.phi(GradedElement.basis(g, p)))
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
                 assert got == pytest.approx(gralg.tau_path(g, p), rel=1e-12, abs=1e-15)
 
 
