@@ -43,13 +43,15 @@ TRACE_MAX_WORK = 500_000_000
 
 # freeness refuses above this many (tuple, partition) extensions: the
 # composable generator tuples of order k, counted from A^(2k), times
-# Catalan(k), summed over k.  At about 3 us each (2-core x86-64 host) that is
-# some 30 s; fork needs 776,861 to order 7 (2.3 s) and 6,755,691 to order 8.
+# Catalan(k), summed over k.  At about 1-3 us each (2-core x86-64 host) that
+# is 10-30 s; fork needs 776,861 to order 7 (1.0-1.4 s) and 6,755,691 to
+# order 8 (6.9 s).
 FREENESS_MAX_EXTENSIONS = 10_000_000
 
 # cumulants refuses tuples whose NC(n) has more partitions than this: Mobius
-# inversion enumerates and caches all Catalan(n) of them.  n = 11 (58,786)
-# took 4.7 s and 114 MB on a 2-core x86-64 host, and each order costs ~4x more.
+# inversion builds and caches a plan trie of all Catalan(n) of them.  n = 11
+# (58,786) takes 1.4-1.5 s and 64 MB on a 2-core x86-64 host, and each order
+# costs ~4x more.
 CUMULANTS_MAX_PARTITIONS = 100_000
 
 

@@ -10,17 +10,20 @@ certifies freeness with amalgamation of the single-hub subalgebras over
 the base.
 
 A multiplicative extension on pi depends on pi only through the order
-in which its interval blocks are folded into their left neighbours.
-That order is computed once per partition as an extraction plan on
-positions, and Mobius inversion evaluates every plan of NC(n) against
-one memo of block values per tuple, so each distinct block (at most
-2^n - 1) reaches the kernel once.
+in which its interval blocks are folded into their left neighbours, an
+extraction plan on positions.  Mobius inversion keeps the plans of NC(n)
+as one trie, built once per n straight from the block families with
+mu(pi, 1_n) from their Kreweras cycles, and walks it against one memo of
+block values per tuple: each distinct block (at most 2^n - 1) reaches
+the kernel once, each step's scalar is read once per shared prefix, and
+a zero scalar skips every plan below it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from operator import itemgetter, mul
 
 from .graphs import Graph, GraphError, Path
 from .gralg import GradedElement, max_abs_diff, tau, tau_path
@@ -65,11 +68,22 @@ def moment_phi(graph: Graph, paths) -> BElement:
     vanishes unless the paths compose into a loop.
     """
     _check_generators(graph, paths)
-    composite = _compose_all(paths)
-    if composite is None or composite.start != composite.finish:
+    return _loop_moment(graph, paths)
+
+
+def _loop_moment(graph: Graph, paths) -> BElement:
+    """:func:`moment_phi` on generators already checked.
+
+    The endpoints are tested to chain into a loop before any path is
+    concatenated.
+    """
+    v = paths[0].start
+    if paths[-1].finish != v:
         return {}
-    v = composite.start
-    val = tau_path(graph, composite) / graph.mu2[v]
+    for a, b in zip(paths, paths[1:]):
+        if a.finish != b.start:
+            return {}
+    val = tau_path(graph, _compose_all(paths)) / graph.mu2[v]
     return {v: val} if val else {}
 
 
@@ -77,7 +91,9 @@ def moment_phi(graph: Graph, paths) -> BElement:
 # multiplicative extensions and Mobius inversion
 
 
-# Holds NC(n) for n <= 8 under both picks: 2 * (1 + 1 + 2 + 5 + ... + 1430).
+# For multiplicative_extension; Mobius inversion reads the same plans from
+# the trie of _mobius_row.  Holds NC(n) for n <= 8 under both picks:
+# 2 * (1 + 1 + 2 + 5 + ... + 1430).
 @functools.lru_cache(maxsize=4112)
 def _extraction_plan(pi: noncross.NCPartition, pick: str = "first"):
     """The order in which interval blocks of pi are extracted, on positions.
@@ -159,29 +175,113 @@ def moment_pi(graph: Graph, pi: noncross.NCPartition, paths,
 
 def kappa_mobius(graph: Graph, paths) -> BElement:
     """Cumulant by Mobius inversion of the moment family over NC(n)."""
-    return kappa_of_moments(graph, lambda ps: moment_phi(graph, ps), paths)
+    _check_generators(graph, paths)
+    return kappa_of_moments(graph, lambda ps: _loop_moment(graph, ps), paths)
 
 
 @functools.cache
-def _mobius_row(n: int) -> tuple[tuple[tuple, float], ...]:
-    """(extraction plan of pi, mu(pi, 1_n)) over NC(n), one row per n."""
-    one = noncross.nc_one(n)
-    return tuple((_extraction_plan(pi), float(noncross.mobius_nc(pi, one)))
-                 for pi in noncross.enumerate_nc(n))
+def _mobius_row(n: int):
+    """The extraction plans of NC(n) as one trie, with mu(pi, 1_n) per plan.
+
+    A prefix of a plan is itself the plan of a partition of NC(n), the
+    one that merges the points still present into the outer block, so
+    the trie has one node per partition.  Returns ``(root, nodes)``:
+    ``root`` is ``(rank, mu, outer)`` for 1_n, whose plan has no step,
+    and ``nodes`` holds every other partition in preorder as ``(depth,
+    block, left, end, rank, mu, outer)``.  Those are the last step
+    (block, left) of its plan, taken at that depth; the index just past
+    its subtree; its rank in NC(n); mu(pi, 1_n); and its outer block.
+
+    One pass over the block families of ``noncross._nc_blocks`` builds
+    it, with no partition object and no rank scan.  The first-interval
+    rule of :func:`_extraction_plan` extracts the blocks other than the
+    outer one in order of their last point, each into the nearest point
+    still present on its left, and mu comes from the Kreweras cycles.
+    """
+    if n < 1:
+        raise GraphError("Mobius inversion needs at least one argument")
+    signed = [(-1) ** k * noncross.catalan(k) for k in range(n)]
+    shifted: dict = {}  # block of {1..n} -> its 0-based positions, one tuple each
+    root: list = [None, {}]  # [(rank, mu, outer), {step: child}]
+    for rank, blocks in enumerate(noncross._nc_blocks(1, n)):
+        mu = 1
+        for cycle in noncross._kreweras_cycles(n, blocks):
+            mu *= signed[len(cycle) - 1]
+        pos = []
+        for b in blocks:
+            p = shifted.get(b)
+            if p is None:
+                p = shifted[b] = tuple(x - 1 for x in b)
+            pos.append(p)
+        present = [True] * n
+        node = root
+        for block in sorted(pos[1:], key=itemgetter(-1)):
+            left = block[0] - 1
+            while not present[left]:
+                left -= 1
+            for x in block:
+                present[x] = False
+            child = node[1].get((block, left))
+            if child is None:
+                child = node[1][block, left] = [None, {}]
+            node = child
+        node[0] = (rank, float(mu), pos[0])
+
+    nodes: list = []
+
+    def flatten(children, depth):
+        for (block, left), (own, grand) in children.items():
+            at = len(nodes)
+            nodes.append(None)
+            flatten(grand, depth + 1)
+            nodes[at] = (depth, block, left, len(nodes), *own)
+
+    flatten(root[1], 0)
+    return root[0], tuple(nodes)
 
 
 def _sum_extensions(kernel, paths, weighted: bool) -> BElement:
     """Sum over NC(n) of the kernel's extensions, times mu(pi, 1_n) if weighted.
 
-    One memo serves every partition, so each distinct block's kernel
-    value is computed once per tuple.
+    Walks the plan trie of :func:`_mobius_row`: each step's scalar is
+    read once per distinct prefix, and a zero scalar skips every plan
+    below it.  One memo serves every plan, so each distinct block's
+    kernel value is computed once per tuple.  A surviving plan scales
+    its outer value innermost scalar first, as :func:`_extend` does, and
+    the plans are summed in NC(n) order, so the result is the per-plan
+    sum to the last bit.
     """
+    root, nodes = _mobius_row(len(paths))
     memo: dict = {}
-    out: BElement = {}
-    for plan, coeff in _mobius_row(len(paths)):
-        for v, c in _extend(plan, kernel, paths, memo).items():
-            out[v] = out.get(v, 0.0) + (coeff * c if weighted else c)
-    return {v: c for v, c in out.items() if c != 0}
+    finish = [p.finish for p in paths]
+    scalars = [0.0] * len(paths)
+    terms = []
+    i, size = 0, len(nodes)
+    while i < size:
+        depth, block, left, end, rank, coeff, outer = nodes[i]
+        val = memo.get(block)
+        if val is None:
+            val = memo[block] = kernel(tuple(paths[k] for k in block))
+        scalar = val.get(finish[left], 0.0)
+        if scalar == 0.0:
+            i = end
+            continue
+        scalars[depth] = scalar
+        out = memo.get(outer)
+        if out is None:
+            out = memo[outer] = kernel(tuple(paths[k] for k in outer))
+        innermost_first = scalars[depth::-1]
+        terms.append((rank, coeff, {v: functools.reduce(mul, innermost_first, c)
+                                    for v, c in out.items()}))
+        i += 1
+    rank, coeff, _ = root
+    terms.append((rank, coeff, kernel(tuple(paths))))
+    terms.sort(key=itemgetter(0))
+    total: BElement = {}
+    for _, coeff, out in terms:
+        for v, c in out.items():
+            total[v] = total.get(v, 0.0) + (coeff * c if weighted else c)
+    return {v: c for v, c in total.items() if c != 0}
 
 
 def kappa_of_moments(graph: Graph, kernel, paths) -> BElement:

@@ -101,36 +101,32 @@ def catalan(n: int) -> int:
 # enumeration
 
 
-def _nc_blocks(lo: int, hi: int):
-    """All non-crossing block families on the interval {lo..hi}."""
+def _nc_blocks(lo: int, hi: int, memo: dict | None = None) -> list[tuple[Block, ...]]:
+    """All non-crossing block families on the interval {lo..hi}.
+
+    Each family lists its blocks sorted by minimum, so it is canonical as
+    it stands.  ``memo`` holds the families of every sub-interval for the
+    length of one call; each is built once and its block tuples are shared.
+    """
     if lo > hi:
-        yield ()
-        return
-    rest = list(range(lo + 1, hi + 1))
+        return [()]
+    if memo is None:
+        memo = {}
+    key = (lo, hi)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = memo[key] = []
+    rest = range(lo + 1, hi + 1)
     # choose the block of lo as a sparse subsequence; gaps fill independently
     for mask in range(1 << len(rest)):
-        block = [lo] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
-        gaps = []
-        prev = None
-        ok = True
-        for x in block:
-            if prev is not None:
-                gaps.append((prev + 1, x - 1))
-            prev = x
-        gaps.append((block[-1] + 1, hi))
+        block = (lo,) + tuple(x for i, x in enumerate(rest) if mask >> i & 1)
         partials = [()]
-        for glo, ghi in gaps:
-            new = []
-            for sub in _nc_blocks(glo, ghi):
-                for acc in partials:
-                    new.append(acc + sub)
-            partials = new
-            if not partials:
-                ok = False
-                break
-        if ok:
-            for acc in partials:
-                yield (tuple(block),) + acc
+        for a, b in zip(block, block[1:] + (hi + 1,)):
+            partials = [acc + sub for sub in _nc_blocks(a + 1, b - 1, memo)
+                        for acc in partials]
+        out.extend((block,) + acc for acc in partials)
+    return out
 
 
 @functools.cache
@@ -180,20 +176,23 @@ def kreweras(p: NCPartition) -> NCPartition:
 
 def _kreweras_cycles(n: int, blocks) -> list[list[int]]:
     """The cycles of sigma^{-1} . c for the sorted blocks of a partition of {1..n}."""
-    nxt = {}
+    prv = [0] * (n + 2)  # sigma^{-1}, with c sending n to 1 through prv[n + 1]
     for b in blocks:
-        for i, x in enumerate(b):
-            nxt[x] = b[(i + 1) % len(b)]
-    prv = {v: k for k, v in nxt.items()}
-    seen, cycles = set(), []
+        prev = b[-1]
+        for x in b:
+            prv[x] = prev
+            prev = x
+    prv[n + 1] = prv[1]
+    seen = [False] * (n + 1)
+    cycles = []
     for start in range(1, n + 1):
-        if start in seen:
+        if seen[start]:
             continue
         cyc, x = [], start
-        while x not in seen:
-            seen.add(x)
+        while not seen[x]:
+            seen[x] = True
             cyc.append(x)
-            x = prv[x % n + 1]
+            x = prv[x + 1]
         cycles.append(cyc)
     return cycles
 

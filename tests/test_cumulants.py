@@ -5,7 +5,7 @@ import pytest
 
 from graphfree import cumulants as cm, epitl, falg, noncross as ncx
 from graphfree.gralg import GradedElement, tau
-from graphfree.graphs import GraphError, named_graph, pf_weighting, two_vertex_graph
+from graphfree.graphs import GraphError, Path, named_graph, pf_weighting, two_vertex_graph
 
 
 def composable_tuples(gens, k):
@@ -48,6 +48,41 @@ def _extension_by_recursion(kernel, graph, pi, paths, pick="first"):
                       for b in pi.blocks if b is not block])
     rest = _extension_by_recursion(kernel, graph, rest_pi, rest_paths, pick)
     return {v: scalar * c for v, c in rest.items()}
+
+
+def _sum_extensions_by_plans(kernel, paths, weighted):
+    """Mobius inversion plan by plan: the oracle for the plan trie.
+
+    Replays :func:`cumulants._extraction_plan` of every pi of NC(n), in
+    NC(n) order and each from its first step, with mu(pi, 1_n) from
+    ``noncross.mobius_nc``.  ``cumulants._sum_extensions`` walks one trie
+    of the same plans instead.
+    """
+    n = len(paths)
+    one = ncx.nc_one(n)
+    memo: dict = {}
+    out: cm.BElement = {}
+    for pi in ncx.enumerate_nc(n):
+        coeff = float(ncx.mobius_nc(pi, one))
+        for v, c in cm._extend(cm._extraction_plan(pi), kernel, paths, memo).items():
+            out[v] = out.get(v, 0.0) + (coeff * c if weighted else c)
+    return {v: c for v, c in out.items() if c != 0}
+
+
+def _trie_plans(n):
+    """The trie of ``cumulants._mobius_row(n)`` read back as one plan per pi.
+
+    Returns {rank of pi in NC(n): ((steps, outer), mu)}.
+    """
+    root, nodes = cm._mobius_row(n)
+    rank, mu, outer = root
+    plans = {rank: (((), outer), mu)}
+    prefix = []
+    for depth, block, left, end, rank, mu, outer in nodes:
+        del prefix[depth:]
+        prefix.append((block, left))
+        plans[rank] = ((tuple(prefix), outer), mu)
+    return plans
 
 
 def _seeded_loops(graph, k, count, rng):
@@ -210,14 +245,14 @@ def test_kappa_mobius_evaluates_each_block_once(fork, monkeypatch):
     loops = [p for p in cm.even_generators(fork) if p.start == p.finish == v]
     tup = tuple(loops[i % len(loops)] for i in range(7))
     cm._mobius_row(7)
-    real = cm.moment_phi
+    real = cm._loop_moment
     calls = []
 
     def counting(graph, paths):
         calls.append(tuple(paths))
         return real(graph, paths)
 
-    monkeypatch.setattr(cm, "moment_phi", counting)
+    monkeypatch.setattr(cm, "_loop_moment", counting)
     got = cm.kappa_mobius(fork, tup)
     assert 0 < len(calls) <= 2 ** 7 - 1
     assert cm.b_diff_norm(got, cm.kappa_starry(fork, tup)) < 1e-9
@@ -227,6 +262,85 @@ def test_kappa_mobius_evaluates_each_block_once(fork, monkeypatch):
 
     monkeypatch.setattr(ncx, "nc", refuse)
     assert cm.kappa_mobius(fork, tup) == got
+
+
+def test_plan_trie_holds_every_extraction_plan():
+    for n in range(1, 11):
+        plans = _trie_plans(n)
+        one = ncx.nc_one(n)
+        pis = ncx.enumerate_nc(n)
+        assert sorted(plans) == list(range(len(pis)))
+        for rank, pi in enumerate(pis):
+            plan, mu = plans[rank]
+            # the uncached rule, so NC(9) and NC(10) do not evict the cache
+            assert plan == cm._extraction_plan.__wrapped__(pi)
+            assert mu == ncx.mobius_nc(pi, one)
+
+
+def test_plan_trie_builds_without_partitions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("partition object or rank scan used")
+
+    for name in ("nc", "kreweras", "mobius_nc"):
+        monkeypatch.setattr(ncx, name, refuse)
+    monkeypatch.setattr(ncx.NCPartition, "__post_init__", refuse)
+    monkeypatch.setattr(cm, "_extraction_plan", refuse)
+    cm._mobius_row.cache_clear()
+    root, nodes = cm._mobius_row(8)
+    assert len(nodes) + 1 == ncx.catalan(8)
+
+
+def test_plan_trie_equals_plan_by_plan_sum(pf_graphs):
+    rng = np.random.default_rng(9)
+    for g in pf_graphs:
+        values: dict[tuple, cm.BElement] = {}
+
+        def dense(ps, g=g):
+            key = tuple(ps)
+            if key not in values:
+                values[key] = {v: float(rng.uniform(-1, 1))
+                               for v in g.vertices_of_parity(0)}
+            return values[key]
+
+        moment = lambda ps, g=g: cm.moment_phi(g, ps)
+        starry = lambda ps, g=g: cm.kappa_starry(g, ps)
+        for n in range(1, 9):
+            tuples = _seeded_loops(g, n, 3 if n < 8 else 2, rng)
+            assert tuples
+            for tup in tuples:
+                assert cm.kappa_mobius(g, tup) == _sum_extensions_by_plans(
+                    moment, tup, weighted=True)
+                assert cm.kappa_from_kernel(g, starry, tup) == _sum_extensions_by_plans(
+                    starry, tup, weighted=False)
+                for weighted in (True, False):
+                    assert cm._sum_extensions(dense, tup, weighted) == \
+                        _sum_extensions_by_plans(dense, tup, weighted)
+
+
+def test_plan_trie_sees_the_oracles_blocks(pf_graphs):
+    rng = np.random.default_rng(10)
+    for g in pf_graphs:
+        for n in range(1, 9):
+            for tup in _seeded_loops(g, n, 2, rng):
+                # one object per position, so a call names its block
+                tup = tuple(Path(p.vertices, p.edges) for p in tup)
+                where = {id(p): k for k, p in enumerate(tup)}
+                seen = {"trie": [], "oracle": []}
+
+                def kernel(ps, g=g, route="trie"):
+                    seen[route].append(tuple(where[id(p)] for p in ps))
+                    return cm.moment_phi(g, ps)
+
+                cm._sum_extensions(kernel, tup, True)
+                _sum_extensions_by_plans(
+                    lambda ps: kernel(ps, route="oracle"), tup, True)
+                assert set(seen["trie"]) == set(seen["oracle"])
+                assert len(seen["trie"]) == len(set(seen["trie"])) <= 2 ** n - 1
+
+
+def test_mobius_inversion_needs_an_argument(fork):
+    with pytest.raises(GraphError):
+        cm.kappa_mobius(fork, ())
 
 
 def test_extraction_plan_rejects_missing_interval_block():

@@ -56,6 +56,41 @@ def test_enumeration_against_backtracking_oracle():
         assert fast == slow
 
 
+def _nc_blocks_unmemoized(lo: int, hi: int):
+    """The interval recursion before it shared its sub-intervals: the order oracle."""
+    if lo > hi:
+        yield ()
+        return
+    rest = list(range(lo + 1, hi + 1))
+    for mask in range(1 << len(rest)):
+        block = [lo] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
+        gaps = []
+        prev = None
+        for x in block:
+            if prev is not None:
+                gaps.append((prev + 1, x - 1))
+            prev = x
+        gaps.append((block[-1] + 1, hi))
+        partials = [()]
+        for glo, ghi in gaps:
+            new = []
+            for sub in _nc_blocks_unmemoized(glo, ghi):
+                for acc in partials:
+                    new.append(acc + sub)
+            partials = new
+        for acc in partials:
+            yield (tuple(block),) + acc
+
+
+def test_enumeration_keeps_its_order():
+    # Mobius inversion sums over NC(n) in this order, and its plan trie
+    # is built from the same recursion
+    for n in range(11):
+        want = list(_nc_blocks_unmemoized(1, n))
+        assert ncx._nc_blocks(1, n) == want
+        assert [p.blocks for p in ncx.enumerate_nc(n)] == want
+
+
 def test_tl_small_frozen():
     assert [t.blocks for t in ncx.enumerate_tl(2)] == [((1, 2),)]
     got = {t.blocks for t in ncx.enumerate_tl(4)}
