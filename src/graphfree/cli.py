@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import cumulants, factors, falg, verification
-from .graphs import (Graph, GraphError, adjacency_powers, enumerate_paths,
+from .graphs import (Graph, GraphError, adjacency_powers,
                      graph_from_spec, named_graph, normalize_weights, pf_weighting)
-from .gralg import tau_path
+from .gralg import FaceStack, tau_path
 from .noncross import catalan
 
 EXIT_OK = 0
@@ -34,12 +34,20 @@ GRAM_MAX_PAIRS = 2_000_000
 
 # trace --all-loops refuses above this many loops, and trace refuses above
 # this much work: both routes run O(n^3) interval recursions on a loop of
-# length n, so the work is the sum of n^3 over the loops, counted from
-# diag(A^n) before any loop is built.  On a 2-core x86-64 host a3 to length
-# 24 (16,383 loops, 1.8e8 steps) takes 2.2-3.0 s, and the a2 alternating loop
-# of length 792 (5e8, the densest recursion there is) 5.5-5.8 s.
+# length n, so the work is at most the sum of n^3 over the loops, counted
+# from diag(A^n) before any loop is built (--all-loops shares the rows of
+# common suffixes, so it does less).  On a 2-core x86-64 host a3 to length
+# 24 (16,383 loops, 1.8e8 steps) takes 0.7-0.9 s, and the a2 alternating
+# loop of length 792 (5e8, the densest recursion there is) 5.5-5.8 s.
 TRACE_MAX_LOOPS = 20_000
 TRACE_MAX_WORK = 500_000_000
+
+# moments --matrix-moments K refuses above this many face rows
+# (cumulants.matrix_moment_rows), and, as trace does, when a single loop of
+# length 2K passes TRACE_MAX_WORK.  On a 2-core x86-64 host a row costs 2-14 us
+# (most for q = 2, whose words pair most), so dbl at K = 17 (524,286 rows)
+# takes 7.3 s; at K = 30 it would push 4.3e9.
+MATRIX_MOMENTS_MAX_ROWS = 1_000_000
 
 # freeness refuses above this many (tuple, partition) extensions: the
 # composable generator tuples of order k, counted from A^(2k), times
@@ -121,15 +129,73 @@ def _table(rows, header):
 # commands
 
 
+def _loop_name(g: Graph, start: int, edges) -> str:
+    return "->".join(g.ids[v] for v in (start, *map(g.efinish.__getitem__, edges)))
+
+
+def _all_loop_traces(g: Graph, max_len: int):
+    """(name, pairing trace, transform trace) of every loop up to max_len.
+
+    From each end vertex v, the walks into v are grown backwards depth
+    first, one edge in front at a time, and pruned where the front vertex
+    lies too far from v to close within max_len.  Each push adds one row
+    to a face stack and one to a gap stack, so a row is built once per
+    distinct suffix; where the front reaches v, both corners are read as
+    the per-loop routes read them (:func:`tau_path`,
+    :func:`falg.t_phi_path`), so the values are theirs to the last bit,
+    and a loop of length max_len is not pushed at all.  The two stacks
+    stay separate recurrences.  The loops come out in the order of
+    enumerate_paths: by length, start and edge ids.
+    """
+    mu, mu2, estart, efinish = g.mu, g.mu2, g.estart, g.efinish
+    into = [[g.erev[e] for e in g.out_edges(u)] for u in range(g.n_vertices)]
+    max_len -= max_len % 2  # the graph is bipartite: every loop has even length
+    found = []
+    for v in range(g.n_vertices):
+        dist, frontier = {v: 0}, [v]
+        for d in range(1, max_len + 1):  # breadth first, as far as a loop can reach
+            frontier = [x for u in frontier for x in map(efinish.__getitem__, g.out_edges(u))
+                        if x not in dist]
+            dist.update((x, d) for x in frontier)
+        faces, gaps, suffix = FaceStack(g), falg.GapStack(g), []
+        found.append((0, v, (), mu2[v], mu2[v]))
+        todo = [iter(into[v])]
+        while todo:
+            e = next(todo[-1], None)
+            if e is None:
+                todo.pop()
+                if suffix:
+                    suffix.pop()
+                    faces.pop()
+                    gaps.pop()
+                continue
+            u, length = estart[e], len(suffix) + 1
+            if length + dist.get(u, max_len) > max_len:
+                continue
+            if u == v:
+                edges = (e, *reversed(suffix))
+                denom = math.prod(map(mu, map(efinish.__getitem__, edges)))
+                found.append((length, v, edges, mu2[v] * faces.corner_with(e) / denom,
+                              gaps.corner_with(e) * mu2[v]))
+            if length < max_len:
+                suffix.append(e)
+                faces.push(e)
+                gaps.push(e)
+                todo.append(iter(into[u]))
+    found.sort(key=lambda t: t[:3])
+    return [(_loop_name(g, v, edges), pairing, transform)
+            for _, v, edges, pairing, transform in found]
+
+
 def cmd_trace(args) -> int:
     g = _load_graph(args)
-    loops = []
     if args.loop:
-        loops = [_parse_loop(g, args.loop)]
-        n = loops[0].length
+        p = _parse_loop(g, args.loop)
+        n = p.length
         if n ** 3 > TRACE_MAX_WORK:
             raise CliError(f"tracing a loop of length {n} takes some n^3 = {n ** 3} "
                            f"steps, more than {TRACE_MAX_WORK}; give a shorter loop")
+        traced = [(_loop_name(g, p.start, p.edges), tau_path(g, p), falg.t_phi_path(g, p))]
     elif args.all_loops:
         # (A^n)[v, v] counts the loops of length n at v; stop as gram does,
         # and at the first zero power, past which no path exists.
@@ -149,16 +215,11 @@ def cmd_trace(args) -> int:
                 raise CliError(f"trace --all-loops --max-len {args.max_len} would take "
                                f"more than {TRACE_MAX_WORK} steps (n^3 per loop of length "
                                f"n): {work} up to length {n} alone; lower --max-len")
-        for n in range(0, max_len + 1, 2):
-            for v in range(g.n_vertices):
-                loops.extend(enumerate_paths(g, v, n, v))
+        traced = _all_loop_traces(g, max_len)
     else:
         raise CliError("give --loop or --all-loops")
     rows, payload = [], []
-    for p in loops:
-        via_pairings = tau_path(g, p)
-        via_transform = falg.t_phi_path(g, p)
-        name = "->".join(g.ids[v] for v in p.vertices)
+    for name, via_pairings, via_transform in traced:
         rows.append([name, f"{via_pairings:.12g}", f"{via_transform:.12g}",
                      f"{abs(via_pairings - via_transform):.3g}"])
         payload.append({"loop": name, "pairing_trace": via_pairings,
@@ -188,7 +249,18 @@ def cmd_moments(args) -> int:
         lines.append(f"moment: {pretty}")
         payload["moment"] = pretty
     elif args.matrix_moments:
-        got = cumulants.omega_matrix_moments(g, args.matrix_moments)
+        kmax = args.matrix_moments
+        n = 2 * kmax
+        if n ** 3 > TRACE_MAX_WORK:
+            raise CliError(f"--matrix-moments {kmax} traces loops of length {n}, some "
+                           f"n^3 = {n ** 3} steps for the densest, more than "
+                           f"{TRACE_MAX_WORK}; lower --matrix-moments")
+        work = cumulants.matrix_moment_rows(g.n_edges, kmax)
+        if work > MATRIX_MOMENTS_MAX_ROWS:
+            raise CliError(f"--matrix-moments {kmax} would push {work} face rows for the "
+                           f"words of {g.n_edges} edges, more than "
+                           f"{MATRIX_MOMENTS_MAX_ROWS}; lower --matrix-moments")
+        got = cumulants.omega_matrix_moments(g, kmax)
         evens = g.vertices_of_parity(0)
         odds = g.vertices_of_parity(1)
         q = g.n_edges

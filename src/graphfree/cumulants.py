@@ -7,7 +7,10 @@ vertex (t o Phi = tau); the cumulants come out of Mobius inversion over
 non-crossing partitions and, independently, from a one-diagram closed
 form supported on starry composites.  Vanishing of the mixed cumulants
 certifies freeness with amalgamation of the single-hub subalgebras over
-the base.
+the base.  A moment joins its generators' edge tuples and reads the
+trace memo by them, building no composite path.  The matrix moments of
+the two-vertex graph walk their word tree on one face stack, one row per
+distinct suffix of the loops.
 
 A multiplicative extension on pi depends on pi only through the order
 in which its interval blocks are folded into their left neighbours, an
@@ -22,11 +25,12 @@ a zero scalar skips every plan below it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter, mul
 
 from .graphs import Graph, GraphError, Path
-from .gralg import GradedElement, max_abs_diff, tau, tau_path
+from .gralg import FaceStack, GradedElement, max_abs_diff, tau_loop
 from . import epitl, noncross
 
 BElement = dict[int, float]  # vertex index -> coefficient of the idempotent
@@ -74,8 +78,9 @@ def moment_phi(graph: Graph, paths) -> BElement:
 def _loop_moment(graph: Graph, paths) -> BElement:
     """:func:`moment_phi` on generators already checked.
 
-    The endpoints are tested to chain into a loop before any path is
-    concatenated.
+    The endpoints are tested to chain into a loop, and then only the edge
+    tuples are joined: the trace memo is keyed by them, so no composite
+    path is built.
     """
     v = paths[0].start
     if paths[-1].finish != v:
@@ -83,7 +88,7 @@ def _loop_moment(graph: Graph, paths) -> BElement:
     for a, b in zip(paths, paths[1:]):
         if a.finish != b.start:
             return {}
-    val = tau_path(graph, _compose_all(paths)) / graph.mu2[v]
+    val = tau_loop(graph, sum((p.edges for p in paths), ())) / graph.mu2[v]
     return {v: val} if val else {}
 
 
@@ -475,8 +480,27 @@ def freeness_certificate(graph: Graph, max_order: int = 5,
 
 
 def nc_rate_moment(rate: float, k: int) -> float:
-    """Sum of rate^(number of blocks) over NC(k); Catalan at rate 1."""
-    return sum(rate ** pi.num_blocks for pi in noncross.enumerate_nc(k))
+    """Sum of rate^(number of blocks) over NC(k); Catalan at rate 1.
+
+    NC(k) has the Narayana number C(k,b) C(k,b-1) / k of partitions with
+    b blocks, so no partition is enumerated.
+    """
+    if k == 0:
+        return 1.0
+    return sum(math.comb(k, b) * math.comb(k, b - 1) // k * rate ** b
+               for b in range(1, k + 1))
+
+
+def matrix_moment_rows(q: int, kmax: int) -> int:
+    """Face rows :func:`omega_matrix_moments` pushes for q edges up to order kmax.
+
+    The q root reverse edges, and at each order d < kmax a forward edge
+    and its tied reverse per word, 2 q^(d+1) rows.  The closing forward
+    edges are read as corners, without rows.
+    """
+    if q == 1:
+        return 2 * kmax - 1
+    return q + 2 * (q ** (kmax + 1) - q * q) // (q - 1)
 
 
 def omega_matrix_moments(graph: Graph, kmax: int) -> list[float]:
@@ -486,33 +510,47 @@ def omega_matrix_moments(graph: Graph, kmax: int) -> list[float]:
     paths based at the odd vertex form a q x q matrix; its moments in
     normalized-trace-of-power form, divided by the jump size, match the
     non-crossing sums of rate mu2(even)/(mu2(odd) q).
+
+    With f_i the edges out of the odd vertex w and r_i their reverses,
+    entry (i, j) is the path f_i r_j, so the trace of the k-th power sums
+    tau over the loops f_{i_0} r_{i_1} f_{i_1} ... f_{i_{k-1}} r_{i_k} of
+    the closed words, i_k = i_0.  Read from its end, the loop of a word is
+    a suffix of its extensions' loops, so the word tree is walked depth
+    first on one :class:`~graphfree.gralg.FaceStack`: a root pushes r_i
+    (i = i_k), and each order reads the corner of the closing f_i without
+    its row, then pushes a free forward edge f_j and its tied reverse r_j
+    for the next order.  That is :func:`matrix_moment_rows` rows in all,
+    one per distinct suffix, and no path or element is built.  Every loop
+    alternates w and v, so tau = mu2(w) F / (mu(v) mu(w))^k, and the
+    moment over jump^k is the corner sum over q (q mu2(w))^k.
     """
     evens = graph.vertices_of_parity(0)
     odds = graph.vertices_of_parity(1)
     if len(evens) != 1 or len(odds) != 1:
         raise GraphError("matrix moments need a two-vertex graph")
-    v, w = evens[0], odds[0]
-    forward = [e for e in graph.out_edges(w)]  # w -> v edges
+    w = odds[0]
+    forward = graph.out_edges(w)  # w -> v edges
     q = len(forward)
-    entries = {}
-    for i, ei in enumerate(forward):
-        for j, ej in enumerate(forward):
-            p = Path((w, v, w), (ei, graph.erev[ej]))
-            entries[i, j] = GradedElement.basis(graph, p)
-    jump = q * graph.mu(w) / graph.mu(v)
-    power = entries
-    out = []
-    from .gralg import bullet_mul
-    for k in range(1, kmax + 1):
-        if k > 1:
-            new = {}
-            for i in range(q):
-                for j in range(q):
-                    acc = GradedElement(graph)
-                    for t in range(q):
-                        acc = acc + bullet_mul(power[i, t], entries[t, j])
-                    new[i, j] = acc
-            power = new
-        m_k = sum(tau(power[i, i]) for i in range(q)) / (q * graph.mu2[w])
-        out.append(m_k / jump ** k)
-    return out
+    if not q:
+        raise GraphError("matrix moments need at least one edge")
+    back = [graph.erev[f] for f in forward]
+    faces = FaceStack(graph)
+    sums = [0.0] * (kmax + 1)
+
+    def grow(i, order):
+        sums[order] += faces.corner_with(forward[i])
+        if order == kmax:
+            return
+        for j in range(q):
+            faces.push(forward[j])
+            faces.push(back[j])
+            grow(i, order + 1)
+            faces.pop()
+            faces.pop()
+
+    for i in range(q):
+        faces.push(back[i])
+        grow(i, 1)
+        faces.pop()
+    scale = q * graph.mu2[w]
+    return [sums[k] / (q * scale ** k) for k in range(1, kmax + 1)]

@@ -9,7 +9,9 @@ psi (signed sum over non-nested ones) are mutually inverse *-isomorphisms
 between the two pictures carrying tau to t.  Neither enumerates diagrams:
 phi fixes edges, so phi(e r) = e # phi(r), where e # q contracts at most one
 edge, and psi inverts that one-edge rule.  t(phi(path)) is the all-capped
-corner of a sparse table of gap weights, read without building phi.
+corner of a sparse table of gap weights, read without building phi; its
+rows are kept per suffix (:class:`GapStack`), so a family of loops walked
+through its suffix tree builds each distinct suffix's row once.
 """
 
 from __future__ import annotations
@@ -72,30 +74,58 @@ def inner(x: GradedElement, y: GradedElement) -> float:
 # the graded <-> filtered transforms
 
 
-def _gap_rows(graph: Graph, path: Path) -> list[dict[int, float]]:
-    """The gap weights W of a path, row i the dict {j: W(i,j)} of its nonzeros.
+class GapStack:
+    """The gap weights of a path's suffixes, pushed one edge in front at a time.
 
-    On a path v_0 e_1 v_1 ... e_n v_n, W(i,j) weighs the cappings of
-    e_{i+1}..e_j: W(i,i) = 1, and e_{i+1} caps with some e_k = rev(e_{i+1})
-    around the capped gap e_{i+2}..e_{k-1}, weighing c_i = mu(v_{i+1})/mu(v_i)
-    as a single-cap generator does: W(i,j) = c_i sum_k W(i+1,k-1) W(k,j).
-    Row i is filled from the partners k with W(i+1,k-1) != 0, so the work
-    follows the cappable intervals, not (n+1)^2 cells.
+    Laid out as :class:`~graphfree.gralg.FaceStack` lays out the face rows:
+    key r of the row of a suffix of length l holds W(s_1..s_{l-r}), the
+    weight of the cappings of that stretch, with s_1 the edge pushed last.
+    Its entry r = l is 1, and s_1 caps with some s_k = rev(s_1) around the
+    capped gap s_2..s_{k-1}, weighing c = mu(after s_1)/mu(before s_1) as a
+    single-cap generator does.  The recurrence is written apart from the
+    face rows, so that ``trace`` compares two independent routes.
     """
-    n, v, e = path.length, path.vertices, path.edges
-    mu, erev = graph.mu, graph.erev
-    rows: list[dict[int, float]] = [{}] * (n + 1)
-    for i in range(n, -1, -1):
-        row = {i: 1.0}
-        if i < n:
-            back, cap = erev[e[i]], mu(v[i + 1]) / mu(v[i])
-            for m, w in rows[i + 1].items():
-                if m < n and e[m] == back:
+
+    __slots__ = ("_mu", "_erev", "_estart", "_efinish", "edges", "rows")
+
+    def __init__(self, graph: Graph):
+        self._mu, self._erev = graph.mu, graph.erev
+        self._estart, self._efinish = graph.estart, graph.efinish
+        self.edges: list = [None]  # edges[l] was pushed at level l
+        self.rows: list[dict[int, float]] = [{0: 1.0}]
+
+    def push(self, *pushed: int):
+        """Push the edges one by one in front of the suffix; the last becomes its first edge."""
+        edges, rows, mu, erev = self.edges, self.rows, self._mu, self._erev
+        estart, efinish = self._estart, self._efinish
+        for e in pushed:
+            back, cap = erev[e], mu(efinish[e]) / mu(estart[e])
+            row = {len(rows): 1.0}
+            for r, w in rows[-1].items():
+                if r and edges[r] == back:
                     w *= cap
-                    for j, c in rows[m + 1].items():
+                    for j, c in rows[r - 1].items():
                         row[j] = row.get(j, 0.0) + w * c
-        rows[i] = row
-    return rows
+            edges.append(e)
+            rows.append(row)
+
+    def pop(self):
+        self.edges.pop()
+        self.rows.pop()
+
+    def corner_with(self, e: int) -> float:
+        """W of e in front of the suffix, its entry r = 0, from the partners alone.
+
+        e is not pushed: a walk reads a loop's weight where it closes
+        without building the row of the loop itself.
+        """
+        edges, rows, mu = self.edges, self.rows, self._mu
+        back, cap = self._erev[e], mu(self._efinish[e]) / mu(self._estart[e])
+        total = 0.0
+        for r, w in rows[-1].items():
+            if r and edges[r] == back:
+                total += w * cap * rows[r - 1].get(0, 0.0)
+        return total
 
 
 def _suffix_transforms(graph: Graph, path: Path, inverse: bool):
@@ -139,8 +169,17 @@ def _transform(x: GradedElement, inverse: bool) -> GradedElement:
 
 
 def t_phi_path(graph: Graph, path: Path) -> float:
-    """t(phi(path)) without building phi: mu^2(v_0) times the all-capped corner W(0,n)."""
-    return _gap_rows(graph, path)[0].get(path.length, 0.0) * graph.mu2[path.start]
+    """t(phi(path)) without building phi: mu^2(v_0) times the all-capped corner W(0,n).
+
+    A walk with a single branch: the edges are pushed onto a
+    :class:`GapStack` from the last, and the first edge's corner is read
+    without its row.
+    """
+    if not path.length:
+        return graph.mu2[path.start]
+    gaps = GapStack(graph)
+    gaps.push(*path.edges[:0:-1])
+    return gaps.corner_with(path.edges[0]) * graph.mu2[path.start]
 
 
 def phi(x: GradedElement) -> GradedElement:

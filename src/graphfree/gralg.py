@@ -12,8 +12,12 @@ carries a single vertex, so a pairing weighs
 prod_i mu(v_i)^-1 * prod_classes mu^2(v_class), with v_i the vertex
 after edge i.  Splitting a pairing at the partner of its first edge
 (first-return decomposition) turns the Catalan-sized sum into an
-O(n^3) interval recursion, so :func:`tau` has no length cap.
-:func:`tau_pairing` keeps the single-diagram term as the oracle.
+O(n^3) interval recursion, so :func:`tau` has no length cap.  Its row
+for e_{i+1}..e_n depends on that suffix alone, so :class:`FaceStack`
+keeps the rows as a stack that grows by one edge in front: a single
+path is a walk with one branch, and a caller that traces a family of
+loops walks their suffix tree and builds each distinct suffix's row
+once.  :func:`tau_pairing` keeps the single-diagram term as the oracle.
 """
 
 from __future__ import annotations
@@ -189,45 +193,67 @@ def tau_pairing(graph: Graph, t: noncross.NCPartition, path: Path) -> float:
     return out
 
 
-def _face_rows(graph: Graph, path: Path) -> list[dict[int, float]]:
-    """Rows 1..n of the face-sum table F, each the dict {j: F(i,j)} of its nonzeros.
+class FaceStack:
+    """The face rows of a path's suffixes, pushed one edge in front at a time.
 
-    With edges e_1..e_n and v_i the vertex after edge i, F(i,j) sums the
-    pairings of e_{i+1}..e_j by their products of face weights mu^2:
-    F(i,i) = 1, and e_{i+1} pairs with some e_k = rev(e_{i+1}), closing the
-    face at v_{i+1}: F(i,j) = mu^2(v_{i+1}) * sum_k F(i+1,k-1) * F(k,j).
-    Row i is filled from the partners k with F(i+1,k-1) != 0 only, read off
-    row i+1, so the work follows the pairable intervals, not (n+1)^2 cells.
-    Every weight is positive, so no entry cancels.  Row 0 is left empty:
-    the trace reads only its corner (see :func:`_face_sum`).
+    With s_1 s_2 ... the suffix, s_1 the edge pushed last, the row of the
+    suffix of length l is the dict {r: F} of its nonzeros, where F sums the
+    pairings of s_1..s_{l-r} (r counts the edges left after them) by their
+    products of face weights mu^2.  Its entry r = l is 1, the empty
+    stretch; s_1 pairs with some s_k = rev(s_1), closing the face at the
+    vertex after s_1, so F = mu^2 * F(s_2..s_{k-1}) * F(s_{k+1}..s_{l-r}).
+    The row below holds F(s_2..s_{k-1}) at r' = l-k+1, where s_k is the
+    edge pushed at level r', and the row at level r'-1 holds the rest at
+    r.  So a row depends only on its suffix, is filled only from the
+    partners whose inner stretch pairs off (not (l+1)^2 cells), and a
+    walk that pushes and pops builds one row per distinct suffix.  Every
+    weight is positive, so no entry cancels; the corner r = 0 pairs the
+    whole suffix.
     """
-    n, v, e = path.length, path.vertices, path.edges
-    mu2, erev = graph.mu2, graph.erev
-    rows: list[dict[int, float]] = [{}] * (n + 1)
-    for i in range(n, 0, -1):
-        row = {i: 1.0}
-        if i < n:
-            back, face = erev[e[i]], mu2[v[i + 1]]
-            for m, w in rows[i + 1].items():  # k = m + 1
-                if m < n and e[m] == back:
+
+    __slots__ = ("_mu2", "_erev", "_efinish", "edges", "rows")
+
+    def __init__(self, graph: Graph):
+        self._mu2, self._erev, self._efinish = graph.mu2, graph.erev, graph.efinish
+        self.edges: list = [None]  # edges[l] was pushed at level l
+        self.rows: list[dict[int, float]] = [{0: 1.0}]
+
+    def push(self, *pushed: int):
+        """Push the edges one by one in front of the suffix; the last becomes its first edge."""
+        edges, rows = self.edges, self.rows
+        erev, mu2, efinish = self._erev, self._mu2, self._efinish
+        for e in pushed:
+            back, face = erev[e], mu2[efinish[e]]
+            row = {len(rows): 1.0}
+            for r, w in rows[-1].items():
+                if r and edges[r] == back:
                     w *= face
-                    for j, c in rows[m + 1].items():
+                    for j, c in rows[r - 1].items():
                         row[j] = row.get(j, 0.0) + w * c
-        rows[i] = row
-    return rows
+            edges.append(e)
+            rows.append(row)
+
+    def pop(self):
+        self.edges.pop()
+        self.rows.pop()
+
+    def corner_with(self, e: int) -> float:
+        """F of e in front of the suffix, its entry r = 0, from the partners alone.
+
+        e is not pushed: a walk reads a loop's trace where it closes
+        without building the row of the loop itself.
+        """
+        edges, rows, back = self.edges, self.rows, self._erev[e]
+        total = 0.0
+        for r, w in rows[-1].items():
+            if r and edges[r] == back:
+                total += w * rows[r - 1].get(0, 0.0)
+        return self._mu2[self._efinish[e]] * total
 
 
-def _face_sum(graph: Graph, path: Path) -> float:
-    """F(0,n) = mu^2(v_1) * sum_k F(1,k-1) * F(k,n), from rows 1..n alone."""
-    n, e = path.length, path.edges
-    rows, back = _face_rows(graph, path), graph.erev[e[0]]
-    return graph.mu2[path.vertices[1]] * sum(
-        w * rows[m + 1].get(n, 0.0) for m, w in rows[1].items() if m < n and e[m] == back)
-
-
-# The trace memo holds at most this many paths per graph; past that it
+# The trace memo holds at most this many loops per graph; past that it
 # forgets its oldest.  A verify --suite all pass at degree 6 traces 943
-# distinct paths, and trace --all-loops reads each loop once.
+# distinct loops.
 TAU_MEMO_MAX = 4096
 
 
@@ -240,16 +266,28 @@ def tau_path(graph: Graph, path: Path) -> float:
         return graph.mu2[path.start]
     if path.length % 2 or path.start != path.finish:
         return 0.0
+    return tau_loop(graph, path.edges)
+
+
+def tau_loop(graph: Graph, edges: tuple[int, ...]) -> float:
+    """Trace of the loop with these edges (at least one), memoized by the edge tuple.
+
+    A walk with a single branch: the edges are pushed onto a
+    :class:`FaceStack` from the last, and the first edge's corner is read
+    without its row.
+    """
     memo = graph._cache.get("tau")
     if memo is None:
         memo = graph._cache["tau"] = OrderedDict()
-    val = memo.get(path)
+    val = memo.get(edges)
     if val is None:
-        denom = math.prod(map(graph.mu, path.vertices[1:]))
-        val = graph.mu2[path.start] * _face_sum(graph, path) / denom
+        faces = FaceStack(graph)
+        faces.push(*edges[:0:-1])
+        denom = math.prod(map(graph.mu, map(graph.efinish.__getitem__, edges)))
+        val = graph.mu2[graph.estart[edges[0]]] * faces.corner_with(edges[0]) / denom
         if len(memo) >= TAU_MEMO_MAX:
             memo.popitem(last=False)
-        memo[path] = val
+        memo[edges] = val
     return val
 
 

@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphfree import cli, cumulants, falg
 from graphfree.cli import main
+from graphfree.graphs import enumerate_paths, named_graph
+from graphfree.gralg import tau_path
 from graphfree.verification import SUITES
 
 A2_SPEC = """{
@@ -197,6 +200,56 @@ def test_moments_matrix(capsys):
                  "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["matrix_moments"][0] == pytest.approx(data["pairing_sums"][0])
+
+
+def test_moments_matrix_refuses_by_work(monkeypatch, capsys):
+    # the face rows of the word tree are counted in closed form, so the
+    # refusal comes before the walk: dbl (q = 2) to order 30 would push 4.3e9
+    def refuse(*args):
+        raise AssertionError("walk started")
+
+    monkeypatch.setattr(cumulants, "omega_matrix_moments", refuse)
+    assert main(["moments", "--named", "dbl", "--matrix-moments", "30"]) == 2
+    err = capsys.readouterr().err
+    assert "4294967290 face rows" in err and "Traceback" not in err
+    # q = 1 has few rows but one dense loop of length 2K, refused as trace
+    # refuses it
+    assert main(["moments", "--named", "a2", "--matrix-moments", "400"]) == 2
+    err = capsys.readouterr().err
+    assert "length 800" in err and "512000000" in err
+    monkeypatch.undo()
+    assert main(["moments", "--named", "dbl", "--matrix-moments", "5"]) == 0
+
+
+def test_moments_matrix_without_edges_is_input_error(tmp_path, capsys):
+    f = tmp_path / "apart.graph"
+    f.write_text('{"vertices": [{"id": "v", "parity": "even", "weight2": 0.5}, '
+                 '{"id": "w", "parity": "odd", "weight2": 0.5}], "edges": []}')
+    assert main(["moments", str(f), "--matrix-moments", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "at least one edge" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,max_len", [("a3", 12), ("a4", 10), ("k1_4", 8), ("dbl", 8)])
+def test_all_loops_walk_matches_the_per_loop_routes(monkeypatch, capsys, name, max_len):
+    # --all-loops grows the loops through their suffix tree; it prints the
+    # loops of enumerate_paths in their order, with the values of tau_path
+    # and t_phi_path, and leaves the tau memo alone
+    loaded = []
+    real = cli._load_graph
+    monkeypatch.setattr(cli, "_load_graph", lambda args: loaded.append(real(args)) or loaded[0])
+    assert main(["trace", "--named", name, "--all-loops", "--max-len", str(max_len),
+                 "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["trace"]
+    assert not loaded[0]._cache.get("tau")
+    g = named_graph(name)
+    loops = [p for n in range(0, max_len + 1, 2) for v in range(g.n_vertices)
+             for p in enumerate_paths(g, v, n, v)]
+    assert [row["loop"] for row in rows] == ["->".join(g.ids[x] for x in p.vertices)
+                                             for p in loops]
+    for row, p in zip(rows, loops):
+        assert row["pairing_trace"] == pytest.approx(tau_path(g, p), rel=1e-13, abs=0)
+        assert row["transform_trace"] == pytest.approx(falg.t_phi_path(g, p), rel=1e-13, abs=0)
 
 
 def test_gram_command(capsys):

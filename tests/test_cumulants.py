@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from graphfree import cumulants as cm, epitl, falg, noncross as ncx
-from graphfree.gralg import GradedElement, tau
+from graphfree import cumulants as cm, epitl, falg, gralg, noncross as ncx
+from graphfree.gralg import GradedElement, bullet_mul, tau
 from graphfree.graphs import GraphError, Path, named_graph, pf_weighting, two_vertex_graph
 
 
@@ -442,3 +442,108 @@ def test_matrix_moments_rate(q, alpha):
     got = cm.omega_matrix_moments(g, 5)
     want = [cm.nc_rate_moment(rate, k) for k in range(1, 6)]
     assert got == pytest.approx(want, abs=1e-8)
+
+
+def _matrix_moments_by_powers(graph, kmax):
+    """The oracle: the q x q matrix powers built as path elements and traced.
+
+    Entry (i, j) is the loop f_i r_j at the odd vertex w, the powers come
+    from bullet_mul, and the k-th moment is the trace of the diagonal over
+    q mu2(w), divided by the k-th power of the jump q mu(w)/mu(v).
+    """
+    v, w = graph.vertices_of_parity(0)[0], graph.vertices_of_parity(1)[0]
+    forward = graph.out_edges(w)
+    q = len(forward)
+    entries = {(i, j): GradedElement.basis(graph, Path((w, v, w), (ei, graph.erev[ej])))
+               for i, ei in enumerate(forward) for j, ej in enumerate(forward)}
+    jump = q * graph.mu(w) / graph.mu(v)
+    power, out = entries, []
+    for k in range(1, kmax + 1):
+        if k > 1:
+            new = {}
+            for i in range(q):
+                for j in range(q):
+                    acc = GradedElement(graph)
+                    for t in range(q):
+                        acc = acc + bullet_mul(power[i, t], entries[t, j])
+                    new[i, j] = acc
+            power = new
+        m_k = sum(tau(power[i, i]) for i in range(q)) / (q * graph.mu2[w])
+        out.append(m_k / jump ** k)
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_matrix_moments_match_the_explicit_powers(q):
+    for alpha in (0.2, 0.5, 0.7):
+        g = two_vertex_graph(q, alpha, 1 - alpha)
+        got = cm.omega_matrix_moments(g, 6)
+        want = _matrix_moments_by_powers(two_vertex_graph(q, alpha, 1 - alpha), 6)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("q,kmax,rows", [(1, 6, 11), (2, 5, 122), (3, 5, 723)])
+def test_matrix_moments_push_one_row_per_suffix(monkeypatch, q, kmax, rows):
+    # exact work counter: one face row per distinct proper suffix of the
+    # order-kmax loops (the order-kmax corners are read without a row),
+    # where tracing every loop on its own builds 2k rows per loop of order k
+    g = two_vertex_graph(q, 0.3, 0.7)
+    forward = g.out_edges(g.vertices_of_parity(1)[0])
+    suffixes = set()
+    for word in itertools.product(range(q), repeat=kmax):
+        edges = tuple(x for a, b in zip(word, word[1:] + word[:1])
+                      for x in (forward[a], g.erev[forward[b]]))
+        suffixes.update(edges[i:] for i in range(1, 2 * kmax))
+    pushed = []
+    real = gralg.FaceStack.push
+
+    def counting(self, *edges):
+        pushed.extend(edges)
+        real(self, *edges)
+
+    monkeypatch.setattr(gralg.FaceStack, "push", counting)
+    cm.omega_matrix_moments(g, kmax)
+    assert len(pushed) == len(suffixes) == cm.matrix_moment_rows(q, kmax) == rows
+    assert rows < sum(2 * k * q ** k for k in range(1, kmax + 1))
+
+
+def test_nc_rate_moment_counts_the_partitions():
+    # the Narayana closed form against the enumeration of NC(k)
+    for k in range(11):
+        for rate in (0.3, 1.0, 2.5):
+            want = sum(rate ** pi.num_blocks for pi in ncx.enumerate_nc(k))
+            assert cm.nc_rate_moment(rate, k) == pytest.approx(want, rel=1e-12)
+
+
+def test_loop_moment_builds_no_composite(monkeypatch):
+    # the trace memo is keyed by the edge tuple, so the moment kernel joins
+    # the generators' edges, concatenates no path, and builds at most one
+    # path per memo miss
+    g, _ = pf_weighting(named_graph("fork"))
+
+    def refuse(*args):
+        raise AssertionError("path concatenated")
+
+    builds, inside = [], []
+    real_new, real_moment = Path.__new__, cm._loop_moment
+
+    def counting_new(cls, vertices, edges):
+        if inside:
+            builds.append(edges)
+        return real_new(cls, vertices, edges)
+
+    def moment(graph, paths):
+        inside.append(True)
+        try:
+            return real_moment(graph, paths)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Path, "concat", refuse)
+    monkeypatch.setattr(Path, "__new__", counting_new)
+    monkeypatch.setattr(cm, "_loop_moment", moment)
+    rep = cm.freeness_certificate(g, max_order=5)
+    memo = g._cache["tau"]
+    assert rep.passed and 0 < len(memo) < gralg.TAU_MEMO_MAX
+    assert len(builds) <= len(memo)
+    assert all(type(key) is tuple for key in memo)

@@ -321,7 +321,7 @@ def test_transforms_fill_no_gap_rows(monkeypatch, battery):
     def refuse(*args, **kwargs):
         raise AssertionError("gap rows filled")
 
-    monkeypatch.setattr(falg, "_gap_rows", refuse)
+    monkeypatch.setattr(falg.GapStack, "push", refuse)
     for g in battery.values():
         for p in enumerate_paths(g, None, 6, None):
             b = GradedElement.basis(g, p)
@@ -363,28 +363,31 @@ def test_transforms_on_long_loops(a2, rng):
             assert falg.phi(falg.psi(b)).norm_inf_diff(b) <= 1e-12 * scale
 
 
-def _row_work(graph, path, rows):
-    """Cells a row pass filled, and the multiply-adds it made.
+def _row_work(stack):
+    """Cells a push kernel filled, and the multiply-adds it made.
 
-    Row i adds row m+1 once per partner m: a key of row i+1 whose next
-    edge e[m] reverses e[i].
+    The row at level l adds the row at level r-1 once per partner r: a key
+    of the row at level l-1 whose edge, pushed at level r, reverses the
+    edge pushed at level l.
     """
-    n, e, erev = path.length, path.edges, graph.erev
-    cells = sum(len(row) for row in rows)
-    adds = sum(len(rows[m + 1]) for i in range(n) for m in rows[i + 1]
-               if m < n and e[m] == erev[e[i]])
+    rows, edges = stack.rows, stack.edges
+    cells = sum(map(len, rows))
+    adds = sum(len(rows[r - 1]) for level in range(1, len(rows)) for r in rows[level - 1]
+               if r and edges[r] == stack._erev[edges[level]])
     return cells, adds
 
 
-@pytest.mark.parametrize("row_pass", [gralg._face_rows, falg._gap_rows], ids=["tau", "phi"])
-def test_row_passes_grow_cubically(a2, row_pass):
+@pytest.mark.parametrize("kernel", [gralg.FaceStack, falg.GapStack], ids=["tau", "phi"])
+def test_row_passes_grow_cubically(a2, kernel):
     # deterministic work counters on the a2 alternating loops, where every
     # interval of even length caps: the cells fill one parity of the table
     # and the multiply-adds stay below n^3/16 (they tend to n^3/24), where
     # the pairing sum would grow like Catalan(n/2)
     for n in (20, 40, 80):
         loop = a2.path_from_vertices(["v0", "v1"] * (n // 2) + ["v0"])
-        cells, adds = _row_work(a2, loop, row_pass(a2, loop))
+        stack = kernel(a2)
+        stack.push(*reversed(loop.edges))
+        cells, adds = _row_work(stack)
         assert cells <= (n + 2) ** 2 // 4
         assert adds <= n ** 3 / 16
 

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from graphfree import cumulants, gralg
+from graphfree import gralg
 from graphfree import noncross as ncx
 from graphfree.gralg import (GradedElement, bullet_mul, corner, corner_trace,
                              e_parity, e_vertex, star, tau, tau_pairing, tau_path,
@@ -128,40 +130,52 @@ def _dense_face_sum(graph, path):
     return f[0][n]
 
 
-def _matrix_moment_paths(q, kmax):
-    """The paths whose traces omega_matrix_moments(q-edge graph, kmax) takes."""
-    seen = []
-    face_sum = gralg._face_sum
+def _matrix_moment_loops(q, kmax):
+    """The loops whose traces omega_matrix_moments(q-edge graph, kmax) sums.
 
-    def record(graph, path):
-        seen.append(path)
-        return face_sum(graph, path)
-
+    With f_i the edges out of the odd vertex and r_i their reverses, the
+    closed word i_0 i_1 ... i_k = i_0 gives f_{i_0} r_{i_1} f_{i_1} ... r_{i_k}.
+    """
     g = two_vertex_graph(q, 0.3, 0.7)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gralg, "_face_sum", record)
-        cumulants.omega_matrix_moments(g, kmax)
-    return g, seen
+    forward = g.out_edges(g.vertices_of_parity(1)[0])
+    loops = []
+    for k in range(1, kmax + 1):
+        for word in itertools.product(range(q), repeat=k):
+            edges = [x for a, b in zip(word, word[1:] + word[:1])
+                     for x in (forward[a], g.erev[forward[b]])]
+            loops.append(g.path(g.estart[edges[0]], edges))
+    return g, loops
+
+
+def _pushed(graph, path):
+    """The face stack with every edge of the path pushed, the last edge first."""
+    faces = gralg.FaceStack(graph)
+    faces.push(*reversed(path.edges))
+    return faces
 
 
 def test_face_sum_matches_dense_table():
+    # the corner entry of the full stack's top row, and the corner read for
+    # the first edge without its row (the route tau takes)
     cases = [(g, list(_paths(g, range(2, 13, 2), True)))
              for g in map(named_graph, ("a2", "a3", "k1_3", "dbl"))]
-    cases += [_matrix_moment_paths(q, 6) for q in (2, 3)]
+    cases += [_matrix_moment_loops(q, 6) for q in (2, 3)]
     for g, paths in cases:
         assert paths
         for p in paths:
             want = _dense_face_sum(g, p)
-            assert gralg._face_sum(g, p) == pytest.approx(want, rel=1e-12, abs=0)
+            assert _pushed(g, p).rows[-1].get(0, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
+            rest = _pushed(g, p.segment(1, p.length))
+            assert rest.corner_with(p.edges[0]) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_face_rows_fill_only_the_pairable_cells():
-    # a q=3 matrix-moment path pairs only where its edges reverse, so its
+    # a q=3 matrix-moment loop pairs only where its edges reverse, so its
     # rows hold fewer than the (n+1)^2 cells of the dense table
-    g, paths = _matrix_moment_paths(3, 6)
+    g, paths = _matrix_moment_loops(3, 6)
     p = max(paths, key=lambda p: (p.length, len(set(p.edges))))
     assert p.length == 12 and len(set(p.edges)) == 6
-    cells = sum(len(row) for row in gralg._face_rows(g, p))
+    cells = sum(map(len, _pushed(g, p).rows))
     assert cells < (p.length + 1) ** 2 // 4
 
 
