@@ -33,12 +33,16 @@ EXIT_INPUT = 2
 GRAM_MAX_PAIRS = 2_000_000
 
 # trace --all-loops refuses above this many loops, and trace refuses above
-# this much work: both routes run O(n^3) interval recursions on a loop of
-# length n, so the work is at most the sum of n^3 over the loops, counted
-# from diag(A^n) before any loop is built (--all-loops shares the rows of
-# common suffixes, so it does less).  On a 2-core x86-64 host a3 to length
-# 24 (16,383 loops, 1.8e8 steps) takes 0.7-0.9 s, and the a2 alternating
-# loop of length 792 (5e8, the densest recursion there is) 5.5-5.8 s.
+# this much work, counted from the powers of A before any loop is built.
+# Both routes run O(n^3) interval recursions on one loop of length n, so
+# --loop charges n^3.  --all-loops builds one row per distinct suffix on
+# each of its two stacks (_all_loop_traces): at most 1^T A^l 1 rows of
+# length l, plus one corner per loop, each at most l^2/2 multiply-adds,
+# so it charges 2 l^2 1^T A^l 1 per length l (_all_loop_work).  On a
+# 2-core x86-64 host a3 to length 24 (16,383 loops, 3.9e7 steps) takes
+# 0.7-0.9 s, the a2 loops to length 400 (8.6e7) 1.1 s, and the a2
+# alternating loop of length 792 (5e8, the densest recursion there is)
+# 5.5-5.8 s.
 TRACE_MAX_LOOPS = 20_000
 TRACE_MAX_WORK = 500_000_000
 
@@ -187,6 +191,26 @@ def _all_loop_traces(g: Graph, max_len: int):
             for _, v, edges, pairing, transform in found]
 
 
+def _all_loop_work(g: Graph, max_len: int):
+    """Yield (n, loops, steps) up to length n, for n = 0..max_len while paths exist.
+
+    (A^l)[v, v] counts the loops of length l at v, and 1^T A^l 1 all
+    paths of length l, which bound the suffixes that
+    :func:`_all_loop_traces` pushes at that length.  A push or a corner
+    read at length l adds, per partner r < l, a row of at most r
+    entries: at most l^2/2 multiply-adds, on each of two stacks.  So
+    steps bounds the walk's multiply-adds by 2 l^2 1^T A^l 1 per length.
+    Stops at the first zero power, past which no path exists.
+    """
+    loops = steps = 0
+    for n, power in zip(range(max_len + 1), adjacency_powers(g)):
+        if not power.any():
+            return
+        loops += sum(power.diagonal())
+        steps += 2 * n * n * sum(power.flat)
+        yield n, loops, steps
+
+
 def cmd_trace(args) -> int:
     g = _load_graph(args)
     if args.loop:
@@ -197,24 +221,17 @@ def cmd_trace(args) -> int:
                            f"steps, more than {TRACE_MAX_WORK}; give a shorter loop")
         traced = [(_loop_name(g, p.start, p.edges), tau_path(g, p), falg.t_phi_path(g, p))]
     elif args.all_loops:
-        # (A^n)[v, v] counts the loops of length n at v; stop as gram does,
-        # and at the first zero power, past which no path exists.
-        total, work, max_len = 0, 0, -1
-        for n, power in zip(range(args.max_len + 1), adjacency_powers(g)):
-            if not power.any():
-                break
-            max_len = n
-            count = sum(power.diagonal())
-            total += count
-            work += count * n ** 3
+        max_len = -1
+        for max_len, total, work in _all_loop_work(g, args.max_len):
             if total > TRACE_MAX_LOOPS:
                 raise CliError(f"trace --all-loops --max-len {args.max_len} would trace "
                                f"more than {TRACE_MAX_LOOPS} loops: {total} up to "
-                               f"length {n} alone; lower --max-len")
+                               f"length {max_len} alone; lower --max-len")
             if work > TRACE_MAX_WORK:
                 raise CliError(f"trace --all-loops --max-len {args.max_len} would take "
-                               f"more than {TRACE_MAX_WORK} steps (n^3 per loop of length "
-                               f"n): {work} up to length {n} alone; lower --max-len")
+                               f"more than {TRACE_MAX_WORK} steps (2 l^2 per path of "
+                               f"length l): {work} up to length {max_len} alone; "
+                               f"lower --max-len")
         traced = _all_loop_traces(g, max_len)
     else:
         raise CliError("give --loop or --all-loops")

@@ -7,7 +7,7 @@ import pytest
 from graphfree import cli, cumulants, falg
 from graphfree.cli import main
 from graphfree.graphs import enumerate_paths, named_graph
-from graphfree.gralg import tau_path
+from graphfree.gralg import FaceStack, tau_path
 from graphfree.verification import SUITES
 
 A2_SPEC = """{
@@ -66,12 +66,13 @@ def test_trace_refuses_too_many_loops(capsys):
 
 
 def test_trace_refuses_long_loops(capsys):
-    # both routes cost O(n^3) on a loop of length n, so trace refuses by the
-    # sum of n^3 over its loops, counted from diag(A^n) before any loop is
-    # built: --all-loops at the first length past the budget, with the count
+    # both routes cost O(n^3) on a loop of length n, so --loop refuses by
+    # n^3; --all-loops builds one row per distinct suffix on each stack and
+    # refuses by 2 l^2 per path of length l, counted from A^l before any
+    # loop is built, at the first length past the budget, with the count
     assert main(["trace", "--named", "a2", "--all-loops", "--max-len", "19998"]) == 2
     err = capsys.readouterr().err
-    assert "514563856 up to length 212" in err and "Traceback" not in err
+    assert "500780644 up to length 721" in err and "Traceback" not in err
     loop = ",".join(["v0", "v1"] * 400 + ["v0"])
     assert main(["trace", "--named", "a2", "--loop", loop]) == 2
     err = capsys.readouterr().err
@@ -92,6 +93,14 @@ def test_trace_refuses_long_loops(capsys):
     row = json.loads(capsys.readouterr().out)["trace"][0]
     assert row["transform_trace"] == pytest.approx(row["pairing_trace"], rel=1e-12)
     assert main(["trace", "--named", "a3", "--all-loops", "--max-len", "18"]) == 0
+    # one row per distinct suffix: the a2 loops to length 400 are traced,
+    # where n^3 per loop refused them at length 212
+    capsys.readouterr()
+    assert main(["trace", "--named", "a2", "--all-loops", "--max-len", "400", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["trace"]
+    assert len(rows) == 402
+    assert all(r["transform_trace"] == pytest.approx(r["pairing_trace"], rel=1e-12)
+               for r in rows)
 
 
 @pytest.fixture
@@ -250,6 +259,36 @@ def test_all_loops_walk_matches_the_per_loop_routes(monkeypatch, capsys, name, m
     for row, p in zip(rows, loops):
         assert row["pairing_trace"] == pytest.approx(tau_path(g, p), rel=1e-13, abs=0)
         assert row["transform_trace"] == pytest.approx(falg.t_phi_path(g, p), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("name,max_len", [("a3", 14), ("k1_4", 8)])
+def test_all_loop_work_bounds_the_multiply_adds(monkeypatch, name, max_len):
+    # the estimate the guard charges, counted from A^l, bounds the
+    # multiply-adds both stacks make in the walk: per push and per corner
+    # read, one add per entry of the row below each partner
+    adds = [0]
+
+    def partner_adds(stack, e):
+        rows, edges, back = stack.rows, stack.edges, stack._erev[e]
+        return sum(len(rows[r - 1]) for r in rows[-1] if r and edges[r] == back)
+
+    for kernel in (FaceStack, falg.GapStack):
+        def push(self, *pushed, _push=kernel.push):
+            for e in pushed:
+                adds[0] += partner_adds(self, e)
+                _push(self, e)
+
+        def corner_with(self, e, _corner=kernel.corner_with):
+            adds[0] += partner_adds(self, e)
+            return _corner(self, e)
+
+        monkeypatch.setattr(kernel, "push", push)
+        monkeypatch.setattr(kernel, "corner_with", corner_with)
+    g = named_graph(name)
+    traced = cli._all_loop_traces(g, max_len)
+    *_, (n, loops, steps) = cli._all_loop_work(g, max_len)
+    assert n == max_len and loops == len(traced)
+    assert 0 < adds[0] <= steps
 
 
 def test_gram_command(capsys):

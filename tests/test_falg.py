@@ -5,7 +5,7 @@ from graphfree import cdelta, epitl, falg, gralg
 from graphfree.gralg import GradedElement, bullet_mul, e_vertex, star, tau, unit
 from graphfree.graphs import (Path, adjacency_powers, delta_max, enumerate_paths,
                               named_graph, two_vertex_graph)
-from graphfree.verification import random_element, standard_graphs
+from graphfree.verification import random_element, run_verification, standard_graphs
 
 
 def braced(graph, path):
@@ -340,6 +340,59 @@ def test_suffix_transforms_grow_quadratically(a2, inverse):
         loop = a2.path_from_vertices(["v0", "v1"] * (n // 2) + ["v0"])
         terms = sum(map(len, falg._suffix_transforms(a2, loop, inverse)))
         assert terms <= (n + 2) ** 2 // 4
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["phi", "psi"])
+def test_basis_transforms_match_suffix_transforms(battery, inverse):
+    # the memo's entry for each path of length <= 8 is the dict the per-path
+    # recursion ends with: the same terms, in the same order, bit for bit
+    for g in battery.values():
+        memo = falg.basis_transforms(g, 8, inverse)
+        keys = set()
+        for n in range(9):
+            for p in enumerate_paths(g, None, n, None):
+                for whole in falg._suffix_transforms(g, p, inverse):
+                    pass
+                key = p.edges or p.start
+                assert list(memo[key].items()) == list(whole.items())
+                keys.add(key)
+        assert memo.keys() == keys
+
+
+def test_basis_transforms_count_their_terms(a2):
+    # deterministic work counter: each a2 path of length m is alternating
+    # and maps to the m//2 + 1 alternating paths of lengths m, m-2, ...
+    for max_degree, terms in ((6, 32), (8, 50)):
+        assert terms == 2 * sum(m // 2 + 1 for m in range(max_degree + 1))
+        for inverse in (False, True):
+            memo = falg.basis_transforms(a2, max_degree, inverse)
+            assert sum(map(len, memo.values())) == terms
+
+
+def test_round_trip_check_fails_without_psi_correction(monkeypatch):
+    # a mutant of the shared step: psi(e r) loses its -c psi(r[1:]) term
+    step = falg._psi_step
+    monkeypatch.setattr(falg, "_psi_step", lambda e, cap, prev, older: step(e, cap, prev, None))
+    report = run_verification("isomorphism", max_degree=4)
+    roundtrips = [r for r in report.results if r.check_id.startswith("phi-psi-identity[")]
+    assert len(roundtrips) == len(standard_graphs())
+    assert not any(r.passed for r in roundtrips)
+
+
+def test_round_trip_check_reads_only_the_memos(monkeypatch):
+    # phi-psi-identity composes the two memos: it runs no per-path
+    # transform and builds no Path or element; the checks that do fail here
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-path route")
+
+    graphs = standard_graphs()
+    monkeypatch.setattr(falg, "_transform", refuse)
+    monkeypatch.setattr(Path, "__new__", refuse)
+    monkeypatch.setattr(gralg.SparseElement, "__init__", refuse)
+    monkeypatch.setattr("graphfree.verification.standard_graphs", lambda: graphs)
+    report = run_verification("isomorphism", max_degree=6)
+    for r in report.results:
+        assert r.passed == r.check_id.startswith("phi-psi-identity["), r
 
 
 def test_transforms_on_long_loops(a2, rng):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from graphfree import cumulants
 from graphfree.cli import main
 from graphfree.verification import VerificationReport, _Runner, run_verification
 
@@ -45,3 +46,22 @@ def test_check_stores_plain_bool():
     _Runner(report).check("numpy-deviation", lambda: (np.float64(0.0), 1e-9))
     assert type(report.results[0].passed) is bool
     json.dumps(report.as_dict())
+
+
+@pytest.mark.parametrize("mixed,stp,passed", [
+    (3e-11, 5e-11, True),    # a pass reports its margin, the larger deviation
+    (0.0, 2e-10, False),     # a failed diagram identity fails the check
+    (1e-10, 0.0, False),     # so does a failed certificate whose deviation ties the tol
+    (float("nan"), 0.0, False),
+])
+def test_freeness_certificate_check_reports_its_margin(monkeypatch, mixed, stp, passed):
+    def certificate(graph, max_order, tol, rng):
+        return cumulants.FreenessReport(max_order, tol, 1, mixed, mixed < tol and stp < tol,
+                                        stp_checks=1, stp_max_dev=stp)
+
+    monkeypatch.setattr(cumulants, "freeness_certificate", certificate)
+    result = next(r for r in run_verification("cumulants").results
+                  if r.check_id == "freeness-certificate")
+    assert result.passed is passed
+    if passed:
+        assert result.witness.startswith(f"max deviation {max(mixed, stp):.3g} ")
