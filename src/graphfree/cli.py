@@ -211,14 +211,18 @@ def _all_loop_work(g: Graph, max_len: int):
         yield n, loops, steps
 
 
+def _refuse_long_loop(n: int, fix: str):
+    """CliError when one loop of length n, traced in some n^3 steps, passes TRACE_MAX_WORK."""
+    if n ** 3 > TRACE_MAX_WORK:
+        raise CliError(f"tracing a loop of length {n} takes some n^3 = {n ** 3} "
+                       f"steps, more than {TRACE_MAX_WORK}; {fix}")
+
+
 def cmd_trace(args) -> int:
     g = _load_graph(args)
     if args.loop:
         p = _parse_loop(g, args.loop)
-        n = p.length
-        if n ** 3 > TRACE_MAX_WORK:
-            raise CliError(f"tracing a loop of length {n} takes some n^3 = {n ** 3} "
-                           f"steps, more than {TRACE_MAX_WORK}; give a shorter loop")
+        _refuse_long_loop(p.length, "give a shorter loop")
         traced = [(_loop_name(g, p.start, p.edges), tau_path(g, p), falg.t_phi_path(g, p))]
     elif args.all_loops:
         max_len = -1
@@ -261,17 +265,15 @@ def cmd_moments(args) -> int:
     lines = []
     if args.tuple:
         paths = _parse_tuple(g, args.tuple)
+        # the moment traces the composite loop
+        _refuse_long_loop(sum(p.length for p in paths), "give a shorter tuple")
         val = cumulants.moment_phi(g, paths)
         pretty = {g.ids[v]: c for v, c in val.items()}
         lines.append(f"moment: {pretty}")
         payload["moment"] = pretty
     elif args.matrix_moments:
         kmax = args.matrix_moments
-        n = 2 * kmax
-        if n ** 3 > TRACE_MAX_WORK:
-            raise CliError(f"--matrix-moments {kmax} traces loops of length {n}, some "
-                           f"n^3 = {n ** 3} steps for the densest, more than "
-                           f"{TRACE_MAX_WORK}; lower --matrix-moments")
+        _refuse_long_loop(2 * kmax, "lower --matrix-moments")
         work = cumulants.matrix_moment_rows(g.n_edges, kmax)
         if work > MATRIX_MOMENTS_MAX_ROWS:
             raise CliError(f"--matrix-moments {kmax} would push {work} face rows for the "

@@ -155,8 +155,8 @@ def _extend(plan, kernel, paths, memo: dict) -> BElement:
     return out
 
 
-def multiplicative_extension(kernel, graph: Graph, pi: noncross.NCPartition,
-                             paths, pick: str = "first") -> BElement:
+def multiplicative_extension(kernel, pi: noncross.NCPartition, paths,
+                             pick: str = "first") -> BElement:
     """Evaluate the multiplicative extension of a family of maps on pi.
 
     ``kernel(paths)`` gives the map on full tuples and must be a pure
@@ -174,17 +174,18 @@ def multiplicative_extension(kernel, graph: Graph, pi: noncross.NCPartition,
 
 def moment_pi(graph: Graph, pi: noncross.NCPartition, paths,
               pick: str = "first") -> BElement:
-    return multiplicative_extension(lambda ps: moment_phi(graph, ps),
-                                    graph, pi, paths, pick)
+    return multiplicative_extension(lambda ps: moment_phi(graph, ps), pi, paths, pick)
 
 
 def kappa_mobius(graph: Graph, paths) -> BElement:
     """Cumulant by Mobius inversion of the moment family over NC(n)."""
     _check_generators(graph, paths)
-    return kappa_of_moments(graph, lambda ps: _loop_moment(graph, ps), paths)
+    return kappa_of_moments(lambda ps: _loop_moment(graph, ps), paths)
 
 
-@functools.cache
+# The cumulants command refuses tuples past n = 11 (CUMULANTS_MAX_PARTITIONS),
+# so 12 entries hold every row it can ask for.
+@functools.lru_cache(maxsize=12)
 def _mobius_row(n: int):
     """The extraction plans of NC(n) as one trie, with mu(pi, 1_n) per plan.
 
@@ -289,12 +290,12 @@ def _sum_extensions(kernel, paths, weighted: bool) -> BElement:
     return {v: c for v, c in total.items() if c != 0}
 
 
-def kappa_of_moments(graph: Graph, kernel, paths) -> BElement:
+def kappa_of_moments(kernel, paths) -> BElement:
     """Mobius inversion: sum of mu(pi, 1_n) times the kernel's extension on pi."""
     return _sum_extensions(kernel, paths, weighted=True)
 
 
-def kappa_from_kernel(graph: Graph, kernel, paths) -> BElement:
+def kappa_from_kernel(kernel, paths) -> BElement:
     """Moment recovery: sum of the kernel's extensions over NC(n)."""
     return _sum_extensions(kernel, paths, weighted=False)
 

@@ -10,6 +10,7 @@ the path algebras built on top of this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import itemgetter
 
@@ -116,7 +117,7 @@ class Graph:
 
     __slots__ = ("ids", "parity", "mu2", "star",
                  "estart", "efinish", "erev",
-                 "_index", "_out", "_cache", "_mu")
+                 "_index", "_out", "_mu")
 
     def __init__(self, ids, parity, mu2, estart, efinish, erev, star=None):
         self.ids = tuple(ids)
@@ -127,7 +128,6 @@ class Graph:
         self.erev = tuple(erev)
         self.star = star
         self._index = {vid: i for i, vid in enumerate(self.ids)}
-        self._cache = {}
         self._validate()
         self._mu = tuple(math.sqrt(w) for w in self.mu2)
         out = [[] for _ in self.ids]
@@ -499,17 +499,22 @@ def enumerate_paths(graph: Graph, start=None, length: int = 0, finish=None) -> l
     """All paths of the given length, optionally with fixed endpoints.
 
     Exhaustive, duplicate-free and deterministic: starts ascend by vertex
-    index and edges are explored in edge-id order.
+    index and edges are explored in edge-id order.  Calls share the list.
     """
     if length < 0:
         raise GraphError("path length must be >= 0")
     s = None if start is None else graph.index(start)
     f = None if finish is None else graph.index(finish)
-    key = ("paths", s, length, f)
-    cached = graph._cache.get(key)
-    if cached is not None:
-        return cached
+    return _paths(graph, s, length, f)
 
+
+# Lists held, of all graphs together.  One pass of verify --suite all at
+# degree 6 (or of any perfbench workload) asks for at most 181 (4,097 paths).
+PATHS_MEMO_MAX = 1024
+
+
+@functools.lru_cache(maxsize=PATHS_MEMO_MAX)
+def _paths(graph: Graph, s, length: int, f) -> list[Path]:
     starts = [s] if s is not None else list(range(graph.n_vertices))
     out: list[Path] = []
 
@@ -527,7 +532,6 @@ def enumerate_paths(graph: Graph, start=None, length: int = 0, finish=None) -> l
 
     for v0 in starts:
         extend([v0], [])
-    graph._cache[key] = out
     return out
 
 
@@ -580,26 +584,19 @@ def connected_component(graph: Graph, v) -> tuple[Graph, float]:
 # stock graphs used throughout the examples and tests
 
 
-def line_graph(n_vertices: int, pf: bool = True, star_first: bool = False) -> Graph:
-    """The A_n graph: a path on n vertices, alternating parity from even."""
+def line_graph(n_vertices: int, star_first: bool = False) -> Graph:
+    """The A_n graph, PF-weighted: a path on n vertices, alternating parity from even."""
     ids = [f"v{i}" for i in range(n_vertices)]
     vertices = [(ids[i], EVEN if i % 2 == 0 else ODD) for i in range(n_vertices)]
     edges = [(ids[i], ids[i + 1], 1) for i in range(n_vertices - 1)]
-    g = build_graph(vertices, edges, star=ids[0] if star_first else None)
-    if pf:
-        g, _ = pf_weighting(g)
-    return g
+    return pf_weighting(build_graph(vertices, edges, star=ids[0] if star_first else None))[0]
 
 
-def star_graph(n_leaves: int, center_parity=ODD, pf: bool = True) -> Graph:
-    """K(1, n): a center joined to n leaves by single edges."""
-    cp = _parity_code(center_parity)
-    vertices = [("c", cp)] + [(f"l{i}", 1 - cp) for i in range(n_leaves)]
+def star_graph(n_leaves: int) -> Graph:
+    """K(1, n), PF-weighted: an odd center joined to n even leaves by single edges."""
+    vertices = [("c", ODD)] + [(f"l{i}", EVEN) for i in range(n_leaves)]
     edges = [("c", f"l{i}", 1) for i in range(n_leaves)]
-    g = build_graph(vertices, edges)
-    if pf:
-        g, _ = pf_weighting(g)
-    return g
+    return pf_weighting(build_graph(vertices, edges))[0]
 
 
 def two_vertex_graph(q: int, alpha: float | None = None,

@@ -129,7 +129,9 @@ def _nc_blocks(lo: int, hi: int, memo: dict | None = None) -> list[tuple[Block, 
     return out
 
 
-@functools.cache
+# verify's catalan-counts check reads the largest lists in use, NC(n) and
+# the pairings of 2n points for n <= 8; 16 entries hold every n up to 15.
+@functools.lru_cache(maxsize=16)
 def enumerate_nc(n: int) -> list[NCPartition]:
     """All of NC(n); |NC(n)| is the n-th Catalan number."""
     if n < 0:
@@ -137,7 +139,7 @@ def enumerate_nc(n: int) -> list[NCPartition]:
     return [nc(n, bs) for bs in _nc_blocks(1, n)]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def enumerate_tl(two_n: int) -> list[NCPartition]:
     """All Temperley-Lieb pairings of {1..two_n}."""
     if two_n % 2:

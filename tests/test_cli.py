@@ -7,7 +7,7 @@ import pytest
 from graphfree import cli, cumulants, falg
 from graphfree.cli import main
 from graphfree.graphs import enumerate_paths, named_graph
-from graphfree.gralg import FaceStack, tau_path
+from graphfree.gralg import FaceStack, tau_loop, tau_path
 from graphfree.verification import SUITES
 
 A2_SPEC = """{
@@ -239,18 +239,28 @@ def test_moments_matrix_without_edges_is_input_error(tmp_path, capsys):
     assert "at least one edge" in err and "Traceback" not in err
 
 
+def test_moments_tuple_refuses_by_work(capsys):
+    # the moment traces the composite loop, so --tuple refuses by n^3 of its
+    # length as trace --loop does: 1,200 copies of v0,v1,v0 make length 2,400
+    assert main(["moments", "--named", "a2", "--tuple",
+                 ";".join(["v0,v1,v0"] * 1200)]) == 2
+    err = capsys.readouterr().err
+    assert "length 2400" in err and "13824000000" in err and "Traceback" not in err
+    assert main(["moments", "--named", "a2", "--tuple", ";".join(["v0,v1,v0"] * 300),
+                 "--json"]) == 0
+    assert 0 < json.loads(capsys.readouterr().out)["moment"]["v0"] < float("inf")
+
+
 @pytest.mark.parametrize("name,max_len", [("a3", 12), ("a4", 10), ("k1_4", 8), ("dbl", 8)])
-def test_all_loops_walk_matches_the_per_loop_routes(monkeypatch, capsys, name, max_len):
+def test_all_loops_walk_matches_the_per_loop_routes(capsys, name, max_len):
     # --all-loops grows the loops through their suffix tree; it prints the
     # loops of enumerate_paths in their order, with the values of tau_path
-    # and t_phi_path, and leaves the tau memo alone
-    loaded = []
-    real = cli._load_graph
-    monkeypatch.setattr(cli, "_load_graph", lambda args: loaded.append(real(args)) or loaded[0])
+    # and t_phi_path, and traces no loop through the tau memo
+    misses = tau_loop.cache_info().misses
     assert main(["trace", "--named", name, "--all-loops", "--max-len", str(max_len),
                  "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["trace"]
-    assert not loaded[0]._cache.get("tau")
+    assert tau_loop.cache_info().misses == misses
     g = named_graph(name)
     loops = [p for n in range(0, max_len + 1, 2) for v in range(g.n_vertices)
              for p in enumerate_paths(g, v, n, v)]

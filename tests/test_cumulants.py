@@ -216,7 +216,7 @@ def test_extension_plan_equals_recursion(pf_graphs):
                     for kernel in kernels:
                         for tup in tuples:
                             want = _extension_by_recursion(kernel, g, pi, tup, pick)
-                            got = cm.multiplicative_extension(kernel, g, pi, tup, pick)
+                            got = cm.multiplicative_extension(kernel, pi, tup, pick)
                             _assert_rel_close(got, want)
                             nonzero += bool(want)
     assert nonzero > 1000
@@ -235,7 +235,7 @@ def test_kappa_of_moments_equals_recursive_inversion(pf_graphs):
                     for v, c in _extension_by_recursion(kernel, g, pi, tup).items():
                         want[v] = want.get(v, 0.0) + mu * c
                 want = {v: c for v, c in want.items() if c != 0}
-                _assert_rel_close(cm.kappa_of_moments(g, kernel, tup), want)
+                _assert_rel_close(cm.kappa_of_moments(kernel, tup), want)
 
 
 def test_kappa_mobius_evaluates_each_block_once(fork, monkeypatch):
@@ -310,7 +310,7 @@ def test_plan_trie_equals_plan_by_plan_sum(pf_graphs):
             for tup in tuples:
                 assert cm.kappa_mobius(g, tup) == _sum_extensions_by_plans(
                     moment, tup, weighted=True)
-                assert cm.kappa_from_kernel(g, starry, tup) == _sum_extensions_by_plans(
+                assert cm.kappa_from_kernel(starry, tup) == _sum_extensions_by_plans(
                     starry, tup, weighted=False)
                 for weighted in (True, False):
                     assert cm._sum_extensions(dense, tup, weighted) == \
@@ -406,7 +406,7 @@ def test_starry_tuple_extension_matches_diagram(fork):
     for pi in ncx.enumerate_nc(3):
         for tup in itertools.islice(composable_tuples(gens, 3), 40):
             lhs = cm.multiplicative_extension(
-                lambda ps: cm.kappa_starry(fork, ps), fork, pi, tup)
+                lambda ps: cm.kappa_starry(fork, ps), pi, tup)
             rhs = cm.doubled_action(fork, pi, tup)
             assert cm.b_diff_norm(lhs, rhs) < 1e-12
 
@@ -524,8 +524,8 @@ def test_loop_moment_builds_no_composite(monkeypatch):
     def refuse(*args):
         raise AssertionError("path concatenated")
 
-    builds, inside = [], []
-    real_new, real_moment = Path.__new__, cm._loop_moment
+    builds, inside, keys = [], [], []
+    real_new, real_moment, real_tau = Path.__new__, cm._loop_moment, cm.tau_loop
 
     def counting_new(cls, vertices, edges):
         if inside:
@@ -542,8 +542,11 @@ def test_loop_moment_builds_no_composite(monkeypatch):
     monkeypatch.setattr(Path, "concat", refuse)
     monkeypatch.setattr(Path, "__new__", counting_new)
     monkeypatch.setattr(cm, "_loop_moment", moment)
+    monkeypatch.setattr(cm, "tau_loop", lambda graph, edges: keys.append(type(edges))
+                        or real_tau(graph, edges))
+    gralg.tau_loop.cache_clear()
     rep = cm.freeness_certificate(g, max_order=5)
-    memo = g._cache["tau"]
-    assert rep.passed and 0 < len(memo) < gralg.TAU_MEMO_MAX
-    assert len(builds) <= len(memo)
-    assert all(type(key) is tuple for key in memo)
+    info = gralg.tau_loop.cache_info()
+    assert rep.passed and 0 < info.currsize < gralg.TAU_MEMO_MAX
+    assert len(builds) <= info.misses
+    assert set(keys) == {tuple}

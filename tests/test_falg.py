@@ -3,7 +3,7 @@ import pytest
 
 from graphfree import cdelta, epitl, falg, gralg
 from graphfree.gralg import GradedElement, bullet_mul, e_vertex, star, tau, unit
-from graphfree.graphs import (Path, adjacency_powers, delta_max, enumerate_paths,
+from graphfree.graphs import (Path, _paths, adjacency_powers, delta_max, enumerate_paths,
                               named_graph, two_vertex_graph)
 from graphfree.verification import random_element, run_verification, standard_graphs
 
@@ -292,20 +292,23 @@ def test_transforms_match_diagram_sum():
 
 def test_transforms_enumerate_no_diagram(monkeypatch):
     # phi and psi run the one-edge recursion, never the diagram
-    # enumeration, and leave the graph's cache as they found it
+    # enumeration, and add no entry to the path or trace memos
     def refuse(*args, **kwargs):
         raise AssertionError("cap diagram route used")
+
+    def misses():
+        return _paths.cache_info().misses, gralg.tau_loop.cache_info().misses
 
     monkeypatch.setattr(epitl, "act", refuse)
     monkeypatch.setattr(epitl, "enumerate_hom", refuse)
     for name in ("a3", "k1_3", "dbl"):
         g = named_graph(name)
         paths = enumerate_paths(g, None, 6, None)
-        cached = dict(g._cache)
+        before = misses()
         for p in paths:
             b = GradedElement.basis(g, p)
             assert falg.psi(falg.phi(b)).norm_inf_diff(b) < 1e-10
-        assert g._cache == cached
+        assert misses() == before
 
 
 def test_trace_transport_long_loops(a3, rng):

@@ -181,14 +181,18 @@ def test_face_rows_fill_only_the_pairable_cells():
 
 def test_tau_memo_is_bounded():
     # dbl has 10,922 loops of length <= 12, more than the memo holds; the
-    # oldest are forgotten, and traced again they give the same value
+    # least recently used are forgotten, and traced again they give the
+    # same value
     g = named_graph("dbl")
     loops = list(_paths(g, range(2, 13, 2), True))
     assert len(loops) > gralg.TAU_MEMO_MAX
+    gralg.tau_loop.cache_clear()
     first = [tau_path(g, p) for p in loops]
-    assert len(g._cache["tau"]) == gralg.TAU_MEMO_MAX
+    assert gralg.tau_loop.cache_info().currsize == gralg.TAU_MEMO_MAX
     assert [tau_path(g, p) for p in loops[:10]] == first[:10]
-    assert len(g._cache["tau"]) == gralg.TAU_MEMO_MAX
+    info = gralg.tau_loop.cache_info()
+    assert info.currsize == gralg.TAU_MEMO_MAX
+    assert info.misses == len(loops) + 10
 
 
 def test_corner_examples(a2):

@@ -1,11 +1,14 @@
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
-from graphfree.graphs import (EVEN, ODD, GraphError, Path, build_graph,
+import graphfree
+from graphfree.graphs import (EVEN, ODD, Graph, GraphError, Path, build_graph,
                               connected_component, connected_components,
                               delta_v, enumerate_paths, graph_from_spec,
                               line_graph, pf_weighting, star_graph,
@@ -24,7 +27,7 @@ def test_build_a2_reversal_pair():
 
 
 def test_build_k14_counts():
-    g = star_graph(4, center_parity=ODD, pf=False)
+    g = star_graph(4)
     assert len(g.vertices_of_parity(ODD)) == 1
     assert len(g.vertices_of_parity(EVEN)) == 4
     assert g.n_directed_edges == 8
@@ -166,7 +169,7 @@ def test_path_value_contract(a3):
 
 
 def test_subgraph_star_k12():
-    g = star_graph(2, center_parity=ODD)
+    g = star_graph(2)
     sub, gamma = subgraph_star(g, "c")
     assert gamma == pytest.approx(1.0)
     assert sub.n_vertices == g.n_vertices and sub.n_edges == g.n_edges
@@ -216,3 +219,18 @@ def test_graph_spec_pf_request():
     g, pf_requested = graph_from_spec(record)
     assert pf_requested
     assert g.mu2 == pytest.approx((0.5, 0.5), abs=1e-11)
+
+
+def test_every_memo_is_bounded():
+    # the library's memos are functools.lru_cache wrappers with a finite
+    # maxsize; a graph carries no cache of its own
+    memos = []
+    for info in pkgutil.iter_modules(graphfree.__path__):
+        module = importlib.import_module(f"graphfree.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                memos.append(name)
+                assert value.cache_parameters()["maxsize"] is not None, name
+    assert {"_paths", "tau_loop", "enumerate_nc", "_mobius_row"} <= set(memos)
+    assert "_cache" not in Graph.__slots__
+    assert not hasattr(two_vertex_graph(2), "_cache")

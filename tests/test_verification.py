@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from graphfree import cumulants
+from graphfree import cumulants, noncross
 from graphfree.cli import main
 from graphfree.verification import VerificationReport, _Runner, run_verification
 
@@ -65,3 +65,36 @@ def test_freeness_certificate_check_reports_its_margin(monkeypatch, mixed, stp, 
     assert result.passed is passed
     if passed:
         assert result.witness.startswith(f"max deviation {max(mixed, stp):.3g} ")
+
+
+def _check(suite, check_id):
+    return next(r for r in run_verification(suite).results if r.check_id == check_id)
+
+
+def test_extension_order_check_catches_a_dropped_scalar(monkeypatch):
+    # both partitions extract blocks in a different order under "first" and
+    # "last", so an extension that drops its first step's scalar disagrees
+    # with itself
+    assert _check("cumulants", "extension-order-independence").passed
+    real = cumulants._extend
+    monkeypatch.setattr(cumulants, "_extend", lambda plan, kernel, paths, memo: real(
+        (plan[0][1:], plan[1]), kernel, paths, memo))
+    assert not _check("cumulants", "extension-order-independence").passed
+
+
+def test_mobius_check_catches_a_wrong_sign_off_the_zero(monkeypatch):
+    # mu(0_n, 1_n) has a one-class Kreweras complement, so a sign error on
+    # the complements with a class of size 2 is seen only by the identity
+    # sum_sigma mu(sigma, 1_n) = [n = 1]
+    real = noncross.mobius_nc
+
+    def mutant(p, q):
+        k = noncross.kreweras(p)
+        flip = (q == noncross.nc_one(p.n) and k.num_blocks >= 2
+                and any(len(b) == 2 for b in k.blocks))
+        return -real(p, q) if flip else real(p, q)
+
+    assert _check("combinatorics", "mobius-zero-to-one").passed
+    monkeypatch.setattr(noncross, "mobius_nc", mutant)
+    result = _check("combinatorics", "mobius-zero-to-one")
+    assert not result.passed and result.witness.startswith("max deviation 40 ")
