@@ -39,9 +39,9 @@ from .cdelta import (CenterReport, TPQMorphism, c_2n, c_element, center_report,
                      weight_functional, zv_truncation)
 from .cumulants import (FreenessReport, freeness_certificate, kappa_mobius,
                         kappa_starry, moment_phi, omega_matrix_moments)
-from .factors import (AlgDesc, FactorReport, compress_factor, fdim,
-                      free_product, m_gamma_report, omega_factor, prop_line,
-                      star_m1)
+from .factors import (AlgDesc, FactorReport, component_parameter,
+                      compress_factor, fdim, free_product, m_gamma_report,
+                      omega_factor, prop_line, star_m1)
 from .towers import (PathPair, TowerElement, cond_exp, gr0_mul, gr1_mul,
                      include, jones_projection, theta, theta1, trace_t, ztl)
 from .verification import VerificationReport, run_verification
@@ -71,8 +71,9 @@ __all__ = [
     "FreenessReport", "freeness_certificate", "kappa_mobius", "kappa_starry",
     "moment_phi", "omega_matrix_moments",
     # factor arithmetic
-    "AlgDesc", "FactorReport", "compress_factor", "fdim", "free_product",
-    "m_gamma_report", "omega_factor", "prop_line", "star_m1",
+    "AlgDesc", "FactorReport", "component_parameter", "compress_factor",
+    "fdim", "free_product", "m_gamma_report", "omega_factor", "prop_line",
+    "star_m1",
     # towers
     "PathPair", "TowerElement", "cond_exp", "gr0_mul", "gr1_mul", "include",
     "jones_projection", "theta", "theta1", "trace_t", "ztl",

@@ -9,9 +9,11 @@ the shapes it is validated on: at most one diffuse summand per operand,
 always of interpolated type; anything else raises.
 
 The graph-level report assembles the computable structure results: the
-atom list of the almost-factoriality theorem, the three-regime
-two-vertex classification, the single-hub closed form with its corner
-compression, and direct sums over connected components.
+atom list of the almost-factoriality theorem, direct sums over connected
+components, and the LF parameter of every PF component from additivity
+of the free dimension.  The three-regime two-vertex classification and
+the single-hub closed form, with its corner compression, are second
+routes to that parameter.
 """
 
 from __future__ import annotations
@@ -226,29 +228,17 @@ class FactorReport:
                 "notes": self.notes}
 
 
-def _component_is_pf(graph: Graph, comp, tol=1e-7) -> bool:
-    deltas = [delta_v(graph, v) for v in comp]
-    return max(deltas) - min(deltas) <= tol
+def component_parameter(graph: Graph, comp) -> float:
+    """Free dimension 1 + m^T (A - I) m of a connected component, m = mu2/gamma.
 
-
-def _single_hub_parameter(graph: Graph, comp, hub: int, gamma: float):
-    """LF parameter of a connected single-hub component, via the corner."""
-    spokes = [v for v in comp if v != hub]
-    qs, weights = [], []
-    for v in spokes:
-        qs.append(len(graph.out_edges(v)))
-        weights.append(graph.mu2[v] / gamma)
-    b = graph.mu2[hub] / gamma
-    corner = star_m1(qs, weights, b)
-    if corner.atoms or len(corner.diffuse) != 1:
-        return None, corner
-    r = corner.diffuse[0][0]
-    return compress_factor_inverse(r, b), corner
-
-
-def compress_factor_inverse(r: float, t: float) -> float:
-    """Whole-algebra parameter from a corner parameter at trace t."""
-    return 1.0 + (r - 1.0) * t ** 2
+    Additivity of the free dimension over the amalgamated free product of
+    the edge algebras over l^inf(V) (Dykema).  Under the PF weighting it
+    is 1 + (delta - 1)|m|^2, the LF parameter of the component.
+    """
+    gamma = sum(graph.mu2[v] for v in comp)
+    m = {v: graph.mu2[v] / gamma for v in comp}
+    return (1.0 + sum(m[v] * m[graph.efinish[e]] for v in comp for e in graph.out_edges(v))
+            - sum(x * x for x in m.values()))
 
 
 def m_gamma_report(graph: Graph) -> FactorReport:
@@ -258,8 +248,7 @@ def m_gamma_report(graph: Graph) -> FactorReport:
     are scalar atoms.  Connected components with at least two edges get
     the atom list (1 - delta(v)) mu2(v) over vertices with delta(v) < 1
     and, under the PF weighting, the interpolated-factor verdict with
-    the parameter filled in for the computable shapes (two-vertex
-    graphs, single-hub graphs including the stars, the one-edge graph).
+    the parameter of :func:`component_parameter`.
     """
     report = FactorReport()
     comps = connected_components(graph)
@@ -274,7 +263,6 @@ def m_gamma_report(graph: Graph) -> FactorReport:
             continue
         edges = sum(len(graph.out_edges(v)) for v in comp) // 2
         mu2 = {v: graph.mu2[v] / gamma for v in comp}
-        pf = _component_is_pf(graph, comp)
         if edges == 1:
             v, w = comp
             if abs(mu2[v] - mu2[w]) <= 1e-9:
@@ -290,9 +278,9 @@ def m_gamma_report(graph: Graph) -> FactorReport:
                     "structure not derived here")
             continue
         # connected, at least two edges: atom list applies
+        deltas = [delta_v(graph, v) for v in comp]
         atom_mass = 0.0
-        for v in comp:
-            d = delta_v(graph, v)
+        for v, d in zip(comp, deltas):
             if d < 1.0:
                 tr = (1.0 - d) * graph.mu2[v]
                 report.atoms.append((graph.ids[v], tr))
@@ -300,38 +288,19 @@ def m_gamma_report(graph: Graph) -> FactorReport:
                 report.notes.append(
                     f"atom at {graph.ids[v]}: (1 - delta) mu2 (almost-factoriality)")
         diffuse_weight = gamma - atom_mass
-        if not pf:
+        if max(deltas) - min(deltas) > 1e-7:
             report.diffuse.append((None, diffuse_weight))
             report.notes.append(
                 f"component {{{names}}}: non-PF weighting: type II_1 summand, "
                 "parameter out of scope")
             continue
         # PF weighting: no atoms; the component is LF(s), 1 < s < infinity
-        s = None
-        evens = [v for v in comp if graph.parity[v] == 0]
-        odds = [v for v in comp if graph.parity[v] == 1]
-        if len(comp) == 2:
-            q = edges
-            v, w = (evens[0], odds[0])
-            desc = omega_factor(q, mu2[v], mu2[w])
-            if desc is not None:
-                s = desc.diffuse[0][0]
-                report.notes.append(
-                    f"component {{{names}}}: two-vertex rule gives LF({s:.12g})")
-        elif len(odds) == 1 or len(evens) == 1:
-            hub = odds[0] if len(odds) == 1 else evens[0]
-            s, corner = _single_hub_parameter(graph, comp, hub, gamma)
-            if s is not None:
-                report.notes.append(
-                    f"component {{{names}}}: single-hub corner {corner.pretty()} "
-                    f"at {graph.ids[hub]} compressed to LF({s:.12g})")
-        if s is None:
-            report.notes.append(
-                f"component {{{names}}}: LF(s) for some finite s > 1; "
-                "s exists but is not computed at this generality")
+        s = component_parameter(graph, comp)
         report.diffuse.append((s, diffuse_weight))
-        verdict = f"LF({s:.12g})" if s is not None else "LF(s), 1 < s < inf"
-        report.verdict = _join(report.verdict, f"{verdict} on {{{names}}}")
+        report.notes.append(
+            f"component {{{names}}}: free dimension 1 + (delta - 1)|m|^2 "
+            f"gives LF({s:.12g})")
+        report.verdict = _join(report.verdict, f"LF({s:.12g}) on {{{names}}}")
     if not report.verdict:
         report.verdict = "finite-dimensional abelian" if not report.diffuse \
             else "direct sum; see notes"

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cdelta, cumulants, epitl, factors, falg, gralg, noncross, towers
-from .graphs import (Graph, delta_max, delta_v, enumerate_paths, line_graph,
-                     named_graph, two_vertex_graph)
+from .graphs import (EVEN, ODD, Graph, build_graph, delta_max, delta_v,
+                     enumerate_paths, line_graph, named_graph, two_vertex_graph)
 from .gralg import GradedElement, bullet_mul, star, tau
 
 
@@ -656,6 +656,32 @@ def _suite_factor(run: _Runner, tol: float, seed: int):
             dev = max(dev, _desc_diff(closed, piped))
         return dev, 1e-9
     run.check("single-hub-pipeline-agreement", pipeline)
+
+    def component_routes():
+        # The free-dimension formula off the PF weighting, with delta(v) >= 1
+        # everywhere, against the two-vertex rule and the atom-free hub corner.
+        rng = np.random.default_rng(seed)
+        dev = 0.0
+        for _ in range(20):
+            q = int(rng.integers(2, 5))
+            g = two_vertex_graph(q, q ** rng.uniform(-1.0, 1.0), 1.0)
+            whole = factors.omega_factor(q, *g.mu2).diffuse[0][0]
+            dev = max(dev, abs(factors.component_parameter(g, [0, 1]) - whole))
+        for _ in range(20):
+            qu = []  # spoke i: q_i edges and q_i u_i times the hub mass, delta 1/u_i
+            while sum(q * q * u for q, u in qu) < 1.0:  # delta(hub) >= 1
+                k = int(rng.integers(1, 4))
+                qu = list(zip(rng.integers(1, 4, size=k).tolist(),
+                              rng.uniform(0.1, 1.0, size=k).tolist()))
+            g = build_graph([("c", ODD, 1.0)]
+                            + [(f"l{i}", EVEN, q * u) for i, (q, u) in enumerate(qu)],
+                            [("c", f"l{i}", q) for i, (q, _) in enumerate(qu)])
+            corner = factors.star_m1([q for q, _ in qu], g.mu2[1:], g.mu2[0])
+            s = factors.component_parameter(g, range(g.n_vertices))
+            dev = max(dev, float(bool(corner.atoms)),
+                      abs(factors.compress_factor(s, g.mu2[0]) - corner.diffuse[0][0]))
+        return dev, 1e-12
+    run.check("component-parameter-routes", component_routes)
 
     def atoms():
         g = two_vertex_graph(2, 0.8, 0.2)

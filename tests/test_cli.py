@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphfree import cli, cumulants, falg
+from graphfree import cli, cumulants, factors, falg
 from graphfree.cli import main
-from graphfree.graphs import enumerate_paths, named_graph
+from graphfree.graphs import delta_v, enumerate_paths, graph_from_spec, named_graph
 from graphfree.gralg import FaceStack, tau_loop, tau_path
 from graphfree.verification import SUITES
 
@@ -391,3 +396,80 @@ def test_committed_graph_specs_run(spec, capsys):
     assert main(["factor", str(spec)]) == 0
     assert main(["trace", str(spec), "--all-loops", "--max-len", "6"]) == 0
     capsys.readouterr()
+
+
+def _k1_3_hub_corner_parameter():
+    # the single-hub route: hub corner LF(r) of K(1, 3), decompressed by mu2(hub)
+    g = named_graph("k1_3")
+    hub = g.index("c")
+    leaves = [g.mu2[v] for v in range(g.n_vertices) if v != hub]
+    [(r, _)] = factors.star_m1([1, 1, 1], leaves, g.mu2[hub]).diffuse
+    return 1 + (r - 1) * g.mu2[hub] ** 2
+
+
+# Coxeter numbers of the ADE specs; Haagerup's principal graph has
+# delta^2 = (5 + sqrt 13) / 2
+CATALOGUE = {"d4": 6, "d6": 10, "e6": 12, "e7": 18, "e8": 30, "haagerup": None}
+
+
+@pytest.mark.parametrize("name,h", CATALOGUE.items())
+def test_catalogue_index_and_parameter(name, h, capsys):
+    spec = Path(__file__).parent.parent / "graphs" / f"{name}.graph"
+    g, pf = graph_from_spec(json.loads(spec.read_text()))
+    assert pf
+    want = (5 + math.sqrt(13)) / 2 if h is None else 4 * math.cos(math.pi / h) ** 2
+    for v in range(g.n_vertices):
+        assert delta_v(g, v) ** 2 == pytest.approx(want, abs=1e-10)
+    assert main(["factor", str(spec), "--json"]) == 0
+    [(s, w)] = json.loads(capsys.readouterr().out)["diffuse"]
+    assert s is not None and math.isfinite(s) and s > 1
+    assert w == pytest.approx(1.0)
+    if name == "d4":  # the same graph as k1_3
+        assert s == pytest.approx(_k1_3_hub_corner_parameter(), abs=1e-12)
+
+
+@st.composite
+def bipartite_specs(draw):
+    """Connected bipartite multigraph specs without weights: a random tree
+    on up to 6 vertices plus extra edges, each of multiplicity 1 to 3."""
+    n = draw(st.integers(2, 6))
+    parity, edges = [0], {}
+    for i in range(1, n):
+        parent = draw(st.integers(0, i - 1))
+        parity.append(1 - parity[parent])
+        edges[parent, i] = draw(st.integers(1, 3))
+    extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if parity[u] != parity[v] and (u, v) not in edges]
+    if extra:
+        for pair in draw(st.lists(st.sampled_from(extra), unique=True)):
+            edges[pair] = draw(st.integers(1, 3))
+    return {"vertices": [{"id": f"x{i}", "parity": ("even", "odd")[p]}
+                         for i, p in enumerate(parity)],
+            "edges": [{"u": f"x{u}", "v": f"x{v}", "mult": m}
+                      for (u, v), m in edges.items()]}
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+@given(spec=bipartite_specs())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_factor_fuzz_pf_parameter(tmp_path_factory, spec):
+    f = tmp_path_factory.getbasetemp() / "fuzz.graph"
+    f.write_text(json.dumps(spec))
+    code, out = _run_cli(["factor", str(f), "--json"])
+    assert code == 0
+    g, _ = graph_from_spec(spec)
+    if g.n_edges >= 2:
+        [(s, _)] = json.loads(out)["diffuse"]
+        assert s is not None and math.isfinite(s) and s > 1
+        delta = delta_v(g, 0)
+        assert s == pytest.approx(1 + (delta - 1) * sum(x * x for x in g.mu2), abs=1e-9)
+    spec["vertices"].append({"id": "lone", "parity": "even"})
+    f.write_text(json.dumps(spec))
+    assert _run_cli(["factor", str(f), "--json"])[0] == 2

@@ -174,7 +174,6 @@ def test_report_star_graph():
     # hub corner LF(2 sqrt 4 - 1) = LF(3) compressed by mu2(hub) = 1/3
     assert s == pytest.approx(1 + 2 * (1 / 3) ** 2, abs=1e-9)
     assert w == pytest.approx(1.0)
-    assert any("LF(3)" in n for n in rep.notes)
 
 
 def test_report_star_matches_case_formula():
@@ -182,10 +181,44 @@ def test_report_star_matches_case_formula():
     for n in (2, 3, 4, 5):
         g = star_graph(n)
         hub = g.index("c")
-        comp = sorted(range(g.n_vertices))
-        s, corner = fc._single_hub_parameter(g, comp, hub, 1.0)
+        leaves = [g.mu2[v] for v in range(g.n_vertices) if v != hub]
+        corner = fc.star_m1([1] * n, leaves, g.mu2[hub])
         assert corner.diffuse[0][0] == pytest.approx(
             2 * math.sqrt(n) - 1, abs=1e-9)
+        if n == 4:
+            assert corner.pretty() == "LF(3)"
+
+
+def test_component_parameter_matches_two_vertex_rule(rng):
+    # non-PF weights in the factor regime 1/q <= alpha/beta <= q
+    for _ in range(200):
+        q = int(rng.integers(2, 5))
+        g = two_vertex_graph(q, q ** rng.uniform(-1.0, 1.0), 1.0)
+        whole = fc.omega_factor(q, *g.mu2)
+        assert fc.component_parameter(g, [0, 1]) == pytest.approx(
+            whole.diffuse[0][0], abs=1e-12)
+
+
+def test_component_parameter_matches_hub_corner(rng):
+    # non-PF single-hub graphs with delta(v) >= 1 everywhere: spoke i has
+    # mass q_i u_i times the hub's, so its delta is 1/u_i
+    done = 0
+    while done < 200:
+        k = int(rng.integers(1, 4))
+        qs = [int(x) for x in rng.integers(1, 4, size=k)]
+        us = [float(x) for x in rng.uniform(0.1, 1.0, size=k)]
+        if sum(q * q * u for q, u in zip(qs, us)) < 1.0:  # delta(hub) < 1
+            continue
+        g = build_graph([("c", ODD, 1.0)]
+                        + [(f"l{i}", EVEN, q * u) for i, (q, u) in enumerate(zip(qs, us))],
+                        [("c", f"l{i}", q) for i, q in enumerate(qs)])
+        b = g.mu2[0]
+        corner = fc.star_m1(qs, g.mu2[1:], b)
+        assert not corner.atoms
+        [(r, _)] = corner.diffuse
+        assert fc.component_parameter(g, range(g.n_vertices)) == pytest.approx(
+            1 + (r - 1) * b * b, abs=1e-12)
+        done += 1
 
 
 def test_report_a2_and_isolated():

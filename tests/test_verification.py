@@ -4,8 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from graphfree import cumulants, noncross
+from graphfree import cumulants, factors, noncross
 from graphfree.cli import main
+from graphfree.graphs import delta_v
 from graphfree.verification import VerificationReport, _Runner, run_verification
 
 
@@ -98,3 +99,16 @@ def test_mobius_check_catches_a_wrong_sign_off_the_zero(monkeypatch):
     monkeypatch.setattr(noncross, "mobius_nc", mutant)
     result = _check("combinatorics", "mobius-zero-to-one")
     assert not result.passed and result.witness.startswith("max deviation 40 ")
+
+
+def test_component_parameter_check_catches_the_pf_shortcut(monkeypatch):
+    # 1 + (delta - 1)|m|^2 holds only when delta is the same at every
+    # vertex; the check draws its graphs off the PF weighting
+    def shortcut(graph, comp):
+        gamma = sum(graph.mu2[v] for v in comp)
+        norm2 = sum((graph.mu2[v] / gamma) ** 2 for v in comp)
+        return 1 + (delta_v(graph, comp[0]) - 1) * norm2
+
+    assert _check("factor", "component-parameter-routes").passed
+    monkeypatch.setattr(factors, "component_parameter", shortcut)
+    assert not _check("factor", "component-parameter-routes").passed
