@@ -271,10 +271,6 @@ class CenterReport:
     center_dim: int
     atom_trace: float | None
 
-    def as_dict(self):
-        return {"vertex": self.vertex, "delta_v": self.delta_v,
-                "center_dim": self.center_dim, "atom_trace": self.atom_trace}
-
 
 def center_report(graph: Graph, v) -> CenterReport:
     """Local center: two-dimensional with a minimal atom iff delta(v) < 1.

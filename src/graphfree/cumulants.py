@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import itemgetter, mul
 
-from .graphs import Graph, GraphError, Path
+from .graphs import Graph, GraphError, Path, enumerate_paths
 from .gralg import FaceStack, GradedElement, max_abs_diff, tau_loop
 from . import epitl, noncross
 
@@ -386,25 +386,12 @@ class FreenessReport:
     notes: list[str] = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "max_order": self.max_order, "tol": self.tol,
-            "n_tuples": self.n_tuples,
-            "max_mixed_cumulant": self.max_mixed_cumulant,
-            "passed": self.passed, "witness": self.witness,
-            "stp_checks": self.stp_checks, "stp_max_dev": self.stp_max_dev,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def even_generators(graph: Graph) -> list[Path]:
     """Length-2 paths between even vertices, the corner generators."""
-    out = []
-    for v in graph.vertices_of_parity(0):
-        for e in graph.out_edges(v):
-            w = graph.efinish[e]
-            for e2 in graph.out_edges(w):
-                out.append(Path((v, w, graph.efinish[e2]), (e, e2)))
-    return out
+    return [p for v in graph.vertices_of_parity(0) for p in enumerate_paths(graph, v, 2)]
 
 
 def _mixed_tuples(graph: Graph, gens, order):

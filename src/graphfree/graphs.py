@@ -22,10 +22,6 @@ ODD = 1
 # How far the vertex weights of a graph may sum from 1.
 DEFAULT_TOL = 1e-9
 
-# Power iteration settings for the Perron-Frobenius weighting.
-PF_CONVERGENCE = 1e-12
-PF_MAX_ITER = 10 ** 5
-
 
 class GraphError(ValueError):
     """Malformed graph data or an invalid graph query."""
@@ -435,35 +431,18 @@ def pf_weighting(graph: Graph):
     """Perron-Frobenius weighting: mu2 is the positive eigenvector of the
     adjacency matrix (with multiplicities), normalized to total mass 1.
 
-    Returns (reweighted graph, PF eigenvalue).  Power iteration runs on
-    A + I so the bipartite +/- eigenvalue pair cannot make it oscillate;
-    convergence is tested on the Rayleigh quotient of A.
+    Returns (reweighted graph, PF eigenvalue).  A is symmetric, so one
+    ``eigh`` gives its spectrum in ascending order; on a connected graph
+    the top eigenvalue is simple and its eigenvector has one sign
+    (Perron-Frobenius), so the last column up to sign is the weighting.
     """
     if graph.n_vertices == 0:
         raise GraphError("empty graph")
     if not is_connected(graph):
         raise GraphError("PF weighting needs a connected graph")
-    a = graph.adjacency()
-    m = a + np.eye(graph.n_vertices)
-    x = np.ones(graph.n_vertices) / graph.n_vertices
-    rayleigh = float(x @ a @ x) / float(x @ x)
-    for _ in range(PF_MAX_ITER):
-        x = m @ x
-        x /= np.linalg.norm(x)
-        new = float(x @ a @ x)
-        # Rayleigh settles quadratically; also demand a small eigen-residual
-        # so the vector itself is converged, not just the quotient.
-        residual = float(np.max(np.abs(a @ x - new * x))) / float(np.min(np.abs(x)))
-        if abs(new - rayleigh) <= PF_CONVERGENCE and residual <= PF_CONVERGENCE:
-            rayleigh = new
-            break
-        rayleigh = new
-    else:
-        raise GraphError("PF power iteration did not converge")
-    if graph.n_edges > 0 and rayleigh <= 0:
-        raise GraphError("PF eigenvalue not positive")
-    mu2 = np.abs(x) / np.abs(x).sum()
-    return graph.with_mu2(mu2.tolist()), rayleigh
+    values, vectors = np.linalg.eigh(graph.adjacency())
+    x = np.abs(vectors[:, -1])
+    return graph.with_mu2((x / x.sum()).tolist()), float(values[-1])
 
 
 def delta_v(graph: Graph, v) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, Path, delta_v, enumerate_paths
 from .gralg import GradedElement, SparseElement
-from . import noncross
+from . import epitl, noncross
 
 
 @dataclass(frozen=True)
@@ -196,57 +196,25 @@ def _jones_tower(graph: Graph, level: int, t: int) -> TowerElement:
 # closed pairings acting at a level
 
 
-def _tl_split(t: noncross.NCPartition, n: int):
-    up, down, through = [], [], []
-    for a, b in t.blocks:
-        if b <= n:
-            up.append((a, b))
-        elif a > n:
-            down.append((a, b))
-        else:
-            through.append((a, b))
-    return up, down, through
-
-
 def ztl(graph: Graph, t: noncross.NCPartition) -> TowerElement:
     """Element of level n from a pairing of 2n points.
 
-    Up pairs constrain the minus leg, down pairs the plus leg (read
-    backwards), through pairs tie the legs together; reversal deltas
-    carry mu-ratios, through deltas none.
+    Each based loop of length 2n, read as its pair by `loop_to_pair`,
+    carries the closed capping value `epitl.closed_cap_value(t, loop)`
+    times mu(base)/mu(v_n): zero unless every pair of t reverses its
+    edges, else the mu-ratios of the pairs left and right of the
+    midpoint.
     """
     if not t.is_pairing():
         raise GraphError("need a pairing")
-    n = t.n // 2
     g = graph
-    up, down, through = _tl_split(t, n)
+    base = _star(g)
+    n = t.n // 2
     out: dict[PathPair, float] = {}
-    for pair in pair_basis(g, n):
-        p, m = pair.plus, pair.minus
-        coeff = 1.0
-        ok = True
-        for a, b in through:  # a <= n < b
-            if m.edges[a - 1] != p.edges[2 * n - b]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for a, b in up:
-            if m.edges[a - 1] != g.erev[m.edges[b - 1]]:
-                ok = False
-                break
-            coeff *= g.mu(m.vertices[a]) / g.mu(m.vertices[b])
-        if not ok:
-            continue
-        for a, b in down:  # i > j in the formula; (a, b) sorted so i=b, j=a
-            i, j = b, a
-            if p.edges[2 * n - i] != g.erev[p.edges[2 * n - j]]:
-                ok = False
-                break
-            coeff *= g.mu(p.vertices[2 * n + 1 - i]) / g.mu(p.vertices[2 * n + 1 - j])
-        if not ok:
-            continue
-        out[pair] = coeff
+    for loop in enumerate_paths(g, base, 2 * n, base):
+        value = epitl.closed_cap_value(g, t, loop)
+        if value:
+            out[loop_to_pair(g, loop)] = value * g.mu(base) / g.mu(loop.vertices[n])
     return TowerElement(g, n, out)
 
 

@@ -1,8 +1,10 @@
 import copy
 import importlib
+import json
 import math
 import pickle
 import pkgutil
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import graphfree
 from graphfree.graphs import (EVEN, ODD, Graph, GraphError, Path, build_graph,
                               connected_component, connected_components,
                               delta_v, enumerate_paths, graph_from_spec,
-                              line_graph, pf_weighting, star_graph,
+                              line_graph, named_graph, pf_weighting, star_graph,
                               subgraph_star, two_vertex_graph, vertex_path)
 
 SQ2 = math.sqrt(2.0)
@@ -89,6 +91,25 @@ def test_pf_delta_v_constant():
         delta = max(np.linalg.eigvalsh(a))
         for v in range(g.n_vertices):
             assert delta_v(g, v) == pytest.approx(delta, abs=1e-9)
+
+
+def _pf_catalogue():
+    for spec in sorted((FilePath(__file__).parent.parent / "graphs").glob("*.graph")):
+        record = json.loads(spec.read_text())
+        for v in record["vertices"]:
+            v.pop("weight2", None)
+        yield spec.name, graph_from_spec(record)[0]
+    for name in ("a2", "a3", "a4", "k1_2", "k1_3", "k1_4", "dbl", "fork"):
+        yield name, named_graph(name)
+
+
+def test_pf_local_index_is_the_eigenvalue_to_rounding():
+    # delta(v) = sum_{v->w} mu2(w)/mu2(v) reads the weighting against the
+    # returned eigenvalue at every vertex, an eigen-residual in relative form
+    for name, g in _pf_catalogue():
+        h, delta = pf_weighting(g)
+        dev = max(abs(delta_v(h, v) - delta) for v in range(h.n_vertices))
+        assert dev <= 1e-13, name
 
 
 def test_pf_disconnected_rejected():

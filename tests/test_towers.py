@@ -143,7 +143,7 @@ def _closure_loops(t: ncx.NCPartition) -> int:
 def test_ztl_trace_counts_loops(a3_star, a4_star):
     for g in (a3_star, a4_star):
         delta = delta_v(g, g.star)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for t in ncx.enumerate_tl(2 * n):
                 got = tw.trace_t(tw.ztl(g, t))
                 want = delta ** (_closure_loops(t) - n)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from graphfree import cumulants, factors, noncross
+from graphfree import cumulants, epitl, factors, noncross
 from graphfree.cli import main
 from graphfree.graphs import delta_v
 from graphfree.verification import VerificationReport, _Runner, run_verification
@@ -112,3 +112,23 @@ def test_component_parameter_check_catches_the_pf_shortcut(monkeypatch):
     assert _check("factor", "component-parameter-routes").passed
     monkeypatch.setattr(factors, "component_parameter", shortcut)
     assert not _check("factor", "component-parameter-routes").passed
+
+
+def test_tower_checks_catch_a_wrong_left_cap_weight(monkeypatch):
+    # towers.ztl weighs each loop by epitl.closed_cap_value, so inverting
+    # the mu-ratio of the pairs left of the midpoint must reach the tower
+    # checks that compare ztl with the Jones projections and the loop product
+    real = epitl.closed_cap_value
+
+    def mutant(graph, t, path):
+        value = real(graph, t, path)
+        n = path.length // 2
+        for a, b in t.blocks:
+            if b <= n:
+                value *= (graph.mu(path.vertices[b]) / graph.mu(path.vertices[a])) ** 2
+        return value
+
+    monkeypatch.setattr(epitl, "closed_cap_value", mutant)
+    results = {r.check_id: r for r in run_verification("planar", max_degree=4).results}
+    assert not results["pairing-elements[a3]"].passed
+    assert not results["loop-product-two-routes[a3]"].passed
