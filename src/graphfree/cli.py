@@ -350,7 +350,7 @@ def cmd_freeness(args) -> int:
         f"diagram identity:     {rep.stp_checks} checks, max dev {rep.stp_max_dev:.3g}",
         f"passed: {rep.passed}",
     ] + [f"note: {n}" for n in rep.notes]
-    if rep.witness and not rep.passed:
+    if rep.witness:
         lines.append(f"witness: {rep.witness}")
     _emit(args, lines, rep.as_dict())
     return EXIT_OK if rep.passed else EXIT_VERIFICATION

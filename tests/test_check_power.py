@@ -1,0 +1,87 @@
+"""Check power: mutants of the code under check, and the verify checks
+each must fail.
+
+Each row monkeypatches one function with a wrong version and names the
+checks that pass on the real code and must fail on the mutant at
+``--fast`` depth.  A check that no mutant fails cannot tell a defect in
+what it checks from none.
+"""
+
+import pytest
+
+from graphfree import epitl
+from graphfree.graphs import Path
+from graphfree.gralg import GradedElement
+from graphfree.verification import run_verification
+
+
+def _cap_drops_the_next_pair(f, x):
+    """epitl.act whose cap at i tests edges i, i+1 and weighs them, but
+    keeps edge i and drops edges i+1, i+2 (at the last slot, i and i+1)."""
+    g = x.graph
+    out = {}
+    for (verts, edges), c in x.terms.items():
+        for i in reversed(f.caps):
+            if edges[i - 1] != g.erev[edges[i]]:
+                break
+            c *= g.mu(verts[i]) / g.mu(verts[i + 1])
+            j = min(i + 1, len(edges) - 1)
+            verts, edges = verts[:j] + verts[j + 2:], edges[:j - 1] + edges[j + 1:]
+        else:
+            q = Path(verts, edges)
+            out[q] = out.get(q, 0.0) + c
+    return GradedElement(g, out)
+
+
+def _cap_one_slot_right(f, x):
+    """epitl.act whose cap at i acts as the cap at i+1 (at the last slot,
+    as itself): every image is a path of the graph, with the right weight."""
+    g = x.graph
+    out = {}
+    for (verts, edges), c in x.terms.items():
+        for i in reversed(f.caps):
+            j = min(i + 1, len(edges) - 1)
+            if edges[j - 1] != g.erev[edges[j]]:
+                break
+            c *= g.mu(verts[j]) / g.mu(verts[j + 1])
+            verts, edges = verts[:j] + verts[j + 2:], edges[:j - 1] + edges[j + 1:]
+        else:
+            q = Path(verts, edges)
+            out[q] = out.get(q, 0.0) + c
+    return GradedElement(g, out)
+
+
+def _cup_inverse_weight(x, i):
+    """epitl.cup weighing a spliced doubled edge mu(v)/mu(w), not mu(w)/mu(v)."""
+    g = x.graph
+    out = {}
+    for (verts, edges), c in x.terms.items():
+        v = verts[i]
+        head, tail = verts[:i + 1], (v,) + verts[i + 1:]
+        for e in g.out_edges(v):
+            w = g.efinish[e]
+            q = Path(head + (w,) + tail, edges[:i] + (e, g.erev[e]) + edges[i:])
+            out[q] = out.get(q, 0.0) + c * (g.mu(v) / g.mu(w))
+    return GradedElement(g, out)
+
+
+EXCHANGE = ("exchange-relation[a3]", "exchange-relation[k1_2]", "exchange-relation[dbl]")
+
+MUTANTS = [
+    # (module, name, mutant, suite, checks it must fail)
+    (epitl, "act", _cap_drops_the_next_pair, "epitl", EXCHANGE),
+    (epitl, "act", _cap_one_slot_right, "epitl", EXCHANGE),
+    (epitl, "cup", _cup_inverse_weight, "cdelta", ("generator-relations",)),
+]
+
+
+@pytest.mark.parametrize("module,name,mutant,suite,checks", MUTANTS,
+                         ids=[row[2].__name__.strip("_") for row in MUTANTS])
+def test_mutant_fails_its_checks(monkeypatch, module, name, mutant, suite, checks):
+    def passed():
+        return {r.check_id: r.passed for r in run_verification(suite, fast=True).results}
+
+    assert all(passed()[c] for c in checks)
+    monkeypatch.setattr(module, name, mutant)
+    after = passed()
+    assert not any(after[c] for c in checks), after

@@ -193,6 +193,13 @@ def test_freeness_command(capsys):
     assert data["passed"] is True
 
 
+def test_freeness_passing_certificate_names_no_witness(capsys):
+    # its largest mixed cumulant is rounding (~1e-15), not a counterexample
+    assert main(["freeness", "--named", "a4", "--max-order", "4", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is True and data["witness"] == ""
+
+
 def test_freeness_refuses_oversized_work(capsys):
     # fork: 776,861 extensions to order 7, 6,755,691 to 8, 59,975,143 to 9
     assert main(["freeness", "--named", "fork", "--max-order", "12"]) == 2

@@ -424,6 +424,25 @@ def test_freeness_two_hub_graph(fork, rng):
     assert any("order" in n for n in rep.notes)
 
 
+def test_freeness_failing_certificate_names_its_tuple(fork, monkeypatch):
+    # a nonzero mixed cumulant on one tuple fails the certificate, and the
+    # witness names that tuple, path by path
+    real = cm.kappa_mobius
+    target = next(cm._mixed_tuples(fork, cm.even_generators(fork), 3))
+
+    def mutant(graph, tup):
+        out = dict(real(graph, tup))
+        if tup == target:
+            out[tup[0].start] = out.get(tup[0].start, 0.0) + 1e-3
+        return out
+
+    monkeypatch.setattr(cm, "kappa_mobius", mutant)
+    rep = cm.freeness_certificate(fork, max_order=3)
+    assert not rep.passed and rep.max_mixed_cumulant >= 1e-3
+    assert rep.witness == " ; ".join(
+        "->".join(fork.ids[v] for v in p.vertices) for p in target)
+
+
 def test_freeness_certificate_order_six(fork):
     rep = cm.freeness_certificate(fork, max_order=6)
     assert rep.passed and rep.n_tuples == 726

@@ -529,14 +529,16 @@ def test_truncated_left_mult_matches_column_oracle(rng):
 def test_truncated_left_mult_builds_no_path_per_entry(monkeypatch):
     # deterministic work counter: at most 2 paths per (term, k, s)
     # contribution, counted here from powers of A.  The only paths built
-    # are the basis, on the first call on a graph, and no product is
-    # formed per column
+    # are the basis, on the first call on an edge structure (path lists are
+    # memoized by structure, so the memo is emptied first), and no product
+    # is formed per column
     def refuse(*args, **kwargs):
         raise AssertionError("per-column product used")
 
     monkeypatch.setattr(falg, "sharp_mul", refuse)
     built = _count_paths(monkeypatch)
     for d in (8, 10):
+        _paths.cache_clear()
         g = two_vertex_graph(2, 0.8, 0.2)
         powers = [np.array(p) for _, p in zip(range(d + 1), adjacency_powers(g))]
         xs = [cdelta.zv_truncation(g, "v", m) for m in (1, 2, 3)]

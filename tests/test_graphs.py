@@ -1,9 +1,11 @@
 import copy
+import gc
 import importlib
 import json
 import math
 import pickle
 import pkgutil
+import weakref
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -14,7 +16,7 @@ from graphfree.graphs import (EVEN, ODD, Graph, GraphError, Path, build_graph,
                               connected_component, connected_components,
                               delta_v, enumerate_paths, graph_from_spec,
                               line_graph, named_graph, pf_weighting, star_graph,
-                              subgraph_star, two_vertex_graph, vertex_path)
+                              subgraph_star, two_vertex_graph, vertex_path, _paths)
 
 SQ2 = math.sqrt(2.0)
 
@@ -72,15 +74,28 @@ def test_pf_a3_closed_form():
 
 
 def test_pf_star_eigen_oracle():
-    # the weighting must be the normalized eigenvector of the adjacency
-    for n in (2, 3, 4):
-        g = star_graph(n)
-        a = g.adjacency()
-        evals, evecs = np.linalg.eigh(a)
-        lead = np.abs(evecs[:, np.argmax(evals)])
-        lead /= lead.sum()
-        assert np.max(np.abs(np.array(g.mu2) - lead)) < 1e-9
-        assert max(evals) == pytest.approx(math.sqrt(n), abs=1e-9)
+    # closed form, no eigensolver: on K(1, n) the PF eigenvector is sqrt(n)
+    # at the hub and 1 at each leaf, with eigenvalue sqrt(n)
+    for n in (2, 3, 4, 7):
+        g, delta = pf_weighting(build_graph(
+            [("c", ODD)] + [(f"l{i}", EVEN) for i in range(n)],
+            [("c", f"l{i}", 1) for i in range(n)]))
+        leaf = 1 / (n + math.sqrt(n))
+        assert delta == pytest.approx(math.sqrt(n), abs=1e-12)
+        assert g.mu2[0] == pytest.approx(math.sqrt(n) * leaf, abs=1e-12)
+        assert g.mu2[1:] == pytest.approx([leaf] * n, abs=1e-12)
+
+
+def test_pf_line_closed_form():
+    # A_n: the PF eigenvector is sin(k pi/(n+1)) at the k-th vertex,
+    # k = 1..n, with eigenvalue 2 cos(pi/(n+1))
+    for n in range(2, 10):
+        g, delta = pf_weighting(build_graph(
+            [(f"v{k}", EVEN if k % 2 else ODD) for k in range(1, n + 1)],
+            [(f"v{k}", f"v{k + 1}", 1) for k in range(1, n)]))
+        x = [math.sin(k * math.pi / (n + 1)) for k in range(1, n + 1)]
+        assert delta == pytest.approx(2 * math.cos(math.pi / (n + 1)), abs=1e-12)
+        assert g.mu2 == pytest.approx([w / sum(x) for w in x], abs=1e-12)
 
 
 def test_pf_delta_v_constant():
@@ -126,6 +141,25 @@ def test_delta_v_examples():
     g3 = build_graph([("v", EVEN, 0.5), ("w", ODD, 0.25), ("u", EVEN, 0.25)],
                      [("v", "w", 1)])
     assert delta_v(g3, "u") == 0.0
+
+
+def test_path_lists_keep_no_graph_alive():
+    # a path list depends on the edge structure alone: it holds no graph,
+    # and graphs of one structure share it
+    g = named_graph("dbl")
+    ref = weakref.ref(g)
+    enumerate_paths(g, None, 5, None)
+    del g
+    gc.collect()
+    assert ref() is None
+    verts = [("a", EVEN, 1.0), ("b", ODD, 2.0), ("c", EVEN, 3.0)]
+    edges = [("a", "b", 2), ("b", "c", 1)]
+    g1 = build_graph(verts, edges)
+    g2 = g1.with_mu2([0.5, 0.25, 0.25])
+    before = _paths.cache_info()
+    assert enumerate_paths(g1, None, 9, None) is enumerate_paths(g2, None, 9, None)
+    after = _paths.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
 
 
 def test_enumerate_paths_examples(a2, a3):

@@ -4,9 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from graphfree import cumulants, epitl, factors, noncross
+from graphfree import cdelta, cumulants, epitl, factors, noncross
 from graphfree.cli import main
-from graphfree.graphs import delta_v
+from graphfree.graphs import delta_v, enumerate_paths, named_graph
 from graphfree.verification import VerificationReport, _Runner, run_verification
 
 
@@ -66,6 +66,44 @@ def test_freeness_certificate_check_reports_its_margin(monkeypatch, mixed, stp, 
     assert result.passed is passed
     if passed:
         assert result.witness.startswith(f"max deviation {max(mixed, stp):.3g} ")
+
+
+def _calls_per_check(monkeypatch, module, name, suite):
+    """Calls of module.name that each check of one suite makes."""
+    calls, per_check = [0], {}
+    real, real_check = getattr(module, name), _Runner.check
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    def check(self, check_id, fn):
+        before = calls[0]
+        real_check(self, check_id, fn)
+        per_check[check_id] = calls[0] - before
+
+    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(_Runner, "check", check)
+    run_verification(suite)
+    return per_check
+
+
+def test_diagram_relation_checks_act_once_per_basis_path(monkeypatch):
+    # exchange-relation acts with each cap once on every length-n path and
+    # once on every length-(n-2) path for its table of second caps:
+    # sum_{n=4..8} (n-1) N_n + (n-3) N_{n-2}, with N_n = 2^(n+1) on dbl.
+    # Acting twice per (path, p, q) took 28,576 calls on dbl.
+    acts = _calls_per_check(monkeypatch, epitl, "act", "epitl")
+    for name in ("a2", "a3", "k1_2", "dbl"):
+        g = named_graph(name)
+        n_paths = [len(enumerate_paths(g, None, n, None)) for n in range(9)]
+        assert acts[f"exchange-relation[{name}]"] == sum(
+            (n - 1) * n_paths[n] + (n - 3) * n_paths[n - 2] for n in range(4, 9))
+    assert acts["exchange-relation[dbl]"] == 7144
+    # generator-relations: each generator acts once on each loop at v of
+    # each length it meets (8,624 calls when each side acted on each loop)
+    gens = _calls_per_check(monkeypatch, cdelta, "gen_act", "cdelta")
+    assert gens["generator-relations"] == 3160
 
 
 def _check(suite, check_id):
