@@ -30,14 +30,14 @@ from dataclasses import asdict, dataclass, field
 from operator import itemgetter, mul
 
 from .graphs import Graph, GraphError, Path, enumerate_paths
-from .gralg import FaceStack, GradedElement, max_abs_diff, tau_loop
+from .gralg import FaceStack, GradedElement, max_abs, max_abs_diff, tau_loop
 from . import epitl, noncross
 
 BElement = dict[int, float]  # vertex index -> coefficient of the idempotent
 
 
 def b_norm(a: BElement) -> float:
-    return max((abs(c) for c in a.values()), default=0.0)
+    return max_abs(a.values())
 
 
 b_diff_norm = max_abs_diff
@@ -433,7 +433,8 @@ def freeness_certificate(graph: Graph, max_order: int = 5,
         for tup in _mixed_tuples(graph, gens, k):
             count += 1
             val = b_norm(kappa_mobius(graph, tup))
-            if val > worst:
+            # the first NaN is kept, and witnessed: later values never beat it
+            if val > worst or (val != val and worst == worst):
                 worst, worst_tup = val, tup
     stp_checks, stp_dev = 0, 0.0
     if rng is not None and gens:
@@ -453,7 +454,8 @@ def freeness_certificate(graph: Graph, max_order: int = 5,
             dev = b_diff_norm(spi_value(graph, pi, tup),
                               doubled_action(graph, pi, tup))
             stp_checks += 1
-            stp_dev = max(stp_dev, dev)
+            if dev > stp_dev or (dev != dev and stp_dev == stp_dev):
+                stp_dev = dev
     passed = worst < tol and stp_dev < tol
     # a passing certificate's argmax is a rounding-level cumulant, not a witness
     witness = "" if passed else " ; ".join(

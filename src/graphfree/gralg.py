@@ -29,10 +29,16 @@ from .graphs import Graph, GraphError, Path, vertex_path
 from . import noncross
 
 
+def max_abs(values) -> float:
+    """max |x| over values, 0.0 when there are none; NaN when any x is NaN,
+    whatever the order (``max`` alone keeps a NaN only when it comes first)."""
+    mags = list(map(abs, values))
+    return math.nan if math.isnan(sum(mags)) else max(mags, default=0.0)
+
+
 def max_abs_diff(a: dict, b: dict) -> float:
     """max |a[k] - b[k]| over both key sets, a missing key reading 0."""
-    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys()),
-               default=0.0)
+    return max_abs([a.get(k, 0.0) - b.get(k, 0.0) for k in a.keys() | b.keys()])
 
 
 class SparseElement:

@@ -1,10 +1,14 @@
 """Consolidated property suites behind the command-line verifier.
 
-Each suite runs a list of named checks and reports pass/fail with a
-witness string and timing.  The checks mirror the library's contracts:
-combinatorial counts, the graded/filtered isomorphism, trace equality
-and positivity, diagram-category relations, cumulant route agreement,
-the freeness certificate, factor parameters, and the tower suite.
+Each check is a generator that yields every deviation it measures: the
+gap between two routes to one value, an excess over a bound, or 0/1 for
+an exact identity.  One runner judges them all (:meth:`_Runner.check`):
+a check passes when every deviation is at most its tolerance, fails at
+the first NaN, and reports its largest deviation as the witness, with
+its timing.  The checks mirror the library's contracts: combinatorial
+counts, the graded/filtered isomorphism, trace equality and positivity,
+diagram-category relations, cumulant route agreement, the freeness
+certificate, factor parameters, and the tower suite.
 """
 
 from __future__ import annotations
@@ -66,19 +70,39 @@ class VerificationReport:
                 "checks": [r.as_dict() for r in self.results]}
 
 
+@dataclass
 class _Runner:
-    def __init__(self, report: VerificationReport):
-        self.report = report
-        self.suite = ""
+    """What every suite reads, and the one judge of the checks it runs."""
 
-    def check(self, check_id: str, fn):
+    report: VerificationReport
+    graphs: dict[str, Graph]
+    max_degree: int
+    tol: float
+    seed: int
+    fast: bool
+    suite: str = ""
+
+    def check(self, check_id: str, fn, tol: float):
+        """Run the check fn() and record whether its deviations stay within tol.
+
+        The deviations are consumed as fn() yields them.  The witness gives
+        the largest (0 when there are none); the first NaN stops the check
+        and fails it as ``max deviation nan``, and an exception fails it as
+        ``error: {type}: {message}``.
+        """
         t0 = time.perf_counter()
         try:
-            dev, tol = fn()
+            dev = 0
+            for x in fn():
+                if x != x:  # NaN: it compares false with everything
+                    dev = x
+                    break
+                if x > dev:
+                    dev = x
             passed = bool(dev <= tol)  # numpy deviations give numpy.bool_
             witness = f"max deviation {dev:.3g} (tol {tol:.1g})"
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-            passed, witness = False, f"error: {exc}"
+            passed, witness = False, f"error: {type(exc).__name__}: {exc}"
         self.report.results.append(
             CheckResult(check_id, passed, witness, time.perf_counter() - t0, self.suite))
 
@@ -116,63 +140,56 @@ def _then(terms: dict, images: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each takes the runner and hands it its checks, in report order
 
 
-def _suite_combinatorics(run: _Runner, nmax: int):
+def _suite_combinatorics(run: _Runner):
+    nmax = 5 if run.fast else 6
+
     def counts():
-        dev = 0
-        for n in range(min(nmax, 8) + 1):
+        for n in range(nmax + 1):
             c = noncross.catalan(n)
-            dev = max(dev, abs(len(noncross.enumerate_nc(n)) - c),
-                      abs(len(noncross.enumerate_tl(2 * n)) - c))
-        return dev, 0
-    run.check("catalan-counts", counts)
+            yield abs(len(noncross.enumerate_nc(n)) - c)
+            yield abs(len(noncross.enumerate_tl(2 * n)) - c)
+    run.check("catalan-counts", counts, 0)
 
     def kreweras_agree():
-        dev = 0
-        for n in range(1, min(nmax, 6) + 1):
+        for n in range(1, nmax + 1):
             for p in noncross.enumerate_nc(n):
                 k1, k2 = noncross.kreweras(p), noncross.kreweras_oracle(p)
-                dev = max(dev, 0 if k1 == k2 else 1)
-                dev = max(dev, abs(p.num_blocks + k1.num_blocks - (n + 1)))
-        return dev, 0
-    run.check("kreweras-oracle-and-rank", kreweras_agree)
+                yield 0 if k1 == k2 else 1
+                yield abs(p.num_blocks + k1.num_blocks - (n + 1))
+    run.check("kreweras-oracle-and-rank", kreweras_agree, 0)
 
     def class_structure():
-        dev = 0
-        for n in range(1, min(nmax, 6) + 1):
+        for n in range(1, nmax + 1):
             for t in noncross.enumerate_tl(2 * n):
                 ok1, _ = noncross.kreweras_class_structure(t)
                 ok2, _ = noncross.epsilon_identity_check(t)
-                dev = max(dev, 0 if (ok1 and ok2) else 1)
-        return dev, 0
-    run.check("kreweras-class-and-sign-identities", class_structure)
+                yield 0 if (ok1 and ok2) else 1
+    run.check("kreweras-class-and-sign-identities", class_structure, 0)
 
     def doubling():
-        dev = 0
-        for n in range(1, min(nmax, 6) + 1):
+        for n in range(1, nmax + 1):
             images = {noncross.double_bijection(p).blocks
                       for p in noncross.enumerate_nc(n)}
-            dev = max(dev, abs(len(images) - noncross.catalan(n)))
-        return dev, 0
-    run.check("doubling-bijection", doubling)
+            yield abs(len(images) - noncross.catalan(n))
+    run.check("doubling-bijection", doubling, 0)
 
     # mu(0_n, 1_n) against its closed form reaches only one Kreweras class;
     # the defining identity sum_sigma mu(sigma, 1_n) = [n = 1] reaches all
     def mobius():
-        dev = 0
-        for n in range(1, min(nmax, 6) + 1):
+        for n in range(1, nmax + 1):
             one = noncross.nc_one(n)
             got = noncross.mobius_nc(noncross.nc_zero(n), one)
             want = (-1) ** (n - 1) * noncross.catalan(n - 1)
             total = sum(noncross.mobius_nc(s, one) for s in noncross.enumerate_nc(n))
-            dev = max(dev, abs(got - want), abs(total - (n == 1)))
-        return dev, 0
-    run.check("mobius-zero-to-one", mobius)
+            yield abs(got - want)
+            yield abs(total - (n == 1))
+    run.check("mobius-zero-to-one", mobius, 0)
 
 
-def _suite_isomorphism(run: _Runner, graphs, max_degree: int, tol: float):
+def _suite_isomorphism(run: _Runner):
     # psi(phi(b)) and phi(psi(b)) on every basis path b, composed from two
     # memos of the whole basis (falg.basis_transforms): an image's terms
     # start where b does and are no longer, so sum_q c_q psi[q] reads only
@@ -180,12 +197,11 @@ def _suite_isomorphism(run: _Runner, graphs, max_degree: int, tol: float):
     # trip compares two maps.  In process on a 2-core x86-64 host the six
     # round trips take 0.3-0.5 s at degree 10 and 1.9 s at degree 12, where
     # transforming path by path took 3.3-4.2 and 22-28 s.
-    for name, g in graphs.items():
+    for name, g in run.graphs.items():
         def roundtrip(g=g):
             estart = g.estart
-            phis = falg.basis_transforms(g, max_degree, inverse=False)
-            psis = falg.basis_transforms(g, max_degree, inverse=True)
-            dev = 0.0
+            phis = falg.basis_transforms(g, run.max_degree, inverse=False)
+            psis = falg.basis_transforms(g, run.max_degree, inverse=True)
             for there, back in ((phis, psis), (psis, phis)):
                 for b, image in there.items():
                     edges, v = ((), b) if isinstance(b, int) else (b, estart[b[0]])
@@ -195,76 +211,66 @@ def _suite_isomorphism(run: _Runner, graphs, max_degree: int, tol: float):
                         for r, d in back[q or v].items():
                             out[r] = get(r, 0.0) + c * d
                     out[edges] = get(edges, 0.0) - 1.0  # the round trip minus b
-                    dev = max(dev, max(map(abs, out.values())))
-            return dev, tol
-        run.check(f"phi-psi-identity[{name}]", roundtrip)
+                    yield gralg.max_abs(out.values())
+        run.check(f"phi-psi-identity[{name}]", roundtrip, run.tol)
 
-    name, g = next(iter(graphs.items()))
+    name, g = next(iter(run.graphs.items()))
 
     def star_compat(g=g):
         rng = np.random.default_rng(7)
-        dev = 0.0
         for _ in range(20):
             x = random_element(g, rng)
-            dev = max(dev, falg.phi(star(x)).norm_inf_diff(star(falg.phi(x))))
-        return dev, tol
-    run.check(f"phi-star-compatible[{name}]", star_compat)
+            yield falg.phi(star(x)).norm_inf_diff(star(falg.phi(x)))
+    run.check(f"phi-star-compatible[{name}]", star_compat, run.tol)
 
     def multiplicative(g=g):
         rng = np.random.default_rng(11)
-        dev = 0.0
         for _ in range(20):
             x, y = random_element(g, rng, 2), random_element(g, rng, 2)
             lhs = falg.phi(bullet_mul(x, y))
             rhs = falg.sharp_mul(falg.phi(x), falg.phi(y))
-            dev = max(dev, lhs.norm_inf_diff(rhs))
-        return dev, tol
-    run.check(f"phi-multiplicative[{name}]", multiplicative)
+            yield lhs.norm_inf_diff(rhs)
+    run.check(f"phi-multiplicative[{name}]", multiplicative, run.tol)
 
 
-def _suite_trace(run: _Runner, graphs, max_degree: int, tol: float, seed: int):
-    for name, g in graphs.items():
+def _suite_trace(run: _Runner):
+    for name, g in run.graphs.items():
         def equality(g=g):
-            dev = 0.0
-            for n in range(0, max_degree + 1, 2):
+            for n in range(0, run.max_degree + 1, 2):
                 for p in enumerate_paths(g, None, n, None):
                     b = GradedElement.basis(g, p)
-                    dev = max(dev, abs(tau(b) - falg.t_functional(falg.phi(b))))
-            return dev, tol
-        run.check(f"tau-equals-t-phi[{name}]", equality)
+                    yield abs(tau(b) - falg.t_functional(falg.phi(b)))
+        run.check(f"tau-equals-t-phi[{name}]", equality, run.tol)
 
         def traciality(g=g):
-            rng = np.random.default_rng(seed)
-            dev = 0.0
+            rng = np.random.default_rng(run.seed)
             for _ in range(100):
                 x, y = random_element(g, rng), random_element(g, rng)
-                dev = max(dev, abs(tau(bullet_mul(x, y)) - tau(bullet_mul(y, x))))
-            return dev, tol
-        run.check(f"traciality[{name}]", traciality)
+                yield abs(tau(bullet_mul(x, y)) - tau(bullet_mul(y, x)))
+        run.check(f"traciality[{name}]", traciality, run.tol)
 
 
-def _suite_gram(run: _Runner, graphs, max_degree: int, tol: float):
+def _suite_gram(run: _Runner):
+    graphs = {k: run.graphs[k] for k in ("a2", "a3")} if run.fast else run.graphs
     for name, g in graphs.items():
         def gram(g=g):
-            dev = 0.0
-            for p, q, val in falg.gram_blocks(g, max_degree):
+            for p, q, val in falg.gram_blocks(g, run.max_degree):
                 want = g.mu(p.start) * g.mu(p.finish) if p == q else 0.0
-                dev = max(dev, abs(val - want))
-            return dev, tol
-        run.check(f"gram-diagonal[{name}]", gram)
+                yield abs(val - want)
+        run.check(f"gram-diagonal[{name}]", gram, run.tol)
 
 
-def _suite_epitl(run: _Runner, graphs, nmax: int, tol: float, seed: int):
-    small = {k: graphs[k] for k in ("a2", "a3", "k1_2", "dbl") if k in graphs}
+def _suite_epitl(run: _Runner):
+    nmax = 6 if run.fast else 8  # path lengths, whatever the degree
+    small = {k: run.graphs[k] for k in ("a2", "a3", "k1_2", "dbl") if k in run.graphs}
     for name, g in small.items():
         def exchange(g=g):
-            dev = 0.0
             # E_p E_q = E_q E_{p+2} for q <= p, on paths: each side applies
             # two single caps in turn, never a composite.  The first acts on
             # each length-n path, the second is read from its images of the
             # length-(n-2) basis: on dbl 7,144 act calls, not 28,576, and
             # 41 ms, not 57 ms (medians in process, 2-core x86-64 host).
-            for n in range(4, min(nmax, 8) + 1):
+            for n in range(4, nmax + 1):
                 low = {i: {p: epitl.act(epitl.cap_generator(n - 2, i),
                                         GradedElement.basis(g, p)).terms
                            for p in enumerate_paths(g, None, n - 2, None)}
@@ -276,16 +282,14 @@ def _suite_epitl(run: _Runner, graphs, nmax: int, tol: float, seed: int):
                     for p_ in range(1, n - 2):
                         for q_ in range(1, p_ + 1):
                             if once[q_] or once[p_ + 2]:  # else both sides are 0
-                                dev = max(dev, gralg.max_abs_diff(
-                                    _then(once[q_], low[p_]), _then(once[p_ + 2], low[q_])))
-            return dev, tol
-        run.check(f"exchange-relation[{name}]", exchange)
+                                yield gralg.max_abs_diff(
+                                    _then(once[q_], low[p_]), _then(once[p_ + 2], low[q_]))
+        run.check(f"exchange-relation[{name}]", exchange, run.tol)
 
-    name, g = "a3", graphs.get("a3") or next(iter(graphs.values()))
+    g = run.graphs["a3"]
 
-    def compose_consistency(g=g):
-        rng = np.random.default_rng(seed + 1)
-        dev = 0
+    def compose_consistency():
+        rng = np.random.default_rng(run.seed + 1)
         for _ in range(60):
             n = int(rng.integers(2, 7))
             m = n - 2 * int(rng.integers(1, n // 2 + 1))
@@ -296,13 +300,11 @@ def _suite_epitl(run: _Runner, graphs, nmax: int, tol: float, seed: int):
             g2 = homs2[int(rng.integers(0, len(homs2)))]
             a = epitl.compose(f, g2)
             b = epitl.compose_by_rewriting(f, g2)
-            dev = max(dev, 0 if a == b else 1)
-        return dev, 0
-    run.check("compose-vs-rewriting", compose_consistency)
+            yield 0 if a == b else 1
+    run.check("compose-vs-rewriting", compose_consistency, 0)
 
-    def functoriality(g=g):
-        rng = np.random.default_rng(seed + 2)
-        dev = 0.0
+    def functoriality():
+        rng = np.random.default_rng(run.seed + 2)
         for _ in range(20):
             n = int(rng.integers(4, 7))
             mid = n - 2
@@ -314,41 +316,35 @@ def _suite_epitl(run: _Runner, graphs, nmax: int, tol: float, seed: int):
                 b = GradedElement.basis(g, p)
                 lhs = epitl.act(fg, b)
                 rhs = epitl.act(f, epitl.act(g2, b))
-                dev = max(dev, lhs.norm_inf_diff(rhs))
-        return dev, tol
-    run.check("action-functorial", functoriality)
+                yield lhs.norm_inf_diff(rhs)
+    run.check("action-functorial", functoriality, run.tol)
 
-    def adjoint(g=g):
-        dev = 0.0
+    def adjoint():
         for n in (2, 3, 4):
             for i in range(1, n):
                 lhs = epitl.hom_matrix(g, epitl.cap_generator(n, i)).T
                 rhs = epitl.cap_adjoint_matrix(g, n, i)
-                dev = max(dev, float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0)
+                yield float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
                 bound = math.sqrt(delta_max(g))
                 nrm = falg.operator_norm(epitl.hom_matrix(g, epitl.cap_generator(n, i)))
-                dev = max(dev, max(0.0, nrm - bound - tol))
-        return dev, tol
-    run.check("cap-adjoint-and-norm", adjoint)
+                yield nrm - bound - run.tol  # the excess over the bound
+    run.check("cap-adjoint-and-norm", adjoint, run.tol)
 
-    def closed_form(g=g):
-        dev = 0.0
+    def closed_form():
         for f in epitl.enumerate_hom(6, 0):
             for p in enumerate_paths(g, None, 6, None):
                 b = GradedElement.basis(g, p)
-                ok = epitl.diffexp_check(f, b, tol)
-                dev = max(dev, 0.0 if ok else 1.0)
-        return dev, 0.0
-    run.check("full-capping-closed-form", closed_form)
+                ok = epitl.diffexp_check(f, b, run.tol)
+                yield 0.0 if ok else 1.0
+    run.check("full-capping-closed-form", closed_form, 0.0)
 
 
-def _suite_cdelta(run: _Runner, graphs, tol: float, seed: int):
+def _suite_cdelta(run: _Runner):
     def relations():
         # each relation acts on loops of length 2*source; words are listed
         # in application order (first entry applied first).  Both sides read
         # each generator's images of all loops at v of one length from a table
-        dev = 0.0
-        for g in graphs.values():
+        for g in run.graphs.values():
             for v in range(g.n_vertices):
                 dv = delta_v(g, v)
                 tables: dict = {}
@@ -376,45 +372,37 @@ def _suite_cdelta(run: _Runner, graphs, tol: float, seed: int):
                     for src, left, right, scalar in cases:
                         for p in enumerate_paths(g, v, 2 * src, v):
                             rhs = {p: scalar} if right is None else word_act(right, p)
-                            dev = max(dev, gralg.max_abs_diff(word_act(left, p), rhs))
-        return dev, tol
-    run.check("generator-relations", relations)
+                            yield gralg.max_abs_diff(word_act(left, p), rhs)
+    run.check("generator-relations", relations, run.tol)
 
     def small_relations():
-        dev = 0.0
-        for g in graphs.values():
+        for g in run.graphs.values():
             for v in range(g.n_vertices):
                 for p in enumerate_paths(g, v, 2, v):
                     x = GradedElement.basis(g, p)
-                    dev = max(dev, cdelta.gen_act(g, v, "A-", x).norm_inf_diff(
-                        cdelta.gen_act(g, v, "A+", x)))
+                    yield cdelta.gen_act(g, v, "A-", x).norm_inf_diff(
+                        cdelta.gen_act(g, v, "A+", x))
                 x0 = gralg.e_vertex(g, v)
-                dev = max(dev, cdelta.gen_act(g, v, "C-", x0).norm_inf_diff(
-                    cdelta.gen_act(g, v, "C+", x0)))
-        return dev, tol
-    run.check("degenerate-relations", small_relations)
+                yield cdelta.gen_act(g, v, "C-", x0).norm_inf_diff(
+                    cdelta.gen_act(g, v, "C+", x0))
+    run.check("degenerate-relations", small_relations, run.tol)
 
     def all_plus():
         # mixed-sign cap and cup chains normalize to all-plus chains
-        dev = 0
         for k in (1, 2):
             for ell in (0, 1, 2):
                 caps = ([("A+", t) for t in range(k + ell, k, -1)]
                         + [("A-", t) for t in range(k, 0, -1)])
                 caps_plus = [("A+", t) for t in range(k + ell, 0, -1)]
-                dev = max(dev, 0 if cdelta.compose_word(caps)
-                          == cdelta.compose_word(caps_plus) else 1)
+                yield 0 if cdelta.compose_word(caps) == cdelta.compose_word(caps_plus) else 1
                 cups = ([("C-", t) for t in range(0, k)]
                         + [("C+", t) for t in range(k, k + ell)])
                 cups_plus = [("C+", t) for t in range(0, k + ell)]
-                dev = max(dev, 0 if cdelta.compose_word(cups)
-                          == cdelta.compose_word(cups_plus) else 1)
-        return dev, 0
-    run.check("cap-normalization-identity", all_plus)
+                yield 0 if cdelta.compose_word(cups) == cdelta.compose_word(cups_plus) else 1
+    run.check("cap-normalization-identity", all_plus, 0)
 
     def weights():
-        rng = np.random.default_rng(seed + 3)
-        dev = 0.0
+        rng = np.random.default_rng(run.seed + 3)
         delta = 1.37  # generic positive parameter
         for _ in range(100):
             n = int(rng.integers(0, 5))
@@ -430,14 +418,12 @@ def _suite_cdelta(run: _Runner, graphs, tol: float, seed: int):
             for kind, lvl in word:
                 w_word *= cdelta.weight_functional(cdelta.GENERATORS[kind](lvl), delta)
             w_comp = delta ** power * cdelta.weight_functional(comp, delta)
-            dev = max(dev, abs(w_word - w_comp))
-        return dev, tol
-    run.check("weight-multiplicativity", weights)
+            yield abs(w_word - w_comp)
+    run.check("weight-multiplicativity", weights, run.tol)
 
     def norm_estimate():
-        rng = np.random.default_rng(seed + 4)
-        dev = 0.0
-        g = graphs["a3"]
+        rng = np.random.default_rng(run.seed + 4)
+        g = run.graphs["a3"]
         v = 1
         dv = delta_v(g, v)
         for n in (1, 2):
@@ -449,15 +435,13 @@ def _suite_cdelta(run: _Runner, graphs, tol: float, seed: int):
                     nx = math.sqrt(sum(c * c for c in x.terms.values()))
                     ny = math.sqrt(sum(c * c for c in y.terms.values()))
                     bound = cdelta.weight_functional(t, dv) * nx
-                    dev = max(dev, max(0.0, ny - bound - tol))
-        return dev, tol
-    run.check("weight-norm-estimate", norm_estimate)
+                    yield ny - bound - run.tol  # the excess over the bound
+    run.check("weight-norm-estimate", norm_estimate, run.tol)
 
     def ccomm_inversion():
-        rng = np.random.default_rng(seed + 5)
-        dev = 0.0
+        rng = np.random.default_rng(run.seed + 5)
         for gname in ("a3", "dbl"):
-            g = graphs[gname]
+            g = run.graphs[gname]
             for v in range(g.n_vertices):
                 dv = delta_v(g, v)
                 for n in (1, 2, 3):
@@ -474,12 +458,10 @@ def _suite_cdelta(run: _Runner, graphs, tol: float, seed: int):
                     for t in range(1, n + 1):
                         mor = cdelta.TPQMorphism(n + 1, n, (1, n + 1 - t), (t + 1, n + 1))
                         rec = rec + (dv ** -t) * cdelta.tpq_act(g, v, mor, z)
-                    dev = max(dev, rec.norm_inf_diff(x))
-        return dev, tol
-    run.check("commutant-inversion", ccomm_inversion)
+                    yield rec.norm_inf_diff(x)
+    run.check("commutant-inversion", ccomm_inversion, run.tol)
 
     def xm_structure():
-        dev = 0.0
         g = two_vertex_graph(2, 0.8, 0.2)
         v = 0
         dv = delta_v(g, v)  # 0.5 < 1
@@ -489,7 +471,7 @@ def _suite_cdelta(run: _Runner, graphs, tol: float, seed: int):
                 xi = GradedElement.basis(g, p)
                 lhs = falg.sharp_mul(xm, xi)
                 rhs = ((-1.0) ** m) * bullet_mul(cdelta.c_2n(g, v, m), xi)
-                dev = max(dev, lhs.norm_inf_diff(rhs))
+                yield lhs.norm_inf_diff(rhs)
             for i in range(3):
                 for j in range(3):
                     basis = enumerate_paths(g, v, 2 * j, v)
@@ -497,58 +479,48 @@ def _suite_cdelta(run: _Runner, graphs, tol: float, seed: int):
                         x = GradedElement.basis(g, p)
                         full = falg.sharp_mul(xm, x).component(2 * i)
                         blk = cdelta.xm_block(g, v, m, i, j, x)
-                        dev = max(dev, full.norm_inf_diff(blk))
+                        yield full.norm_inf_diff(blk)
             mat, _ = falg.truncated_left_mult(xm, 8)
             bound = 1 + 2 * sum(dv ** (t / 2) for t in range(1, 200))
-            dev = max(dev, max(0.0, falg.operator_norm(mat) - bound))
-        return dev, tol
-    run.check("alternating-truncation-structure", xm_structure)
+            yield falg.operator_norm(mat) - bound  # the excess over the bound
+    run.check("alternating-truncation-structure", xm_structure, run.tol)
 
     def centers():
-        dev = 0.0
         g = two_vertex_graph(2, 0.8, 0.2)
         rep = cdelta.center_report(g, "v")
-        dev = max(dev, 0 if rep.center_dim == 2 else 1)
-        dev = max(dev, abs(rep.atom_trace - 0.5 * 0.8))
+        yield 0 if rep.center_dim == 2 else 1
+        yield abs(rep.atom_trace - 0.5 * 0.8)
         rep2 = cdelta.center_report(g, "w")
-        dev = max(dev, 0 if rep2.center_dim == 1 else 1)
+        yield 0 if rep2.center_dim == 1 else 1
         g3 = two_vertex_graph(2, 2 / 3, 1 / 3)
         rep3 = cdelta.center_report(g3, "v")  # delta(v) = 1: single
-        dev = max(dev, 0 if rep3.center_dim == 1 else 1)
-        return dev, tol
-    run.check("center-reports", centers)
+        yield 0 if rep3.center_dim == 1 else 1
+    run.check("center-reports", centers, run.tol)
 
 
-def _suite_cumulants(run: _Runner, tol: float, seed: int):
-    fork = named_graph("fork")
-    a3f = fork  # two hubs through one even vertex
+def _suite_cumulants(run: _Runner):
+    a3f = named_graph("fork")  # two hubs through one even vertex
 
     def two_routes():
-        dev = 0.0
         gens = cumulants.even_generators(a3f)
         for k in (1, 2, 3, 4):
-            for tup in _composable_tuples(gens, k, limit=120, seed=seed):
-                dev = max(dev, cumulants.b_diff_norm(
-                    cumulants.kappa_mobius(a3f, tup),
-                    cumulants.kappa_starry(a3f, tup)))
-        return dev, tol
-    run.check("cumulant-closed-form", two_routes)
+            for tup in _composable_tuples(gens, k, limit=120, seed=run.seed):
+                yield cumulants.b_diff_norm(cumulants.kappa_mobius(a3f, tup),
+                                            cumulants.kappa_starry(a3f, tup))
+    run.check("cumulant-closed-form", two_routes, run.tol)
 
     def moment_consistency():
-        dev = 0.0
         gens = cumulants.even_generators(a3f)
         for k in (1, 2, 3, 4):
-            for tup in _composable_tuples(gens, k, limit=60, seed=seed + 1):
+            for tup in _composable_tuples(gens, k, limit=60, seed=run.seed + 1):
                 lhs = cumulants.moment_phi(a3f, tup)
                 rhs = cumulants.kappa_from_kernel(
                     lambda ps: cumulants.kappa_starry(a3f, ps), tup)
-                dev = max(dev, cumulants.b_diff_norm(lhs, rhs))
-        return dev, tol
-    run.check("moment-cumulant-recovery", moment_consistency)
+                yield cumulants.b_diff_norm(lhs, rhs)
+    run.check("moment-cumulant-recovery", moment_consistency, run.tol)
 
     def mobius_roundtrip():
-        rng = np.random.default_rng(seed + 2)
-        dev = 0.0
+        rng = np.random.default_rng(run.seed + 2)
         gens = cumulants.even_generators(a3f)
         values: dict[tuple, cumulants.BElement] = {}
 
@@ -568,48 +540,43 @@ def _suite_cumulants(run: _Runner, tol: float, seed: int):
             return cumulants.kappa_of_moments(kernel, paths)
 
         for k in (1, 2, 3, 4):
-            for tup in _composable_tuples(gens, k, limit=40, seed=seed + 3):
+            for tup in _composable_tuples(gens, k, limit=40, seed=run.seed + 3):
                 recovered = cumulants.kappa_from_kernel(kappa_kernel, tup)
-                dev = max(dev, cumulants.b_diff_norm(recovered, kernel(tup)))
-        return dev, tol
-    run.check("mobius-inversion-roundtrip", mobius_roundtrip)
+                yield cumulants.b_diff_norm(recovered, kernel(tup))
+    run.check("mobius-inversion-roundtrip", mobius_roundtrip, run.tol)
 
     # both partitions hold several interval blocks, so "first" and "last"
     # extract them in different orders
     def extension_order():
-        dev = 0.0
         gens = cumulants.even_generators(a3f)
         pis = (noncross.nc_zero(4), noncross.nc(4, [(1,), (2, 3), (4,)]))
-        for tup in _composable_tuples(gens, 4, limit=40, seed=seed + 4):
+        for tup in _composable_tuples(gens, 4, limit=40, seed=run.seed + 4):
             for p in pis:
                 a = cumulants.moment_pi(a3f, p, tup, pick="first")
                 b = cumulants.moment_pi(a3f, p, tup, pick="last")
-                dev = max(dev, cumulants.b_diff_norm(a, b))
-        return dev, tol
-    run.check("extension-order-independence", extension_order)
+                yield cumulants.b_diff_norm(a, b)
+    run.check("extension-order-independence", extension_order, run.tol)
 
     def bimodule():
-        dev = 0.0
         gens = cumulants.even_generators(a3f)
-        for tup in _composable_tuples(gens, 3, limit=60, seed=seed + 5):
+        for tup in _composable_tuples(gens, 3, limit=60, seed=run.seed + 5):
             val = cumulants.kappa_mobius(a3f, tup)
             u, x = tup[0].start, tup[-1].finish
             for v, c in val.items():
                 if v != u or (u != x and c != 0):
-                    dev = max(dev, abs(c) if v != u else 1.0)
-        return dev, tol
-    run.check("bimodule-support", bimodule)
+                    yield abs(c) if v != u else 1.0
+    run.check("bimodule-support", bimodule, run.tol)
 
     def certificate():
-        rng = np.random.default_rng(seed + 6)
+        rng = np.random.default_rng(run.seed + 6)
         rep = cumulants.freeness_certificate(a3f, max_order=4, tol=1e-10, rng=rng)
         # the margin: the larger of the two deviations the certificate
         # judges.  It passes only when both lie strictly below its tol, so
         # a failed certificate whose deviation ties the tol (or is NaN)
         # still fails the check
         dev = max(rep.max_mixed_cumulant, rep.stp_max_dev)
-        return (dev if rep.passed or dev > 1e-10 else math.inf), 1e-10
-    run.check("freeness-certificate", certificate)
+        yield dev if rep.passed or dev > 1e-10 else math.inf
+    run.check("freeness-certificate", certificate, 1e-10)
 
 
 def _composable_tuples(gens, k, limit, seed):
@@ -646,30 +613,29 @@ def _tpq_sample(n, m, rng, count):
     return out
 
 
-def _suite_factor(run: _Runner, tol: float, seed: int):
+def _suite_factor(run: _Runner):
     def paper_values():
-        dev = 0.0
         d = factors.prop_line(2, 0.5, 0.5)
-        dev = max(dev, abs(d.diffuse[0][0] - 3.0), abs(len(d.atoms)))
+        yield abs(d.diffuse[0][0] - 3.0)
+        yield len(d.atoms)
         d = factors.prop_line(1, 0.5, 0.5)
-        dev = max(dev, abs(d.diffuse[0][0] - 1.0))
+        yield abs(d.diffuse[0][0] - 1.0)
         d = factors.prop_line(1, 1 / 3, 2 / 3)
-        dev = max(dev, abs(d.atoms[0] - 0.5), abs(d.diffuse[0][0] - 1.0))
+        yield abs(d.atoms[0] - 0.5)
+        yield abs(d.diffuse[0][0] - 1.0)
         d = factors.omega_factor(2, 0.5, 0.5)
-        dev = max(dev, abs(d.diffuse[0][0] - 1.5))
-        dev = max(dev, 0.0 if factors.omega_factor(1, 0.4, 0.6) is None else 1.0)
+        yield abs(d.diffuse[0][0] - 1.5)
+        yield 0.0 if factors.omega_factor(1, 0.4, 0.6) is None else 1.0
         for n in (2, 3, 4):
             base = factors.AlgDesc((1 - 1 / math.sqrt(n),),
                                    ((1.0, 1 / math.sqrt(n)),))
             prod = factors.free_product_many([base] * n)
-            dev = max(dev, abs(prod.diffuse[0][0] - (2 * math.sqrt(n) - 1)))
-            dev = max(dev, float(bool(prod.atoms)))
-        return dev, tol
-    run.check("paper-parameter-values", paper_values)
+            yield abs(prod.diffuse[0][0] - (2 * math.sqrt(n) - 1))
+            yield float(bool(prod.atoms))
+    run.check("paper-parameter-values", paper_values, run.tol)
 
     def pipeline():
-        rng = np.random.default_rng(seed)
-        dev = 0.0
+        rng = np.random.default_rng(run.seed)
         for _ in range(200):
             k = int(rng.integers(1, 4))
             qs = [int(rng.integers(1, 4)) for _ in range(k)]
@@ -678,20 +644,18 @@ def _suite_factor(run: _Runner, tol: float, seed: int):
             weights, b = raw[:k].tolist(), float(raw[k])
             closed = factors.star_m1(qs, weights, b)
             piped = factors.star_m1_pipeline(qs, weights, b)
-            dev = max(dev, _desc_diff(closed, piped))
-        return dev, 1e-9
-    run.check("single-hub-pipeline-agreement", pipeline)
+            yield _desc_diff(closed, piped)
+    run.check("single-hub-pipeline-agreement", pipeline, 1e-9)
 
     def component_routes():
         # The free-dimension formula off the PF weighting, with delta(v) >= 1
         # everywhere, against the two-vertex rule and the atom-free hub corner.
-        rng = np.random.default_rng(seed)
-        dev = 0.0
+        rng = np.random.default_rng(run.seed)
         for _ in range(20):
             q = int(rng.integers(2, 5))
             g = two_vertex_graph(q, q ** rng.uniform(-1.0, 1.0), 1.0)
             whole = factors.omega_factor(q, *g.mu2).diffuse[0][0]
-            dev = max(dev, abs(factors.component_parameter(g, [0, 1]) - whole))
+            yield abs(factors.component_parameter(g, [0, 1]) - whole)
         for _ in range(20):
             qu = []  # spoke i: q_i edges and q_i u_i times the hub mass, delta 1/u_i
             while sum(q * q * u for q, u in qu) < 1.0:  # delta(hub) >= 1
@@ -703,64 +667,57 @@ def _suite_factor(run: _Runner, tol: float, seed: int):
                             [("c", f"l{i}", q) for i, (q, _) in enumerate(qu)])
             corner = factors.star_m1([q for q, _ in qu], g.mu2[1:], g.mu2[0])
             s = factors.component_parameter(g, range(g.n_vertices))
-            dev = max(dev, float(bool(corner.atoms)),
-                      abs(factors.compress_factor(s, g.mu2[0]) - corner.diffuse[0][0]))
-        return dev, 1e-12
-    run.check("component-parameter-routes", component_routes)
+            yield float(bool(corner.atoms))
+            yield abs(factors.compress_factor(s, g.mu2[0]) - corner.diffuse[0][0])
+    run.check("component-parameter-routes", component_routes, 1e-12)
 
     def atoms():
         g = two_vertex_graph(2, 0.8, 0.2)
         rep = factors.m_gamma_report(g)
-        dev = abs(dict(rep.atoms).get("v", 0.0) - 0.4)
+        yield abs(dict(rep.atoms).get("v", 0.0) - 0.4)
         got = {vid: tr for vid, tr in cdelta.graph_atoms(g)}
-        dev = max(dev, abs(got.get("v", 0.0) - 0.4), float("w" in got))
-        return dev, tol
-    run.check("structure-atoms", atoms)
+        yield abs(got.get("v", 0.0) - 0.4)
+        yield float("w" in got)
+    run.check("structure-atoms", atoms, run.tol)
 
     def compress():
-        dev = 0.0
         for q, a in ((2, 0.5), (3, 0.3)):
             b = 1 - a
             whole = 1 + 2 * q * a * b - a * a - b * b
-            dev = max(dev, abs(factors.compress_factor(whole, b)
-                               - (2 * q * a / b - (a / b) ** 2)))
-            dev = max(dev, abs(factors.compress_factor(whole, a)
-                               - (2 * q * b / a - (b / a) ** 2)))
-        dev = max(dev, abs(factors.compress_factor(3.0, 1.0) - 3.0))
-        dev = max(dev, abs(factors.compress_factor(3.0, 0.5) - 9.0))
-        return dev, tol
-    run.check("corner-compression", compress)
+            yield abs(factors.compress_factor(whole, b) - (2 * q * a / b - (a / b) ** 2))
+            yield abs(factors.compress_factor(whole, a) - (2 * q * b / a - (b / a) ** 2))
+        yield abs(factors.compress_factor(3.0, 1.0) - 3.0)
+        yield abs(factors.compress_factor(3.0, 0.5) - 9.0)
+    run.check("corner-compression", compress, run.tol)
 
 
 def _desc_diff(a: factors.AlgDesc, b: factors.AlgDesc) -> float:
+    """The largest gap between matched atoms and diffuse summands (NaN if
+    any gap is NaN), or 1.0 when the shapes differ."""
     if len(a.atoms) != len(b.atoms) or len(a.diffuse) != len(b.diffuse):
         return 1.0
-    dev = 0.0
-    for x, y in zip(sorted(a.atoms), sorted(b.atoms)):
-        dev = max(dev, abs(x - y))
+    pairs = list(zip(sorted(a.atoms), sorted(b.atoms)))
     for (t1, g1), (t2, g2) in zip(sorted(a.diffuse), sorted(b.diffuse)):
-        dev = max(dev, abs(t1 - t2), abs(g1 - g2))
-    return dev
+        pairs += [(t1, t2), (g1, g2)]
+    return gralg.max_abs([x - y for x, y in pairs])
 
 
-def _suite_moments(run: _Runner, tol: float):
+def _suite_moments(run: _Runner):
     def poisson():
-        dev = 0.0
         for q, a in ((1, 0.5), (2, 0.5), (2, 0.4), (3, 0.6)):
             g = two_vertex_graph(q, a, 1 - a)
             rate = a / ((1 - a) * q)
             got = cumulants.omega_matrix_moments(g, 5)
             want = [cumulants.nc_rate_moment(rate, k) for k in range(1, 6)]
-            dev = max(dev, max(abs(x - y) for x, y in zip(got, want)))
+            yield from (abs(x - y) for x, y in zip(got, want))
         g = two_vertex_graph(1, 0.5, 0.5)
         got = cumulants.omega_matrix_moments(g, 5)
-        dev = max(dev, max(abs(x - noncross.catalan(k + 1))
-                           for k, x in enumerate(got)))
-        return dev, 1e-8
-    run.check("matrix-moments-free-poisson", poisson)
+        yield from (abs(x - noncross.catalan(k + 1)) for k, x in enumerate(got))
+    run.check("matrix-moments-free-poisson", poisson, 1e-8)
 
 
-def _suite_planar(run: _Runner, tol: float, seed: int):
+def _suite_planar(run: _Runner):
+    tol, seed = 1e-8, run.seed  # the tower checks keep their own tolerance
     towers_graphs = {"a3": line_graph(3, star_first=True),
                      "a4": line_graph(4, star_first=True)}
     for name, g in towers_graphs.items():
@@ -768,69 +725,58 @@ def _suite_planar(run: _Runner, tol: float, seed: int):
         delta = delta_v(g, star_v)
 
         def jones(g=g, delta=delta):
-            dev = 0.0
             for n in (2, 3, 4):
                 e = towers.jones_projection(g, n)
-                dev = max(dev, towers.mult(e, e).norm_inf_diff(e))
-                dev = max(dev, towers.star_t(e).norm_inf_diff(e))
+                yield towers.mult(e, e).norm_inf_diff(e)
+                yield towers.star_t(e).norm_inf_diff(e)
             for i in (2, 3):
                 ei = towers._jones_tower(g, 4, i)
                 ej = towers._jones_tower(g, 4, i + 1)
                 lhs = towers.mult(towers.mult(ei, ej), ei)
-                dev = max(dev, lhs.norm_inf_diff((delta ** -2) * ei))
+                yield lhs.norm_inf_diff((delta ** -2) * ei)
                 lhs = towers.mult(towers.mult(ej, ei), ej)
-                dev = max(dev, lhs.norm_inf_diff((delta ** -2) * ej))
-            return dev, tol
-        run.check(f"jones-projections[{name}]", jones)
+                yield lhs.norm_inf_diff((delta ** -2) * ej)
+        run.check(f"jones-projections[{name}]", jones, tol)
 
         def markov(g=g, delta=delta):
             rng = np.random.default_rng(seed)
-            dev = 0.0
             for n in (2, 3):
                 basis = towers.pair_basis(g, n)
                 x = towers.TowerElement(
                     g, n, {p: float(rng.uniform(-1, 1)) for p in basis[:8]})
-                dev = max(dev, towers.cond_exp(towers.include(x)).norm_inf_diff(x))
-                dev = max(dev, abs(towers.trace_t(towers.include(x))
-                                   - towers.trace_t(x)))
+                yield towers.cond_exp(towers.include(x)).norm_inf_diff(x)
+                yield abs(towers.trace_t(towers.include(x)) - towers.trace_t(x))
                 e = towers.jones_projection(g, n + 1)
-                dev = max(dev, abs(towers.trace_t(towers.mult(towers.include(x), e))
-                                   - delta ** -2 * towers.trace_t(x)))
-            return dev, tol
-        run.check(f"markov-tower[{name}]", markov)
+                yield abs(towers.trace_t(towers.mult(towers.include(x), e))
+                          - delta ** -2 * towers.trace_t(x))
+        run.check(f"markov-tower[{name}]", markov, tol)
 
         def traces(g=g):
-            dev = 0.0
             for n in range(0, 4):
                 for p in enumerate_paths(g, g.star, n, None):
                     pair = towers.PathPair(p, p)
                     got = towers.trace_t(towers.TowerElement.basis(g, pair))
                     want = (delta_v(g, g.star) ** -n
                             * g.mu2[p.finish] / g.mu2[g.star])
-                    dev = max(dev, abs(got - want))
-            return dev, tol
-        run.check(f"minimal-projection-traces[{name}]", traces)
+                    yield abs(got - want)
+        run.check(f"minimal-projection-traces[{name}]", traces, tol)
 
         def loop_iso(g=g):
-            dev = 0.0
             star_v = g.star
             loops = []
             for n in (0, 2, 4):
                 loops += enumerate_paths(g, star_v, n, star_v)
             for p in loops:
                 xp = GradedElement.basis(g, p)
-                dev = max(dev, abs(tau(xp) / g.mu2[star_v]
-                                   - towers.gr0_trace(towers.theta(g, xp))))
+                yield abs(tau(xp) / g.mu2[star_v] - towers.gr0_trace(towers.theta(g, xp)))
                 for q in loops:
                     xq = GradedElement.basis(g, q)
                     lhs = towers.theta(g, bullet_mul(xp, xq))
                     rhs = towers.gr0_mul(towers.theta(g, xp), towers.theta(g, xq))
-                    dev = max(dev, lhs.norm_inf_diff(rhs))
-            return dev, tol
-        run.check(f"loop-isomorphism[{name}]", loop_iso)
+                    yield lhs.norm_inf_diff(rhs)
+        run.check(f"loop-isomorphism[{name}]", loop_iso, tol)
 
         def two_routes(g=g):
-            dev = 0.0
             star_v = g.star
             rng = np.random.default_rng(seed + 8)
             pools = {n: enumerate_paths(g, star_v, 2 * n, star_v) for n in (1, 2, 3)}
@@ -843,13 +789,10 @@ def _suite_planar(run: _Runner, tol: float, seed: int):
                 q = pools[n][int(rng.integers(0, len(pools[n])))]
                 x = towers.theta(g, GradedElement.basis(g, p))
                 y = towers.theta(g, GradedElement.basis(g, q))
-                dev = max(dev, towers.gr0_mul(x, y).norm_inf_diff(
-                    towers.gr0_mul_tangle(x, y)))
-            return dev, tol
-        run.check(f"loop-product-two-routes[{name}]", two_routes)
+                yield towers.gr0_mul(x, y).norm_inf_diff(towers.gr0_mul_tangle(x, y))
+        run.check(f"loop-product-two-routes[{name}]", two_routes, tol)
 
         def equivariance(g=g):
-            dev = 0.0
             star_v = g.star
             for n in (1, 2, 3):
                 for i in range(1, 2 * n):
@@ -858,23 +801,17 @@ def _suite_planar(run: _Runner, tol: float, seed: int):
                         lhs = towers.theta(
                             g, epitl.act(epitl.cap_generator(2 * n, i), x))
                         rhs = towers.annular_cap(g, n, i, towers.theta(g, x))
-                        dev = max(dev, lhs.norm_inf_diff(rhs))
-            return dev, tol
-        run.check(f"annular-equivariance[{name}]", equivariance)
+                        yield lhs.norm_inf_diff(rhs)
+        run.check(f"annular-equivariance[{name}]", equivariance, tol)
 
         def pairing_elements(g=g, delta=delta):
-            dev = 0.0
             t = noncross.nc(4, [(1, 2), (3, 4)])
-            dev = max(dev, towers.ztl(g, t).norm_inf_diff(
-                delta * towers.jones_projection(g, 2)))
+            yield towers.ztl(g, t).norm_inf_diff(delta * towers.jones_projection(g, 2))
             ident = noncross.nc(4, [(1, 4), (2, 3)])
-            dev = max(dev, towers.ztl(g, ident).norm_inf_diff(
-                towers.identity_element(g, 2)))
-            return dev, tol
-        run.check(f"pairing-elements[{name}]", pairing_elements)
+            yield towers.ztl(g, ident).norm_inf_diff(towers.identity_element(g, 2))
+        run.check(f"pairing-elements[{name}]", pairing_elements, tol)
 
         def shifted(g=g):
-            dev = 0.0
             hub = None
             for v in range(g.n_vertices):
                 if v != g.star and enumerate_paths(g, g.star, 1, v):
@@ -888,55 +825,36 @@ def _suite_planar(run: _Runner, tol: float, seed: int):
             for p in loops:
                 xp = GradedElement.basis(g, p)
                 tp = towers.theta1(g, hub, xp)
-                dev = max(dev, abs(tau(xp) / g.mu2[hub]
-                                   - towers.gr1_trace_raw(tp) / tau_q))
+                yield abs(tau(xp) / g.mu2[hub] - towers.gr1_trace_raw(tp) / tau_q)
                 for q in loops:
                     xq = GradedElement.basis(g, q)
                     lhs = towers.theta1(g, hub, bullet_mul(xp, xq))
                     rhs = towers.gr1_mul(towers.theta1(g, hub, xp),
                                          towers.theta1(g, hub, xq))
-                    dev = max(dev, lhs.norm_inf_diff(rhs))
-            return dev, tol
-        run.check(f"shifted-loop-isomorphism[{name}]", shifted)
+                    yield lhs.norm_inf_diff(rhs)
+        run.check(f"shifted-loop-isomorphism[{name}]", shifted, tol)
 
 
-SUITES = ("combinatorics", "isomorphism", "trace", "gram", "epitl",
-          "cdelta", "cumulants", "factor", "moments", "planar")
+_SUITES = {"combinatorics": _suite_combinatorics, "isomorphism": _suite_isomorphism,
+           "trace": _suite_trace, "gram": _suite_gram, "epitl": _suite_epitl,
+           "cdelta": _suite_cdelta, "cumulants": _suite_cumulants,
+           "factor": _suite_factor, "moments": _suite_moments, "planar": _suite_planar}
+SUITES = tuple(_SUITES)
 
 
 def run_verification(suite: str = "all", max_degree: int = 6,
                      tol: float = 1e-9, seed: int = 0,
                      fast: bool = False) -> VerificationReport:
-    """Run one named suite (or all of them) and report the outcomes."""
-    if fast:
-        max_degree = min(max_degree, 4)
-    report = VerificationReport(suite)
-    run = _Runner(report)
-    graphs = standard_graphs()
-    wanted = SUITES if suite == "all" else (suite,)
-    for s in wanted:
-        run.suite = s
-        if s == "combinatorics":
-            _suite_combinatorics(run, 6 if not fast else 5)
-        elif s == "isomorphism":
-            _suite_isomorphism(run, graphs, max_degree, tol)
-        elif s == "trace":
-            _suite_trace(run, graphs, max_degree, tol, seed)
-        elif s == "gram":
-            _suite_gram(run, graphs if not fast else
-                        {k: graphs[k] for k in ("a2", "a3")}, max_degree, tol)
-        elif s == "epitl":
-            _suite_epitl(run, graphs, 8 if not fast else 6, tol, seed)
-        elif s == "cdelta":
-            _suite_cdelta(run, graphs, tol, seed)
-        elif s == "cumulants":
-            _suite_cumulants(run, tol, seed)
-        elif s == "factor":
-            _suite_factor(run, tol, seed)
-        elif s == "moments":
-            _suite_moments(run, tol)
-        elif s == "planar":
-            _suite_planar(run, 1e-8, seed)
-        else:
-            raise ValueError(f"unknown suite {suite!r}; choose from {SUITES} or 'all'")
-    return report
+    """Run one named suite (or all of them) and report the outcomes.
+
+    ``fast`` caps the degree at 4 for every suite; the suites that cap
+    more under it say so themselves.
+    """
+    if suite != "all" and suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES} or 'all'")
+    run = _Runner(VerificationReport(suite), standard_graphs(),
+                  min(max_degree, 4) if fast else max_degree, tol, seed, fast)
+    for name in SUITES if suite == "all" else (suite,):
+        run.suite = name
+        _SUITES[name](run)
+    return run.report

@@ -7,9 +7,11 @@ checks that pass on the real code and must fail on the mutant at
 what it checks from none.
 """
 
+import math
+
 import pytest
 
-from graphfree import epitl
+from graphfree import epitl, falg
 from graphfree.graphs import Path
 from graphfree.gralg import GradedElement
 from graphfree.verification import run_verification
@@ -65,6 +67,19 @@ def _cup_inverse_weight(x, i):
     return GradedElement(g, out)
 
 
+def _t_functional_nan(x):
+    """falg.t_functional that reads NaN on every element."""
+    return math.nan
+
+
+_closed_cap_value = epitl.closed_cap_value
+
+
+def _closed_cap_nan_where_nonzero(graph, t, path):
+    """epitl.closed_cap_value that reads NaN wherever the real one is nonzero."""
+    return math.nan if _closed_cap_value(graph, t, path) else 0.0
+
+
 EXCHANGE = ("exchange-relation[a3]", "exchange-relation[k1_2]", "exchange-relation[dbl]")
 
 MUTANTS = [
@@ -72,6 +87,11 @@ MUTANTS = [
     (epitl, "act", _cap_drops_the_next_pair, "epitl", EXCHANGE),
     (epitl, "act", _cap_one_slot_right, "epitl", EXCHANGE),
     (epitl, "cup", _cup_inverse_weight, "cdelta", ("generator-relations",)),
+    # a NaN deviation fails its check; max(dev, nan) used to drop it
+    (falg, "t_functional", _t_functional_nan, "trace",
+     tuple(f"tau-equals-t-phi[{g}]" for g in ("a2", "a3", "a4", "k1_2", "k1_3", "dbl"))),
+    (epitl, "closed_cap_value", _closed_cap_nan_where_nonzero, "planar",
+     ("pairing-elements[a3]", "loop-isomorphism[a3]", "loop-product-two-routes[a3]")),
 ]
 
 
@@ -85,3 +105,12 @@ def test_mutant_fails_its_checks(monkeypatch, module, name, mutant, suite, check
     monkeypatch.setattr(module, name, mutant)
     after = passed()
     assert not any(after[c] for c in checks), after
+
+
+def test_an_error_witness_names_the_exception_type(monkeypatch):
+    # the dropped pair leaves an image outside the length-(n-2) table
+    monkeypatch.setattr(epitl, "act", _cap_drops_the_next_pair)
+    result = next(r for r in run_verification("epitl", fast=True).results
+                  if r.check_id == "exchange-relation[a3]")
+    assert not result.passed
+    assert result.witness.startswith("error: KeyError: "), result.witness

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -441,6 +442,20 @@ def test_freeness_failing_certificate_names_its_tuple(fork, monkeypatch):
     assert not rep.passed and rep.max_mixed_cumulant >= 1e-3
     assert rep.witness == " ; ".join(
         "->".join(fork.ids[v] for v in p.vertices) for p in target)
+
+
+def test_freeness_certificate_fails_on_a_nan_cumulant(fork, monkeypatch):
+    # a NaN moment makes NaN cumulants; `val > worst` alone never took one
+    real = cm._loop_moment
+    monkeypatch.setattr(cm, "_loop_moment", lambda graph, paths: {
+        v: float("nan") for v in real(graph, paths)})
+    rep = cm.freeness_certificate(fork, max_order=3)
+    assert rep.n_tuples == 21
+    assert math.isnan(rep.max_mixed_cumulant) and not rep.passed
+    # the witness is the first NaN tuple, as verify's runner stops at the first
+    first = next(cm._mixed_tuples(fork, cm.even_generators(fork), 2))
+    assert rep.witness == " ; ".join(
+        "->".join(fork.ids[v] for v in p.vertices) for p in first)
 
 
 def test_freeness_certificate_order_six(fork):

@@ -4,11 +4,15 @@ Both are sparse combinations over a graph: paths for the graded algebra,
 level-n path pairs for the towers.  Each contract below runs on both.
 """
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from graphfree import cumulants, towers as tw
-from graphfree.gralg import GradedElement
+from graphfree.gralg import GradedElement, max_abs_diff
 from graphfree.graphs import GraphError, enumerate_paths, line_graph
+from graphfree.verification import _desc_diff
 
 
 def _graded(graph, level):
@@ -92,3 +96,22 @@ def test_b_diff_norm_disjoint_keys():
     assert cumulants.b_diff_norm({0: 1.0, 2: -3.0}, {1: 2.5}) == 3.0
     assert cumulants.b_diff_norm({}, {1: -2.5}) == 2.5
     assert cumulants.b_diff_norm({}, {}) == 0.0
+
+
+def test_max_helpers_keep_a_nan_in_any_key_order():
+    nan = float("nan")
+    for a in ({1: 0.0, 2: nan}, {2: nan, 1: 0.0}, {1: 2.0, 2: nan}, {2: nan, 1: 2.0}):
+        assert math.isnan(max_abs_diff(a, {}))
+        assert math.isnan(max_abs_diff({}, a))
+        assert math.isnan(cumulants.b_norm(a))
+    assert math.isnan(max_abs_diff({0: 1.0}, {0: nan, 1: 5.0}))
+    assert cumulants.b_norm({0: 0.5, 1: -3.0}) == 3.0
+    assert cumulants.b_norm({}) == 0.0
+    # _desc_diff reads only atoms and diffuse: raw stand-ins carry a NaN
+    # anywhere, where AlgDesc would refuse most of them
+    desc = SimpleNamespace(atoms=(0.25,), diffuse=((1.0, 0.75),))
+    for bad in (SimpleNamespace(atoms=(nan,), diffuse=((1.0, 0.75),)),
+                SimpleNamespace(atoms=(0.25,), diffuse=((nan, 0.75),)),
+                SimpleNamespace(atoms=(0.25,), diffuse=((1.0, nan),))):
+        assert math.isnan(_desc_diff(desc, bad)) and math.isnan(_desc_diff(bad, desc))
+    assert _desc_diff(desc, SimpleNamespace(atoms=(0.5,), diffuse=((1.0, 0.5),))) == 0.25

@@ -10,6 +10,39 @@ from graphfree.graphs import delta_v, enumerate_paths, named_graph
 from graphfree.verification import VerificationReport, _Runner, run_verification
 
 
+CHECK_IDS = (
+    "catalan-counts", "kreweras-oracle-and-rank", "kreweras-class-and-sign-identities",
+    "doubling-bijection", "mobius-zero-to-one", "phi-psi-identity[a2]",
+    "phi-psi-identity[a3]", "phi-psi-identity[a4]", "phi-psi-identity[k1_2]",
+    "phi-psi-identity[k1_3]", "phi-psi-identity[dbl]", "phi-star-compatible[a2]",
+    "phi-multiplicative[a2]", "tau-equals-t-phi[a2]", "traciality[a2]",
+    "tau-equals-t-phi[a3]", "traciality[a3]", "tau-equals-t-phi[a4]", "traciality[a4]",
+    "tau-equals-t-phi[k1_2]", "traciality[k1_2]", "tau-equals-t-phi[k1_3]",
+    "traciality[k1_3]", "tau-equals-t-phi[dbl]", "traciality[dbl]", "gram-diagonal[a2]",
+    "gram-diagonal[a3]", "gram-diagonal[a4]", "gram-diagonal[k1_2]",
+    "gram-diagonal[k1_3]", "gram-diagonal[dbl]", "exchange-relation[a2]",
+    "exchange-relation[a3]", "exchange-relation[k1_2]", "exchange-relation[dbl]",
+    "compose-vs-rewriting", "action-functorial", "cap-adjoint-and-norm",
+    "full-capping-closed-form", "generator-relations", "degenerate-relations",
+    "cap-normalization-identity", "weight-multiplicativity", "weight-norm-estimate",
+    "commutant-inversion", "alternating-truncation-structure", "center-reports",
+    "cumulant-closed-form", "moment-cumulant-recovery", "mobius-inversion-roundtrip",
+    "extension-order-independence", "bimodule-support", "freeness-certificate",
+    "paper-parameter-values", "single-hub-pipeline-agreement",
+    "component-parameter-routes", "structure-atoms", "corner-compression",
+    "matrix-moments-free-poisson", "jones-projections[a3]", "markov-tower[a3]",
+    "minimal-projection-traces[a3]", "loop-isomorphism[a3]",
+    "loop-product-two-routes[a3]", "annular-equivariance[a3]", "pairing-elements[a3]",
+    "shifted-loop-isomorphism[a3]", "jones-projections[a4]", "markov-tower[a4]",
+    "minimal-projection-traces[a4]", "loop-isomorphism[a4]",
+    "loop-product-two-routes[a4]", "annular-equivariance[a4]", "pairing-elements[a4]",
+    "shifted-loop-isomorphism[a4]",
+)
+# --fast runs the Gram check on a2 and a3 only
+FAST_CHECK_IDS = tuple(c for c in CHECK_IDS if c not in {
+    "gram-diagonal[a4]", "gram-diagonal[k1_2]", "gram-diagonal[k1_3]", "gram-diagonal[dbl]"})
+
+
 def test_all_suites_pass_fast():
     t0 = time.time()
     rep = run_verification("all", fast=True, seed=1)
@@ -17,6 +50,7 @@ def test_all_suites_pass_fast():
     failed = [r for r in rep.results if not r.passed]
     assert rep.ok, [f"{r.check_id}: {r.witness}" for r in failed]
     assert elapsed < 240.0
+    assert tuple(r.check_id for r in rep.results) == FAST_CHECK_IDS
 
 
 def test_suite_names_are_runnable():
@@ -33,6 +67,38 @@ def test_report_ordering_deterministic():
     assert [r.witness for r in a.results] == [r.witness for r in b.results]
 
 
+def test_gram_check_ids_are_pinned():
+    # a full run differs from the --fast one (pinned by test_all_suites_pass_fast)
+    # only in the gram suite
+    assert len(CHECK_IDS) == 75 and len(FAST_CHECK_IDS) == 71
+    gram = run_verification("gram", max_degree=6)
+    assert tuple(r.check_id for r in gram.results) == tuple(
+        c for c in CHECK_IDS if c.startswith("gram-diagonal["))
+
+
+def _judge(*deviations, tol=1e-9):
+    report = VerificationReport("x")
+    _Runner(report, {}, 0, tol, 0, False).check("c", lambda: iter(deviations), tol)
+    return report.results[0]
+
+
+def test_runner_judges_the_largest_deviation_and_fails_at_a_nan():
+    assert _judge().witness == "max deviation 0 (tol 1e-09)" and _judge().passed
+    assert _judge(1e-10, -1.0, 5e-10).witness == "max deviation 5e-10 (tol 1e-09)"
+    assert not _judge(0.0, 2e-9).passed
+    for devs in ((float("nan"), 0.0), (0.0, float("nan")), (2.0, np.nan, 3.0)):
+        result = _judge(*devs, tol=10.0)
+        assert not result.passed and result.witness == "max deviation nan (tol 1e+01)"
+
+    def fails_midway():
+        yield 0.0
+        raise KeyError("v0")
+    report = VerificationReport("x")
+    _Runner(report, {}, 0, 1e-9, 0, False).check("c", fails_midway, 1e-9)
+    assert not report.results[0].passed
+    assert report.results[0].witness == "error: KeyError: 'v0'"
+
+
 def test_verification_failure_exit_code(capsys):
     # an absurd tolerance forces the trace comparison to fail with code 1
     code = main(["trace", "--named", "a3", "--all-loops", "--max-len", "4",
@@ -44,7 +110,8 @@ def test_verification_failure_exit_code(capsys):
 def test_check_stores_plain_bool():
     # a numpy deviation compares to numpy.bool_, which json cannot write
     report = VerificationReport("x")
-    _Runner(report).check("numpy-deviation", lambda: (np.float64(0.0), 1e-9))
+    _Runner(report, {}, 0, 1e-9, 0, False).check(
+        "numpy-deviation", lambda: (np.float64(1e-12),), 1e-9)
     assert type(report.results[0].passed) is bool
     json.dumps(report.as_dict())
 
@@ -77,9 +144,9 @@ def _calls_per_check(monkeypatch, module, name, suite):
         calls[0] += 1
         return real(*args)
 
-    def check(self, check_id, fn):
+    def check(self, check_id, fn, tol):
         before = calls[0]
-        real_check(self, check_id, fn)
+        real_check(self, check_id, fn, tol)
         per_check[check_id] = calls[0] - before
 
     monkeypatch.setattr(module, name, counting)
