@@ -384,11 +384,16 @@ def cmd_gram(args) -> int:
                            f"to degree {degree} alone; lower --max-degree")
     basis = falg.truncated_basis(g, args.max_degree)
     worst_off, worst_diag = 0.0, 0.0
+    # each fold keeps the first NaN, which max() would drop
     for p, q, val in falg.gram_blocks(g, args.max_degree):
         if p == q:
-            worst_diag = max(worst_diag, abs(val - g.mu(p.start) * g.mu(p.finish)))
+            dev = abs(val - g.mu(p.start) * g.mu(p.finish))
+            if dev > worst_diag or (dev != dev and worst_diag == worst_diag):
+                worst_diag = dev
         else:
-            worst_off = max(worst_off, abs(val))
+            dev = abs(val)
+            if dev > worst_off or (dev != dev and worst_off == worst_off):
+                worst_off = dev
     ok = worst_off <= args.tol and worst_diag <= args.tol
     _emit(args,
           [f"basis size: {len(basis)} (degrees <= {args.max_degree})",
@@ -507,10 +512,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GraphError as exc:
+    except (CliError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,14 +12,15 @@ trace memo by them, building no composite path.  The matrix moments of
 the two-vertex graph walk their word tree on one face stack, one row per
 distinct suffix of the loops.
 
-A multiplicative extension on pi depends on pi only through the order
-in which its interval blocks are folded into their left neighbours, an
-extraction plan on positions.  Mobius inversion keeps the plans of NC(n)
-as one trie, built once per n straight from the block families with
-mu(pi, 1_n) from their Kreweras cycles, and walks it against one memo of
-block values per tuple: each distinct block (at most 2^n - 1) reaches
-the kernel once, each step's scalar is read once per shared prefix, and
-a zero scalar skips every plan below it.
+A multiplicative extension on pi folds its interval blocks, one at a
+time, into the argument on their left; :func:`multiplicative_extension`
+does so by recursion, as the oracle.  Mobius inversion fixes the order
+as extraction plans on positions and keeps those of NC(n) as one trie,
+built once per n straight from the block families with mu(pi, 1_n) from
+their Kreweras cycles.  It walks the trie against one memo of block
+values per tuple: each distinct block (at most 2^n - 1) reaches the
+kernel once, each step's scalar is read once per shared prefix, and a
+zero scalar skips every plan below it.
 """
 
 from __future__ import annotations
@@ -96,80 +97,36 @@ def _loop_moment(graph: Graph, paths) -> BElement:
 # multiplicative extensions and Mobius inversion
 
 
-# For multiplicative_extension; Mobius inversion reads the same plans from
-# the trie of _mobius_row.  Holds NC(n) for n <= 8 under both picks:
-# 2 * (1 + 1 + 2 + 5 + ... + 1430).
-@functools.lru_cache(maxsize=4112)
-def _extraction_plan(pi: noncross.NCPartition, pick: str = "first"):
-    """The order in which interval blocks of pi are extracted, on positions.
-
-    Returns ``(steps, outer)``.  Each step is (the block's 0-based
-    positions, the position of the argument left of the block when it is
-    extracted); ``outer`` is the block left at the end, the one holding
-    position 0.  A block is an interval when its points are adjacent
-    among the points not yet extracted, and ``pick`` chooses the first or
-    the last such block by minimum.  Restricting a non-crossing partition
-    to the remaining points keeps it non-crossing, so the rule needs no
-    partition rebuilt after each extraction.
-    """
-    blocks = [tuple(x - 1 for x in b) for b in pi.blocks]
-    steps = []
-    while len(blocks) != 1:
-        order = sorted(x for b in blocks for x in b)
-        rank = {x: i for i, x in enumerate(order)}
-        candidates = [b for b in blocks
-                      if rank[b[0]] > 0 and rank[b[-1]] - rank[b[0]] + 1 == len(b)]
-        if not candidates:
-            raise GraphError("no interval block; partition is not non-crossing")
-        block = candidates[0] if pick == "first" else candidates[-1]
-        steps.append((block, order[rank[block[0]] - 1]))
-        blocks.remove(block)
-    return tuple(steps), blocks[0]
-
-
-def _extend(plan, kernel, paths, memo: dict) -> BElement:
-    """One multiplicative extension along a plan.
-
-    ``memo`` maps block positions to the kernel's value on that
-    sub-tuple, so a block shared by several partitions of the same tuple
-    is evaluated once.  The kernel sees the extracted blocks in plan
-    order and then the outer block, and nothing after a zero scalar.
-    """
-    steps, outer = plan
-    scalars = []
-    for block, left in steps:
-        val = memo.get(block)
-        if val is None:
-            val = memo[block] = kernel(tuple(paths[i] for i in block))
-        scalar = val.get(paths[left].finish, 0.0)
-        if scalar == 0.0:
-            return {}
-        scalars.append(scalar)
-    out = memo.get(outer)
-    if out is None:
-        out = memo[outer] = kernel(tuple(paths[i] for i in outer))
-    # innermost scalar first, the association of the recursive route, so
-    # the two agree to the last bit
-    for scalar in reversed(scalars):
-        out = {v: scalar * c for v, c in out.items()}
-    return out
-
-
 def multiplicative_extension(kernel, pi: noncross.NCPartition, paths,
                              pick: str = "first") -> BElement:
-    """Evaluate the multiplicative extension of a family of maps on pi.
+    """The multiplicative extension of a family of maps on pi, by recursion.
 
-    ``kernel(paths)`` gives the map on full tuples and must be a pure
-    function of its sub-tuple.  Interval blocks are extracted in the
-    order of :func:`_extraction_plan`; each extracted value (a base
-    element) folds into the argument left of its block.  ``pick``
-    chooses which interval block to extract when several are available,
-    to let tests confirm the result does not depend on the extraction
-    order.
+    ``kernel(paths)`` gives the map on full tuples.  An interval block
+    not holding the first point (the first or the last by ``pick``) is
+    extracted, its value is read at the finish of the argument on its
+    left, and the scalar multiplies the extension of the rest, relabelled
+    through ``noncross.nc``.  This is the oracle for the plan trie of
+    :func:`_sum_extensions`; ``pick`` lets a check confirm the result does
+    not depend on the extraction order.
     """
     if len(paths) != pi.n:
         raise GraphError("arity mismatch")
-    return _extend(_extraction_plan(pi, pick), kernel, paths, {})
+    if pi.num_blocks == 1:
+        return kernel(paths)
+    candidates = [b for b in pi.blocks if b[0] > 1 and b[-1] - b[0] + 1 == len(b)]
+    if not candidates:
+        raise GraphError("no interval block; partition is not non-crossing")
+    block = candidates[0] if pick == "first" else candidates[-1]
+    k, l = block[0] - 1, block[-1]
+    scalar = kernel(tuple(paths[k:l])).get(paths[k - 1].finish, 0.0)
+    if scalar == 0.0:
+        return {}
+    # the points right of the block shift left over it
+    rest_pi = noncross.nc(pi.n - len(block),
+                          [tuple(x if x <= k else x - len(block) for x in b)
+                           for b in pi.blocks if b is not block])
+    rest = multiplicative_extension(kernel, rest_pi, tuple(paths[:k] + paths[l:]), pick)
+    return {v: scalar * c for v, c in rest.items()}
 
 
 def moment_pi(graph: Graph, pi: noncross.NCPartition, paths,
@@ -200,9 +157,10 @@ def _mobius_row(n: int):
 
     One pass over the block families of ``noncross._nc_blocks`` builds
     it, with no partition object and no rank scan.  The first-interval
-    rule of :func:`_extraction_plan` extracts the blocks other than the
-    outer one in order of their last point, each into the nearest point
-    still present on its left, and mu comes from the Kreweras cycles.
+    rule, extracting the first interval block without point 1 among the
+    points still present, takes the blocks other than the outer one in
+    order of their last point, each into the nearest point still present
+    on its left; mu comes from the Kreweras cycles.
     """
     if n < 1:
         raise GraphError("Mobius inversion needs at least one argument")
@@ -253,9 +211,10 @@ def _sum_extensions(kernel, paths, weighted: bool) -> BElement:
     read once per distinct prefix, and a zero scalar skips every plan
     below it.  One memo serves every plan, so each distinct block's
     kernel value is computed once per tuple.  A surviving plan scales
-    its outer value innermost scalar first, as :func:`_extend` does, and
-    the plans are summed in NC(n) order, so the result is the per-plan
-    sum to the last bit.
+    its outer value innermost (last extracted) scalar first, as
+    :func:`multiplicative_extension` associates them, and the plans are
+    summed in NC(n) order, so the result is that function's sum over
+    NC(n) to the last bit.
     """
     root, nodes = _mobius_row(len(paths))
     memo: dict = {}

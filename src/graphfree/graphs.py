@@ -327,6 +327,9 @@ def build_graph(vertices, edges, star=None) -> Graph:
 
 _SPEC_VERTEX_FIELDS = {"id", "parity", "weight2"}
 _SPEC_EDGE_FIELDS = {"u", "v", "mult"}
+# The largest total multiplicity a spec may give: `factor` on it took 2.9 s
+# and 315 MB on a 2-core x86-64 host, growing linearly.
+SPEC_MAX_EDGES = 1_000_000
 
 
 def _finite_positive(x) -> bool:
@@ -389,6 +392,10 @@ def graph_from_spec(record: dict):
         mult = e.get("mult", 1)
         if not (isinstance(mult, int) and not isinstance(mult, bool) and mult >= 1):
             raise GraphError(f"edge mult must be an integer >= 1, got {mult!r}")
+    total = sum(e.get("mult", 1) for e in es)
+    if total > SPEC_MAX_EDGES:
+        raise GraphError(f"graph spec has a total edge multiplicity of {total}, "
+                         f"more than {SPEC_MAX_EDGES}")
     weighted = [v for v in vs if v.get("weight2") is not None]
     if weighted and len(weighted) != len(vs):
         raise GraphError("either every vertex or none carries weight2")

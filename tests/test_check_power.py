@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from graphfree import epitl, falg
+from graphfree import cumulants, epitl, falg
 from graphfree.graphs import Path
 from graphfree.gralg import GradedElement
 from graphfree.verification import run_verification
@@ -80,6 +80,21 @@ def _closed_cap_nan_where_nonzero(graph, t, path):
     return math.nan if _closed_cap_value(graph, t, path) else 0.0
 
 
+def _moment_pi_first_block_reads_one(graph, pi, paths, pick="first"):
+    """cumulants.moment_pi whose first extracted block reads 1.0 at every
+    vertex, so its scalar is dropped; "first" and "last" extract different
+    blocks first, so the two picks disagree."""
+    calls = []
+
+    def kernel(ps):
+        calls.append(ps)
+        if len(calls) == 1 and pi.num_blocks > 1:
+            return dict.fromkeys(range(graph.n_vertices), 1.0)
+        return cumulants.moment_phi(graph, ps)
+
+    return cumulants.multiplicative_extension(kernel, pi, paths, pick)
+
+
 EXCHANGE = ("exchange-relation[a3]", "exchange-relation[k1_2]", "exchange-relation[dbl]")
 
 MUTANTS = [
@@ -92,6 +107,8 @@ MUTANTS = [
      tuple(f"tau-equals-t-phi[{g}]" for g in ("a2", "a3", "a4", "k1_2", "k1_3", "dbl"))),
     (epitl, "closed_cap_value", _closed_cap_nan_where_nonzero, "planar",
      ("pairing-elements[a3]", "loop-isomorphism[a3]", "loop-product-two-routes[a3]")),
+    (cumulants, "moment_pi", _moment_pi_first_block_reads_one, "cumulants",
+     ("extension-order-independence",)),
 ]
 
 

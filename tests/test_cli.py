@@ -324,6 +324,30 @@ def test_gram_refuses_oversized_work(capsys):
     assert "2396950 up to degree 13" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("diagonal", [False, True], ids=["off-diagonal", "diagonal"])
+def test_gram_fails_on_a_nan(monkeypatch, capsys, diagonal):
+    real = falg.gram_blocks
+
+    def one_nan(g, max_degree):
+        entries = list(real(g, max_degree))
+        at = next(i for i, (p, q, _) in enumerate(entries) if (p == q) == diagonal)
+        p, q, _ = entries[at]
+        entries[at] = (p, q, math.nan)
+        return iter(entries)
+
+    monkeypatch.setattr(falg, "gram_blocks", one_nan)
+    assert main(["gram", "--named", "a3", "--max-degree", "4"]) == 1
+    assert "passed: False" in capsys.readouterr().out
+
+
+def test_spec_refuses_an_oversized_multiplicity(tmp_path, capsys):
+    f = tmp_path / "huge.graph"
+    f.write_text(json.dumps(_spec(edge_fields={"mult": 10 ** 12})))
+    assert main(["factor", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert str(10 ** 12) in err and "Traceback" not in err
+
+
 def test_verify_fast(capsys):
     assert main(["verify", "--suite", "combinatorics", "--fast"]) == 0
     out = capsys.readouterr().out

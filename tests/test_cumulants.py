@@ -16,56 +16,20 @@ def composable_tuples(gens, k):
             yield tup
 
 
-def _extension_by_recursion(kernel, graph, pi, paths, pick="first"):
-    """The multiplicative extension by recursive block extraction: the oracle.
-
-    Extracts one interval block, folds its value into the argument on its
-    left, rebuilds the remaining partition through ``noncross.nc`` and
-    recurses.  ``cumulants.multiplicative_extension`` replays the same
-    extraction order from a plan computed once per partition.
-    """
-    n = pi.n
-    if len(paths) != n:
-        raise GraphError("arity mismatch")
-    if pi.num_blocks == 1:
-        return kernel(paths)
-    candidates = [b for b in pi.blocks
-                  if b[0] > 1 and b[-1] - b[0] + 1 == len(b)]
-    if not candidates:
-        raise GraphError("no interval block; partition is not non-crossing")
-    block = candidates[0] if pick == "first" else candidates[-1]
-    k, l = block[0] - 1, block[-1]
-    inner = kernel(tuple(paths[k:l]))
-    scalar = inner.get(paths[k - 1].finish, 0.0)
-    if scalar == 0.0:
-        return {}
-    rest_paths = tuple(paths[:k]) + tuple(paths[l:])
-    relabel = {}
-    for x in range(1, n + 1):
-        if not (k + 1 <= x <= l):
-            relabel[x] = len(relabel) + 1
-    rest_pi = ncx.nc(n - (l - k),
-                     [tuple(relabel[x] for x in b)
-                      for b in pi.blocks if b is not block])
-    rest = _extension_by_recursion(kernel, graph, rest_pi, rest_paths, pick)
-    return {v: scalar * c for v, c in rest.items()}
-
-
 def _sum_extensions_by_plans(kernel, paths, weighted):
-    """Mobius inversion plan by plan: the oracle for the plan trie.
+    """Mobius inversion partition by partition: the oracle for the plan trie.
 
-    Replays :func:`cumulants._extraction_plan` of every pi of NC(n), in
-    NC(n) order and each from its first step, with mu(pi, 1_n) from
-    ``noncross.mobius_nc``.  ``cumulants._sum_extensions`` walks one trie
-    of the same plans instead.
+    Sums :func:`cumulants.multiplicative_extension` over NC(n), in NC(n)
+    order, with mu(pi, 1_n) from ``noncross.mobius_nc``.
+    ``cumulants._sum_extensions`` walks one trie of the extraction plans
+    instead.
     """
     n = len(paths)
     one = ncx.nc_one(n)
-    memo: dict = {}
     out: cm.BElement = {}
     for pi in ncx.enumerate_nc(n):
         coeff = float(ncx.mobius_nc(pi, one))
-        for v, c in cm._extend(cm._extraction_plan(pi), kernel, paths, memo).items():
+        for v, c in cm.multiplicative_extension(kernel, pi, paths).items():
             out[v] = out.get(v, 0.0) + (coeff * c if weighted else c)
     return {v: c for v, c in out.items() if c != 0}
 
@@ -192,37 +156,6 @@ def test_extension_order_independent(fork):
             assert cm.b_diff_norm(a, b) < 1e-12
 
 
-def test_extension_plan_equals_recursion(pf_graphs):
-    rng = np.random.default_rng(7)
-    nonzero = 0
-    for g in pf_graphs:
-        values: dict[tuple, cm.BElement] = {}
-
-        def dense(ps, g=g):
-            # nonzero at every even vertex, so the argument each block folds
-            # into matters even where the moment kernels would vanish
-            key = tuple(ps)
-            if key not in values:
-                values[key] = {v: float(rng.uniform(-1, 1))
-                               for v in g.vertices_of_parity(0)}
-            return values[key]
-
-        kernels = (lambda ps, g=g: cm.moment_phi(g, ps),
-                   lambda ps, g=g: cm.kappa_starry(g, ps), dense)
-        for n in range(1, 7):
-            tuples = _seeded_loops(g, n, 4, rng)
-            assert tuples
-            for pi in ncx.enumerate_nc(n):
-                for pick in ("first", "last"):
-                    for kernel in kernels:
-                        for tup in tuples:
-                            want = _extension_by_recursion(kernel, g, pi, tup, pick)
-                            got = cm.multiplicative_extension(kernel, pi, tup, pick)
-                            _assert_rel_close(got, want)
-                            nonzero += bool(want)
-    assert nonzero > 1000
-
-
 def test_kappa_of_moments_equals_recursive_inversion(pf_graphs):
     rng = np.random.default_rng(8)
     for g in pf_graphs:
@@ -233,7 +166,7 @@ def test_kappa_of_moments_equals_recursive_inversion(pf_graphs):
                 want: cm.BElement = {}
                 for pi in ncx.enumerate_nc(n):
                     mu = ncx.mobius_nc(pi, one)
-                    for v, c in _extension_by_recursion(kernel, g, pi, tup).items():
+                    for v, c in cm.multiplicative_extension(kernel, pi, tup).items():
                         want[v] = want.get(v, 0.0) + mu * c
                 want = {v: c for v, c in want.items() if c != 0}
                 _assert_rel_close(cm.kappa_of_moments(kernel, tup), want)
@@ -272,9 +205,9 @@ def test_plan_trie_holds_every_extraction_plan():
         pis = ncx.enumerate_nc(n)
         assert sorted(plans) == list(range(len(pis)))
         for rank, pi in enumerate(pis):
-            plan, mu = plans[rank]
-            # the uncached rule, so NC(9) and NC(10) do not evict the cache
-            assert plan == cm._extraction_plan.__wrapped__(pi)
+            (steps, outer), mu = plans[rank]
+            assert sorted([outer, *(block for block, _ in steps)]) == \
+                [tuple(x - 1 for x in b) for b in pi.blocks]
             assert mu == ncx.mobius_nc(pi, one)
 
 
@@ -285,7 +218,6 @@ def test_plan_trie_builds_without_partitions(monkeypatch):
     for name in ("nc", "kreweras", "mobius_nc"):
         monkeypatch.setattr(ncx, name, refuse)
     monkeypatch.setattr(ncx.NCPartition, "__post_init__", refuse)
-    monkeypatch.setattr(cm, "_extraction_plan", refuse)
     cm._mobius_row.cache_clear()
     root, nodes = cm._mobius_row(8)
     assert len(nodes) + 1 == ncx.catalan(8)
@@ -346,7 +278,7 @@ def test_mobius_inversion_needs_an_argument(fork):
 
 def test_extraction_plan_rejects_missing_interval_block():
     with pytest.raises(GraphError):
-        cm._extraction_plan(ncx.NCPartition(0, ()))
+        cm.multiplicative_extension(dict, ncx.NCPartition(0, ()), ())
 
 
 def test_kappa_one_and_two(a3):

@@ -177,17 +177,6 @@ def _check(suite, check_id):
     return next(r for r in run_verification(suite).results if r.check_id == check_id)
 
 
-def test_extension_order_check_catches_a_dropped_scalar(monkeypatch):
-    # both partitions extract blocks in a different order under "first" and
-    # "last", so an extension that drops its first step's scalar disagrees
-    # with itself
-    assert _check("cumulants", "extension-order-independence").passed
-    real = cumulants._extend
-    monkeypatch.setattr(cumulants, "_extend", lambda plan, kernel, paths, memo: real(
-        (plan[0][1:], plan[1]), kernel, paths, memo))
-    assert not _check("cumulants", "extension-order-independence").passed
-
-
 def test_mobius_check_catches_a_wrong_sign_off_the_zero(monkeypatch):
     # mu(0_n, 1_n) has a one-class Kreweras complement, so a sign error on
     # the complements with a class of size 2 is seen only by the identity
