@@ -261,15 +261,16 @@ def diffexp_check(f: EpiMorphism, x: GradedElement, tol: float = 1e-12) -> bool:
 # matrices of the action
 
 
-def _path_matrix(graph: Graph, source: int, target: int, linear_map) -> np.ndarray:
-    """Dense matrix of a linear map from length-source to length-target paths.
+def path_matrix(graph: Graph, source: int, target: int, linear_map, at=None) -> np.ndarray:
+    """Dense matrix of a linear map from length-source to length-target paths,
+    or to and from the loops at vertex ``at`` when it is given.
 
     Caps and cups keep both ends of a path, so the matrix on bare paths
     is also the one on unit paths p / sqrt(mu(start) mu(finish)), the
     orthonormal basis that adjoints and operator norms need.
     """
-    rows = enumerate_paths(graph, None, target, None)
-    cols = enumerate_paths(graph, None, source, None)
+    rows = enumerate_paths(graph, at, target, at)
+    cols = enumerate_paths(graph, at, source, at)
     row_index = {p: k for k, p in enumerate(rows)}
     mat = np.zeros((len(rows), len(cols)))
     for j, p in enumerate(cols):
@@ -280,7 +281,7 @@ def _path_matrix(graph: Graph, source: int, target: int, linear_map) -> np.ndarr
 
 def hom_matrix(graph: Graph, f: EpiMorphism) -> np.ndarray:
     """Matrix of the action from length-source paths to length-target paths."""
-    return _path_matrix(graph, f.source, f.target, lambda x: act(f, x))
+    return path_matrix(graph, f.source, f.target, lambda x: act(f, x))
 
 
 def cap_adjoint_matrix(graph: Graph, n: int, i: int) -> np.ndarray:
@@ -288,4 +289,4 @@ def cap_adjoint_matrix(graph: Graph, n: int, i: int) -> np.ndarray:
 
     Maps unit paths of length n-2 to length n.
     """
-    return _path_matrix(graph, n - 2, n, lambda x: cup(x, i - 1))
+    return path_matrix(graph, n - 2, n, lambda x: cup(x, i - 1))

@@ -92,11 +92,6 @@ class Path(tuple):
             raise GraphError(f"bad segment [{i},{j}] of length-{self.length} path")
         return Path(self.vertices[i:j + 1], self.edges[i:j])
 
-    def drop_edge_pair(self, i: int) -> "Path":
-        """Remove edges i and i+1 (1-based); valid when v_{i-1} = v_{i+1}."""
-        return Path(self.vertices[:i] + self.vertices[i + 2:],
-                    self.edges[:i - 1] + self.edges[i + 1:])
-
 
 def vertex_path(v: int) -> Path:
     return Path((v,), ())

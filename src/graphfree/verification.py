@@ -13,6 +13,7 @@ certificate, factor parameters, and the tower suite.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -126,17 +127,6 @@ def random_element(graph: Graph, rng, max_len=3, n_terms=3) -> GradedElement:
         p = pool[int(rng.integers(0, len(pool)))]
         terms[p] = terms.get(p, 0.0) + float(rng.uniform(-1, 1))
     return GradedElement(graph, terms)
-
-
-def _then(terms: dict, images: dict) -> dict:
-    """The map with these images of basis keys applied to terms, summed in
-    the order epitl.act and epitl.cup sum, so to the same bits."""
-    out: dict = {}
-    get = out.get
-    for q, c in terms.items():
-        for r, d in images[q].items():
-            out[r] = get(r, 0.0) + c * d
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +255,37 @@ def _suite_epitl(run: _Runner):
     small = {k: run.graphs[k] for k in ("a2", "a3", "k1_2", "dbl") if k in run.graphs}
     for name, g in small.items():
         def exchange(g=g):
-            # E_p E_q = E_q E_{p+2} for q <= p, on paths: each side applies
-            # two single caps in turn, never a composite.  The first acts on
-            # each length-n path, the second is read from its images of the
-            # length-(n-2) basis: on dbl 7,144 act calls, not 28,576, and
-            # 41 ms, not 57 ms (medians in process, 2-core x86-64 host).
+            # E_p E_q = E_q E_{p+2} for q <= p, as whole maps on the length-n
+            # basis.  A single cap sends a path to one path or none, so cap i
+            # of [m] is stored per length-m path as the rank of its image in
+            # the length-(m-2) list (-1 for none) and a coefficient, one table
+            # per length from one act per (cap, path): on dbl 6,152 act calls.
+            paths = [enumerate_paths(g, None, m, None) for m in range(nmax + 1)]
+            caps = {}
+            for m in range(2, nmax + 1):
+                index = {q: k for k, q in enumerate(paths[m - 2])}
+                for i in range(1, m):
+                    cap = epitl.cap_generator(m, i)
+                    rank, coef = np.full(len(paths[m]), -1), np.zeros(len(paths[m]))
+                    for k, p in enumerate(paths[m]):
+                        image = epitl.act(cap, GradedElement.basis(g, p)).terms
+                        if len(image) > 1:
+                            raise ValueError(f"cap {i} of [{m}] sends {p} to {len(image)} paths")
+                        for q, c in image.items():
+                            rank[k], coef[k] = index[q], c
+                    caps[m, i] = rank, coef
+
+            def both(n, a, b):  # cap a of [n], then cap b of [n-2]
+                (r1, c1), (r2, c2) = caps[n, a], caps[n - 2, b]
+                r = np.where(r1 < 0, -1, r2[r1])
+                return r, np.where(r < 0, 0.0, c1 * c2[r1])
+
             for n in range(4, nmax + 1):
-                low = {i: {p: epitl.act(epitl.cap_generator(n - 2, i),
-                                        GradedElement.basis(g, p)).terms
-                           for p in enumerate_paths(g, None, n - 2, None)}
-                       for i in range(1, n - 2)}
-                for pp in enumerate_paths(g, None, n, None):
-                    b = GradedElement.basis(g, pp)
-                    once = {i: epitl.act(epitl.cap_generator(n, i), b).terms
-                            for i in range(1, n)}
-                    for p_ in range(1, n - 2):
-                        for q_ in range(1, p_ + 1):
-                            if once[q_] or once[p_ + 2]:  # else both sides are 0
-                                yield gralg.max_abs_diff(
-                                    _then(once[q_], low[p_]), _then(once[p_ + 2], low[q_]))
+                for p_ in range(1, n - 2):
+                    for q_ in range(1, p_ + 1):
+                        (rl, cl), (rr, cr) = both(n, q_, p_), both(n, p_ + 2, q_)
+                        yield np.max(np.where(rl == rr, np.abs(cl - cr),
+                                              np.maximum(np.abs(cl), np.abs(cr))))
         run.check(f"exchange-relation[{name}]", exchange, run.tol)
 
     g = run.graphs["a3"]
@@ -342,23 +344,20 @@ def _suite_epitl(run: _Runner):
 def _suite_cdelta(run: _Runner):
     def relations():
         # each relation acts on loops of length 2*source; words are listed
-        # in application order (first entry applied first).  Both sides read
-        # each generator's images of all loops at v of one length from a table
+        # in application order (first entry applied first).  Each side is one
+        # product of two generator matrices on all the loops at v of one
+        # length, each matrix built from cdelta.gen_act on first use
         for g in run.graphs.values():
             for v in range(g.n_vertices):
                 dv = delta_v(g, v)
-                tables: dict = {}
 
-                def word_act(word, p):
-                    x, length = {p: 1.0}, p.length
-                    for kind in word:
-                        if (kind, length) not in tables:
-                            tables[kind, length] = {
-                                q: cdelta.gen_act(g, v, kind, GradedElement.basis(g, q)).terms
-                                for q in enumerate_paths(g, v, length, v)}
-                        x = _then(x, tables[kind, length])
-                        length += 2 if kind[0] == "C" else -2
-                    return x
+                @functools.cache
+                def gen(kind, length):  # one generator on the loops at v of one length
+                    return epitl.path_matrix(g, length, length + (2 if kind[0] == "C" else -2),
+                                             lambda y: cdelta.gen_act(g, v, kind, y), at=v)
+
+                def word(first, then, length):
+                    return gen(then, length + (2 if first[0] == "C" else -2)) @ gen(first, length)
 
                 for n in range(0, 3):
                     cases = [
@@ -370,9 +369,9 @@ def _suite_cdelta(run: _Runner):
                         (n, ["C+", "C-"], ["C-", "C+"], None),
                     ]
                     for src, left, right, scalar in cases:
-                        for p in enumerate_paths(g, v, 2 * src, v):
-                            rhs = {p: scalar} if right is None else word_act(right, p)
-                            yield gralg.max_abs_diff(word_act(left, p), rhs)
+                        lhs = word(*left, 2 * src)
+                        rhs = scalar * np.eye(len(lhs)) if right is None else word(*right, 2 * src)
+                        yield np.max(np.abs(lhs - rhs))
     run.check("generator-relations", relations, run.tol)
 
     def small_relations():

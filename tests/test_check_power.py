@@ -67,6 +67,30 @@ def _cup_inverse_weight(x, i):
     return GradedElement(g, out)
 
 
+_act = epitl.act
+_cup = epitl.cup
+
+
+def _act_nan_weights(f, x):
+    """epitl.act whose every image reads NaN."""
+    return GradedElement(x.graph, dict.fromkeys(_act(f, x).terms, math.nan))
+
+
+def _cup_nan_weight(x, i):
+    """epitl.cup whose every spliced path reads NaN."""
+    return GradedElement(x.graph, dict.fromkeys(_cup(x, i).terms, math.nan))
+
+
+def _act_spurious_second_image(f, x):
+    """epitl.act that adds the reversal of every image path that is not its
+    own reversal, so a cap sends such a path to two paths."""
+    y = _act(f, x)
+    out = dict(y.terms)
+    for q, c in y.terms.items():
+        out.setdefault(q.reversed_in(x.graph), c)
+    return GradedElement(x.graph, out)
+
+
 def _t_functional_nan(x):
     """falg.t_functional that reads NaN on every element."""
     return math.nan
@@ -102,6 +126,10 @@ MUTANTS = [
     (epitl, "act", _cap_drops_the_next_pair, "epitl", EXCHANGE),
     (epitl, "act", _cap_one_slot_right, "epitl", EXCHANGE),
     (epitl, "cup", _cup_inverse_weight, "cdelta", ("generator-relations",)),
+    # whole-map comparisons keep a NaN and refuse a cap with two images
+    (epitl, "act", _act_nan_weights, "epitl", ("exchange-relation[a2]",) + EXCHANGE),
+    (epitl, "cup", _cup_nan_weight, "cdelta", ("generator-relations",)),
+    (epitl, "act", _act_spurious_second_image, "epitl", ("exchange-relation[a3]",)),
     # a NaN deviation fails its check; max(dev, nan) used to drop it
     (falg, "t_functional", _t_functional_nan, "trace",
      tuple(f"tau-equals-t-phi[{g}]" for g in ("a2", "a3", "a4", "k1_2", "k1_3", "dbl"))),

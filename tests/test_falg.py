@@ -23,7 +23,8 @@ def _gen_apply(graph, i, path):
     if path.edges[i - 1] != graph.erev[path.edges[i]]:
         return None
     coeff = graph.mu(path.vertices[i]) / graph.mu(path.vertices[i + 1])
-    return coeff, path.drop_edge_pair(i)
+    verts, edges = path
+    return coeff, Path(verts[:i] + verts[i + 2:], edges[:i - 1] + edges[i + 1:])
 
 
 def _chain_sharp_mul(x, y):

@@ -156,17 +156,18 @@ def _calls_per_check(monkeypatch, module, name, suite):
 
 
 def test_diagram_relation_checks_act_once_per_basis_path(monkeypatch):
-    # exchange-relation acts with each cap once on every length-n path and
-    # once on every length-(n-2) path for its table of second caps:
-    # sum_{n=4..8} (n-1) N_n + (n-3) N_{n-2}, with N_n = 2^(n+1) on dbl.
-    # Acting twice per (path, p, q) took 28,576 calls on dbl.
+    # exchange-relation acts with each cap i < m once on every length-m
+    # path, one table per length m = 2..8 serving as first and second cap:
+    # sum_{m=2..8} (m-1) N_m, with N_m = 2^(m+1) on dbl.  A table per n of
+    # second caps took 7,144 calls on dbl, and acting twice per
+    # (path, p, q) took 28,576.
     acts = _calls_per_check(monkeypatch, epitl, "act", "epitl")
     for name in ("a2", "a3", "k1_2", "dbl"):
         g = named_graph(name)
-        n_paths = [len(enumerate_paths(g, None, n, None)) for n in range(9)]
+        n_paths = [len(enumerate_paths(g, None, m, None)) for m in range(9)]
         assert acts[f"exchange-relation[{name}]"] == sum(
-            (n - 1) * n_paths[n] + (n - 3) * n_paths[n - 2] for n in range(4, 9))
-    assert acts["exchange-relation[dbl]"] == 7144
+            (m - 1) * n_paths[m] for m in range(2, 9))
+    assert acts["exchange-relation[dbl]"] == 6152
     # generator-relations: each generator acts once on each loop at v of
     # each length it meets (8,624 calls when each side acted on each loop)
     gens = _calls_per_check(monkeypatch, cdelta, "gen_act", "cdelta")
