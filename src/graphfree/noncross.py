@@ -199,37 +199,28 @@ def _kreweras_cycles(n: int, blocks) -> list[list[int]]:
     return cycles
 
 
-def _interleaved_ok(p: NCPartition, q_blocks) -> bool:
-    # solids at 2i-1, primes at 2i; the union must be non-crossing
-    blocks = [tuple(2 * x - 1 for x in b) for b in p.blocks]
-    blocks += [tuple(sorted(2 * x for x in b)) for b in q_blocks]
-    return is_noncrossing(blocks)
-
-
 def kreweras_oracle(p: NCPartition) -> NCPartition:
     """Brute-force maximality oracle for the Kreweras complement.
 
-    Starting from singletons on the interleaved copies, greedily merge
-    any two blocks whose union keeps the interleaved partition
-    non-crossing, until no merge applies.
+    Starting from singletons on the interleaved copies (p's blocks at the
+    odd points, q's at the even ones), merge any two blocks whose union
+    keeps the interleaved partition non-crossing.  One sweep over the pairs
+    suffices: the q whose interleaving with p is non-crossing form the
+    interval [0_n, K(p)], so two blocks may merge exactly when they lie in
+    one block of K(p), and greedy merging ends at K(p) in any order.
     """
-    n = p.n
-    blocks = [[i] for i in range(1, n + 1)]
-    merged = True
-    while merged:
-        merged = False
-        for a in range(len(blocks)):
-            for b in range(a + 1, len(blocks)):
-                trial = [list(x) for x in blocks]
-                trial[a] = sorted(trial[a] + trial[b])
-                del trial[b]
-                if _interleaved_ok(p, [tuple(x) for x in trial]):
-                    blocks = trial
-                    merged = True
-                    break
-            if merged:
-                break
-    return nc(n, [tuple(b) for b in blocks])
+    solids = [tuple(2 * x - 1 for x in b) for b in p.blocks]
+    blocks = [(i,) for i in range(1, p.n + 1)]
+    for a in range(p.n):
+        b = a + 1
+        while b < len(blocks):
+            trial = blocks[:b] + blocks[b + 1:]
+            trial[a] = tuple(sorted(blocks[a] + blocks[b]))
+            if is_noncrossing(solids + [tuple(2 * x for x in q) for q in trial]):
+                blocks = trial
+            else:
+                b += 1
+    return nc(p.n, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -471,14 +471,13 @@ def _suite_cdelta(run: _Runner):
                 lhs = falg.sharp_mul(xm, xi)
                 rhs = ((-1.0) ** m) * bullet_mul(cdelta.c_2n(g, v, m), xi)
                 yield lhs.norm_inf_diff(rhs)
-            for i in range(3):
-                for j in range(3):
-                    basis = enumerate_paths(g, v, 2 * j, v)
-                    for p in basis:
-                        x = GradedElement.basis(g, p)
-                        full = falg.sharp_mul(xm, x).component(2 * i)
+            for j in range(3):
+                for p in enumerate_paths(g, v, 2 * j, v):
+                    x = GradedElement.basis(g, p)
+                    full = falg.sharp_mul(xm, x)
+                    for i in range(3):
                         blk = cdelta.xm_block(g, v, m, i, j, x)
-                        yield full.norm_inf_diff(blk)
+                        yield full.component(2 * i).norm_inf_diff(blk)
             mat, _ = falg.truncated_left_mult(xm, 8)
             bound = 1 + 2 * sum(dv ** (t / 2) for t in range(1, 200))
             yield falg.operator_norm(mat) - bound  # the excess over the bound

@@ -9,9 +9,10 @@ what it checks from none.
 
 import math
 
+import numpy as np
 import pytest
 
-from graphfree import cumulants, epitl, falg
+from graphfree import cumulants, epitl, falg, noncross
 from graphfree.graphs import Path
 from graphfree.gralg import GradedElement
 from graphfree.verification import run_verification
@@ -119,6 +120,25 @@ def _moment_pi_first_block_reads_one(graph, pi, paths, pick="first"):
     return cumulants.multiplicative_extension(kernel, pi, paths, pick)
 
 
+def _frobenius_norm(mat):
+    """falg.operator_norm that reads the Frobenius norm, an upper bound."""
+    return float(np.linalg.norm(mat.vals if isinstance(mat, falg.SparseMatrix) else mat))
+
+
+_truncated_left_mult = falg.truncated_left_mult
+
+
+def _truncation_times_four(a, max_degree):
+    """falg.truncated_left_mult whose every entry reads four times too much."""
+    mat, basis = _truncated_left_mult(a, max_degree)
+    return mat._replace(vals=4 * mat.vals), basis
+
+
+def _kreweras_zero(p):
+    """noncross.kreweras that returns the all-singletons partition."""
+    return noncross.nc_zero(p.n)
+
+
 EXCHANGE = ("exchange-relation[a3]", "exchange-relation[k1_2]", "exchange-relation[dbl]")
 
 MUTANTS = [
@@ -137,6 +157,12 @@ MUTANTS = [
      ("pairing-elements[a3]", "loop-isomorphism[a3]", "loop-product-two-routes[a3]")),
     (cumulants, "moment_pi", _moment_pi_first_block_reads_one, "cumulants",
      ("extension-order-independence",)),
+    # the norm checks are upper bounds: a norm reading too much fails them
+    (falg, "operator_norm", _frobenius_norm, "all",
+     ("cap-adjoint-and-norm", "alternating-truncation-structure")),
+    (falg, "truncated_left_mult", _truncation_times_four, "cdelta",
+     ("alternating-truncation-structure",)),
+    (noncross, "kreweras", _kreweras_zero, "combinatorics", ("kreweras-oracle-and-rank",)),
 ]
 
 

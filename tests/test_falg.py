@@ -528,11 +528,11 @@ def test_truncated_left_mult_matches_column_oracle(rng):
 
 
 def test_truncated_left_mult_builds_no_path_per_entry(monkeypatch):
-    # deterministic work counter: at most 2 paths per (term, k, s)
-    # contribution, counted here from powers of A.  The only paths built
-    # are the basis, on the first call on an edge structure (path lists are
-    # memoized by structure, so the memo is emptied first), and no product
-    # is formed per column
+    # deterministic work counter: rows and columns are path ranks, so no
+    # path is built beyond the basis, and that only on the first call on an
+    # edge structure (path lists are memoized by structure, so the memo is
+    # emptied first); no product is formed per column.  The (term, k, s)
+    # contributions are counted here from powers of A
     def refuse(*args, **kwargs):
         raise AssertionError("per-column product used")
 
@@ -569,23 +569,30 @@ def test_norm_bound_all_unit_paths(battery):
                     falg.left_mult_norm_bound(g, p) + 1e-9
 
 
+def _shuffled_blocks(rng, sizes):
+    """Dense random blocks of the given (rows, cols) sizes, rows and columns shuffled."""
+    mat = np.zeros(tuple(np.sum(sizes, axis=0)))
+    r0 = c0 = 0
+    for r, c in sizes:
+        mat[r0:r0 + r, c0:c0 + c] = rng.standard_normal((r, c))
+        r0, c0 = r0 + r, c0 + c
+    return mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
+
+
 def _norm_cases(rng):
     for _ in range(40):
         r, c = rng.integers(1, 30, size=2)
         density = rng.uniform(0.01, 0.3)
         yield rng.standard_normal((r, c)) * (rng.random((r, c)) < density)
     for _ in range(10):
-        sizes = rng.integers(1, 8, size=(rng.integers(2, 7), 2))
-        mat = np.zeros(tuple(sizes.sum(axis=0)))
-        r0 = c0 = 0
-        for r, c in sizes:
-            mat[r0:r0 + r, c0:c0 + c] = rng.standard_normal((r, c))
-            r0, c0 = r0 + r, c0 + c
-        yield mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
+        yield _shuffled_blocks(rng, rng.integers(1, 8, size=(rng.integers(2, 7), 2)))
     yield rng.standard_normal((25, 17))
     yield np.zeros((6, 9))
     yield np.zeros((0, 0))
     yield rng.standard_normal((1, 12)) * (rng.random((1, 12)) < 0.5)
+    # many blocks of one shape, and 1 x k and k x 1 blocks beside them
+    yield _shuffled_blocks(rng, [(3, 4)] * 12)
+    yield _shuffled_blocks(rng, [(2, 2)] * 30 + [(1, 5)] * 4 + [(5, 1)] * 4 + [(1, 1)] * 6)
     # scattered like a truncation matrix: mostly single-entry components
     big = np.zeros((1000, 1000))
     big[rng.integers(0, 1000, 500), rng.integers(0, 1000, 500)] = rng.standard_normal(500)
@@ -603,6 +610,40 @@ def test_operator_norm_matches_dense_svd(rng):
     empty = np.array([], dtype=np.intp)
     for shape in ((0, 0), (0, 5), (4, 0), (6, 9)):
         assert falg.operator_norm(falg.SparseMatrix(empty, empty, np.array([]), shape)) == 0.0
+
+
+def _alternating_truncations(degree):
+    g = two_vertex_graph(2, 0.8, 0.2)
+    for m in (1, 2, 3):
+        yield falg.truncated_left_mult(cdelta.zv_truncation(g, "v", m), degree)[0]
+
+
+def test_operator_norm_of_alternating_truncations_matches_dense_norm():
+    # the norm checks bound it from above only, so a norm reading 0 would
+    # pass them; here it meets the dense spectral norm.  Zero rows and
+    # columns add no singular value, and dropping them takes the degree-10
+    # dense SVDs from 4094 x 4094 to 1279 x 1279
+    for degree in (8, 10):
+        for mat in _alternating_truncations(degree):
+            dense = mat.toarray()
+            dense = dense[np.ix_(dense.any(axis=1), dense.any(axis=0))]
+            want = float(np.linalg.norm(dense, 2))
+            assert abs(falg.operator_norm(mat) - want) <= 1e-12 * want
+
+
+def test_operator_norm_takes_one_svd_per_block_shape(monkeypatch):
+    # the three degree-8 truncations have 7, 4 and 5 distinct shapes among
+    # their 243 multi-entry blocks
+    mats = list(_alternating_truncations(8))
+    calls = []
+    for name in ("svd", "norm"):
+        def counting(*args, real=getattr(np.linalg, name), **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    for mat in mats:
+        falg.operator_norm(mat)
+    assert 0 < len(calls) <= 16
 
 
 def test_gram_blocks_match_all_pairs_loop():

@@ -104,7 +104,7 @@ def test_kreweras_frozen_examples():
     assert ncx.kreweras(ncx.nc(4, [(1, 2), (3, 4)])).blocks == ((1,), (2, 4), (3,))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_kreweras_oracle_and_rank(n):
     for p in ncx.enumerate_nc(n):
         k = ncx.kreweras(p)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -227,3 +230,15 @@ def test_tower_checks_catch_a_wrong_left_cap_weight(monkeypatch):
     results = {r.check_id: r for r in run_verification("planar", max_degree=4).results}
     assert not results["pairing-elements[a3]"].passed
     assert not results["loop-product-two-routes[a3]"].passed
+
+
+def test_verify_never_imports_numpy_ma():
+    # numpy.ma costs 13-15 ms to import, once per process; a bare np.unique
+    # (no return_index, return_inverse or return_counts) pulls it in
+    code = ("import sys; from graphfree.verification import run_verification; "
+            "assert run_verification('all', max_degree=4).ok; "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
