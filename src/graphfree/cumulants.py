@@ -16,11 +16,12 @@ A multiplicative extension on pi folds its interval blocks, one at a
 time, into the argument on their left; :func:`multiplicative_extension`
 does so by recursion, as the oracle.  Mobius inversion fixes the order
 as extraction plans on positions and keeps those of NC(n) as one trie,
-built once per n straight from the block families with mu(pi, 1_n) from
-their Kreweras cycles.  It walks the trie against one memo of block
-values per tuple: each distinct block (at most 2^n - 1) reaches the
-kernel once, each step's scalar is read once per shared prefix, and a
-zero scalar skips every plan below it.
+built once per n straight from the block families, with mu(pi, 1_n)
+carried down it as Kreweras classes merge.  It walks the trie against
+one memo of block values per tuple: each distinct block (at most 2^n -
+1) reaches the kernel once, each step's scalar is read once per shared
+prefix, a zero scalar skips every plan below it, and the surviving
+plans are summed from a table indexed by their rank in NC(n).
 """
 
 from __future__ import annotations
@@ -79,18 +80,19 @@ def moment_phi(graph: Graph, paths) -> BElement:
 def _loop_moment(graph: Graph, paths) -> BElement:
     """:func:`moment_phi` on generators already checked.
 
-    The endpoints are tested to chain into a loop, and then only the edge
-    tuples are joined: the trace memo is keyed by them, so no composite
-    path is built.
+    One pass tests that the endpoints chain into a loop and joins the
+    edge tuples: the trace memo is keyed by them, so no composite path
+    is built.
     """
-    v = paths[0].start
-    if paths[-1].finish != v:
-        return {}
-    for a, b in zip(paths, paths[1:]):
-        if a.finish != b.start:
+    at = paths[-1][0][-1]  # the first path starts where the last one ends
+    edges = ()
+    for verts, es in paths:
+        if verts[0] != at:
             return {}
-    val = tau_loop(graph, sum((p.edges for p in paths), ())) / graph.mu2[v]
-    return {v: val} if val else {}
+        at = verts[-1]
+        edges += es
+    val = tau_loop(graph, edges) / graph.mu2[at]
+    return {at: val} if val else {}
 
 
 # ---------------------------------------------------------------------------
@@ -160,26 +162,27 @@ def _mobius_row(n: int):
     rule, extracting the first interval block without point 1 among the
     points still present, takes the blocks other than the outer one in
     order of their last point, each into the nearest point still present
-    on its left; mu comes from the Kreweras cycles.
+    on its left.  mu, the product of s(k) = (-1)^(k-1) Cat(k-1) over the
+    Kreweras classes, is carried down the trie: each gap of the outer
+    block keeps the size of its own class (1 at the root, where mu = 1),
+    and folding out the run outer[a..b] merges the classes of gaps a-1
+    and b, of sizes k1 and k2, so mu gains s(k1 + k2) / (s(k1) s(k2)).
     """
     if n < 1:
         raise GraphError("Mobius inversion needs at least one argument")
-    signed = [(-1) ** k * noncross.catalan(k) for k in range(n)]
+    signed = [0] + [(-1) ** k * noncross.catalan(k) for k in range(n)]  # s(k)
     shifted: dict = {}  # block of {1..n} -> its 0-based positions, one tuple each
-    root: list = [None, {}]  # [(rank, mu, outer), {step: child}]
+    root: list = [None, {}]  # [rank, {step: child}]
     for rank, blocks in enumerate(noncross._nc_blocks(1, n)):
-        mu = 1
-        for cycle in noncross._kreweras_cycles(n, blocks):
-            mu *= signed[len(cycle) - 1]
         pos = []
-        for b in blocks:
+        for b in blocks[1:]:
             p = shifted.get(b)
             if p is None:
                 p = shifted[b] = tuple(x - 1 for x in b)
             pos.append(p)
         present = [True] * n
         node = root
-        for block in sorted(pos[1:], key=itemgetter(-1)):
+        for block in sorted(pos, key=itemgetter(-1)):
             left = block[0] - 1
             while not present[left]:
                 left -= 1
@@ -189,19 +192,27 @@ def _mobius_row(n: int):
             if child is None:
                 child = node[1][block, left] = [None, {}]
             node = child
-        node[0] = (rank, float(mu), pos[0])
+        node[0] = rank
 
     nodes: list = []
+    outers: dict = {}  # one tuple per outer block, shared by its nodes
 
-    def flatten(children, depth):
-        for (block, left), (own, grand) in children.items():
+    def flatten(children, depth, mu, outer, gaps):
+        for (block, left), (rank, grand) in children.items():
+            a = outer.index(left) + 1
+            b = a + len(block)
+            k1, k2 = gaps[a - 1], gaps[b - 1]
+            child_mu = mu * signed[k1 + k2] // (signed[k1] * signed[k2])
+            child_outer = outer[:a] + outer[b:]
+            child_outer = outers.setdefault(child_outer, child_outer)
             at = len(nodes)
             nodes.append(None)
-            flatten(grand, depth + 1)
-            nodes[at] = (depth, block, left, len(nodes), *own)
+            flatten(grand, depth + 1, child_mu, child_outer,
+                    gaps[:a - 1] + (k1 + k2,) + gaps[b:])
+            nodes[at] = (depth, block, left, len(nodes), rank, float(child_mu), child_outer)
 
-    flatten(root[1], 0)
-    return root[0], tuple(nodes)
+    flatten(root[1], 0, 1, tuple(range(n)), (1,) * n)
+    return (root[0], 1.0, tuple(range(n))), tuple(nodes)
 
 
 def _sum_extensions(kernel, paths, weighted: bool) -> BElement:
@@ -212,15 +223,15 @@ def _sum_extensions(kernel, paths, weighted: bool) -> BElement:
     below it.  One memo serves every plan, so each distinct block's
     kernel value is computed once per tuple.  A surviving plan scales
     its outer value innermost (last extracted) scalar first, as
-    :func:`multiplicative_extension` associates them, and the plans are
-    summed in NC(n) order, so the result is that function's sum over
-    NC(n) to the last bit.
+    :func:`multiplicative_extension` associates them, into a table by its
+    rank in NC(n), summed in rank order: the result is that function's
+    sum over NC(n) to the last bit.
     """
     root, nodes = _mobius_row(len(paths))
     memo: dict = {}
-    finish = [p.finish for p in paths]
+    finish = [p[0][-1] for p in paths]
     scalars = [0.0] * len(paths)
-    terms = []
+    table: list = [None] * (len(nodes) + 1)
     i, size = 0, len(nodes)
     while i < size:
         depth, block, left, end, rank, coeff, outer = nodes[i]
@@ -235,15 +246,14 @@ def _sum_extensions(kernel, paths, weighted: bool) -> BElement:
         out = memo.get(outer)
         if out is None:
             out = memo[outer] = kernel(tuple(paths[k] for k in outer))
-        innermost_first = scalars[depth::-1]
-        terms.append((rank, coeff, {v: functools.reduce(mul, innermost_first, c)
-                                    for v, c in out.items()}))
+        if out:
+            innermost_first = scalars[depth::-1]
+            table[rank] = (coeff, {v: functools.reduce(mul, innermost_first, c)
+                                   for v, c in out.items()})
         i += 1
-    rank, coeff, _ = root
-    terms.append((rank, coeff, kernel(tuple(paths))))
-    terms.sort(key=itemgetter(0))
+    table[root[0]] = (root[1], kernel(tuple(paths)))
     total: BElement = {}
-    for _, coeff, out in terms:
+    for coeff, out in filter(None, table):
         for v, c in out.items():
             total[v] = total.get(v, 0.0) + (coeff * c if weighted else c)
     return {v: c for v, c in total.items() if c != 0}

@@ -324,12 +324,13 @@ def _suite_epitl(run: _Runner):
     def adjoint():
         for n in (2, 3, 4):
             for i in range(1, n):
-                lhs = epitl.hom_matrix(g, epitl.cap_generator(n, i)).T
+                mat = epitl.hom_matrix(g, epitl.cap_generator(n, i))
                 rhs = epitl.cap_adjoint_matrix(g, n, i)
-                yield float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+                yield float(np.max(np.abs(mat.T - rhs))) if mat.size else 0.0
                 bound = math.sqrt(delta_max(g))
-                nrm = falg.operator_norm(epitl.hom_matrix(g, epitl.cap_generator(n, i)))
+                nrm = falg.operator_norm(mat)
                 yield nrm - bound - run.tol  # the excess over the bound
+                yield float(np.sqrt((mat * mat).sum(0)).max(initial=0.0)) - nrm  # |M e_j| <= |M|
     run.check("cap-adjoint-and-norm", adjoint, run.tol)
 
     def closed_form():
@@ -480,7 +481,10 @@ def _suite_cdelta(run: _Runner):
                         yield full.component(2 * i).norm_inf_diff(blk)
             mat, _ = falg.truncated_left_mult(xm, 8)
             bound = 1 + 2 * sum(dv ** (t / 2) for t in range(1, 200))
-            yield falg.operator_norm(mat) - bound  # the excess over the bound
+            nrm = falg.operator_norm(mat)
+            yield nrm - bound  # the excess over the bound
+            cols = np.bincount(mat.cols, weights=mat.vals ** 2)
+            yield float(np.sqrt(cols.max(initial=0.0))) - nrm  # |M e_j| <= |M|
     run.check("alternating-truncation-structure", xm_structure, run.tol)
 
     def centers():

@@ -125,6 +125,19 @@ def _frobenius_norm(mat):
     return float(np.linalg.norm(mat.vals if isinstance(mat, falg.SparseMatrix) else mat))
 
 
+_operator_norm = falg.operator_norm
+
+
+def _norm_zero(mat):
+    """falg.operator_norm that reads 0.0 on every matrix."""
+    return 0.0
+
+
+def _norm_halved(mat):
+    """falg.operator_norm that reads half the norm."""
+    return _operator_norm(mat) / 2
+
+
 _truncated_left_mult = falg.truncated_left_mult
 
 
@@ -132,6 +145,16 @@ def _truncation_times_four(a, max_degree):
     """falg.truncated_left_mult whose every entry reads four times too much."""
     mat, basis = _truncated_left_mult(a, max_degree)
     return mat._replace(vals=4 * mat.vals), basis
+
+
+_mobius_row = cumulants._mobius_row
+
+
+def _mobius_row_deep_mu_negated(n):
+    """cumulants._mobius_row whose mu reads negated at every node of depth >= 1."""
+    root, nodes = _mobius_row(n)
+    return root, tuple((*node[:5], -node[5], node[6]) if node[0] >= 1 else node
+                       for node in nodes)
 
 
 def _kreweras_zero(p):
@@ -160,9 +183,16 @@ MUTANTS = [
     # the norm checks are upper bounds: a norm reading too much fails them
     (falg, "operator_norm", _frobenius_norm, "all",
      ("cap-adjoint-and-norm", "alternating-truncation-structure")),
+    # and lower bounds by the largest column norm: a norm reading too little fails them
+    (falg, "operator_norm", _norm_zero, "all",
+     ("cap-adjoint-and-norm", "alternating-truncation-structure")),
+    (falg, "operator_norm", _norm_halved, "all",
+     ("cap-adjoint-and-norm", "alternating-truncation-structure")),
     (falg, "truncated_left_mult", _truncation_times_four, "cdelta",
      ("alternating-truncation-structure",)),
     (noncross, "kreweras", _kreweras_zero, "combinatorics", ("kreweras-oracle-and-rank",)),
+    (cumulants, "_mobius_row", _mobius_row_deep_mu_negated, "cumulants",
+     ("cumulant-closed-form", "mobius-inversion-roundtrip", "freeness-certificate")),
 ]
 
 

@@ -215,12 +215,14 @@ def test_plan_trie_builds_without_partitions(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("partition object or rank scan used")
 
-    for name in ("nc", "kreweras", "mobius_nc"):
+    # mu is carried down the trie, with no Kreweras pass per partition
+    for name in ("nc", "kreweras", "mobius_nc", "_kreweras_cycles"):
         monkeypatch.setattr(ncx, name, refuse)
     monkeypatch.setattr(ncx.NCPartition, "__post_init__", refuse)
     cm._mobius_row.cache_clear()
-    root, nodes = cm._mobius_row(8)
-    assert len(nodes) + 1 == ncx.catalan(8)
+    for n in range(1, 11):
+        root, nodes = cm._mobius_row(n)
+        assert len(nodes) + 1 == ncx.catalan(n)
 
 
 def test_plan_trie_equals_plan_by_plan_sum(pf_graphs):
@@ -235,19 +237,29 @@ def test_plan_trie_equals_plan_by_plan_sum(pf_graphs):
                                for v in g.vertices_of_parity(0)}
             return values[key]
 
+        def sparse(ps, g=g):
+            # empty on some blocks, and an exact 0.0 at some vertices of the rest
+            key = ("sparse", tuple(ps))
+            if key not in values:
+                values[key] = {} if rng.uniform() < 0.3 else {
+                    v: 0.0 if rng.uniform() < 0.4 else float(rng.uniform(-1, 1))
+                    for v in g.vertices_of_parity(0)}
+            return values[key]
+
         moment = lambda ps, g=g: cm.moment_phi(g, ps)
         starry = lambda ps, g=g: cm.kappa_starry(g, ps)
-        for n in range(1, 9):
-            tuples = _seeded_loops(g, n, 3 if n < 8 else 2, rng)
+        for n in range(1, 10):
+            tuples = _seeded_loops(g, n, 3 if n < 8 else 2 if n < 9 else 1, rng)
             assert tuples
             for tup in tuples:
                 assert cm.kappa_mobius(g, tup) == _sum_extensions_by_plans(
                     moment, tup, weighted=True)
                 assert cm.kappa_from_kernel(starry, tup) == _sum_extensions_by_plans(
                     starry, tup, weighted=False)
-                for weighted in (True, False):
-                    assert cm._sum_extensions(dense, tup, weighted) == \
-                        _sum_extensions_by_plans(dense, tup, weighted)
+                for kernel in (dense, sparse):
+                    for weighted in (True, False):
+                        assert cm._sum_extensions(kernel, tup, weighted) == \
+                            _sum_extensions_by_plans(kernel, tup, weighted)
 
 
 def test_plan_trie_sees_the_oracles_blocks(pf_graphs):
