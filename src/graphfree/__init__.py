@@ -27,8 +27,7 @@ from .graphs import (
     subgraph_star,
     two_vertex_graph,
 )
-from .gralg import (GradedElement, bullet_mul, corner, corner_trace, e_parity,
-                    e_vertex, star, tau, unit)
+from .gralg import GradedElement, bullet_mul, corner, e_vertex, star, tau, unit
 from .falg import inner, phi, psi, sharp_mul, t_functional, truncated_left_mult
 from .noncross import (NCPartition, catalan, double_bijection, enumerate_nc,
                        enumerate_tl, epsilon_identity_check, is_starry,
@@ -53,8 +52,7 @@ __all__ = [
     "graph_from_spec", "line_graph", "named_graph", "pf_weighting",
     "star_graph", "subgraph_star", "two_vertex_graph",
     # graded picture
-    "GradedElement", "bullet_mul", "corner", "corner_trace", "e_parity",
-    "e_vertex", "star", "tau", "unit",
+    "GradedElement", "bullet_mul", "corner", "e_vertex", "star", "tau", "unit",
     # filtered picture
     "inner", "phi", "psi", "sharp_mul", "t_functional", "truncated_left_mult",
     # combinatorics

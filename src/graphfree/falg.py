@@ -10,11 +10,16 @@ between the two pictures carrying tau to t.  Neither enumerates diagrams:
 phi fixes edges, so phi(e r) = e # phi(r), where e # q contracts at most one
 edge, and psi inverts that one-edge rule (:func:`_phi_step` and
 :func:`_psi_step`, the steps both a single path's suffixes and
-:func:`basis_transforms` take).  The transforms of the whole basis to
-degree D fill one memo length by length, each path one step from its
-suffix's entry, and the isomorphism suite's round trips compose two such
-memos: 0.3-0.5 s at degree 10 and 1.9 s at 12 (in process, 2-core
-x86-64 host), where transforming path by path took 3.3-4.2 and 22-28 s.
+:func:`basis_transforms` take).  A path's transform is one step from
+that of its suffix: suffixes of at most SUFFIX_MEMO_LEN edges are
+transformed in a memo bounded by TAU_MEMO_MAX entries and shared by
+every path, so a family of paths steps each distinct suffix once, and
+a longer path steps the edges in front of them itself.  The transforms
+of the whole basis to degree D fill one memo length by length, each
+path one step from its suffix's entry, and the isomorphism suite's
+round trips compose two such memos: 0.3-0.5 s at degree 10 and 1.9 s
+at 12 (in process, 2-core x86-64 host), where transforming path by path
+took 3.3-4.2 and 22-28 s.
 t(phi(path)) is the all-capped corner of a sparse table of gap weights,
 read without building phi; its rows are kept per suffix
 (:class:`GapStack`), so a family of loops walked through its suffix tree
@@ -27,13 +32,14 @@ SVD per block shape.
 
 from __future__ import annotations
 
+import functools
 from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import Graph, Path, adjacency_powers, delta_max, enumerate_paths
-from .gralg import GradedElement
+from .gralg import SUFFIX_MEMO_LEN, TAU_MEMO_MAX, GradedElement
 
 
 def sharp_mul(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -166,33 +172,50 @@ def _psi_step(e: int, cap: float, prev: dict, older) -> dict:
     return acc
 
 
-def _suffix_transforms(graph: Graph, path: Path, inverse: bool):
-    """Yield phi (or psi) of e_{i+1}..e_n for i = n..0, as {through edges: coeff}.
+def _path_transform(graph: Graph, edges: tuple[int, ...], inverse: bool) -> dict:
+    """phi (or psi) of the path along these edges, as {through edges: coeff}.
 
-    Each is one :func:`_phi_step` (or :func:`_psi_step`) from the one
-    before, with cap c_i = mu(v_{i+1})/mu(v_i).
+    The transform of the suffix after edges[:cut] (the last
+    SUFFIX_MEMO_LEN edges, or all but the first of a shorter path) comes
+    from the memo, and each edge in front of it takes one
+    :func:`_phi_step` (or :func:`_psi_step`), with cap
+    c = mu(after e)/mu(before e).  No entry is stored for the whole path.
     """
-    n, v, e = path.length, path.vertices, path.edges
-    mu, erev = graph.mu, graph.erev
-    older = prev = {(): 1.0}
-    yield prev
-    for i in range(n - 1, -1, -1):
-        cap = mu(v[i + 1]) / mu(v[i])
+    if not edges:
+        return {(): 1.0}
+    mu, erev, estart, efinish = graph.mu, graph.erev, graph.estart, graph.efinish
+    n = len(edges)
+    cut = max(n - SUFFIX_MEMO_LEN, 1)
+    prev = _suffix_transform(graph, edges[cut:], inverse)
+    older = _suffix_transform(graph, edges[cut + 1:], inverse) if inverse else None
+    for i in range(cut - 1, -1, -1):
+        e = edges[i]
+        cap = mu(efinish[e]) / mu(estart[e])
         if not inverse:
-            acc = _phi_step(e[i], erev[e[i]], cap, prev)
+            acc = _phi_step(e, erev[e], cap, prev)
         else:
-            acc = _psi_step(e[i], cap, prev,
-                            older if i + 1 < n and e[i + 1] == erev[e[i]] else None)
+            acc = _psi_step(e, cap, prev, older if i + 1 < n and edges[i + 1] == erev[e] else None)
         older, prev = prev, acc
-        yield acc
+    return prev
+
+
+@functools.lru_cache(maxsize=TAU_MEMO_MAX)
+def _suffix_transform(graph: Graph, suffix: tuple[int, ...], inverse: bool) -> dict:
+    """:func:`_path_transform` of a suffix of at most SUFFIX_MEMO_LEN edges, memoized.
+
+    Its recursion reads the entries of suffix[1:] (and, for psi,
+    suffix[2:]), so each distinct suffix takes one step while it stays in
+    the memo.  Callers must not change the dict.
+    """
+    return _path_transform(graph, suffix, inverse)
 
 
 def basis_transforms(graph: Graph, max_degree: int, inverse: bool) -> dict:
     """phi (or psi) of every path of length <= max_degree, filled length by length.
 
     Keyed by the path's edge tuple, or by its vertex at length 0; each
-    value is {through edges: coeff} as :func:`_suffix_transforms` ends
-    with it, every output starting where its path starts.  The path e r
+    value is {through edges: coeff} as :func:`_path_transform` returns
+    it, every output starting where its path starts.  The path e r
     is one step (:func:`_phi_step`, :func:`_psi_step`) from r's entry, one
     length shorter, and psi also reads r[1:]'s, two shorter, when r
     starts with rev(e).  So each distinct suffix is transformed once, not
@@ -225,9 +248,7 @@ def _transform(x: GradedElement, inverse: bool) -> GradedElement:
     efinish = g.efinish
     out: dict[Path, float] = {}
     for p, a in x.terms.items():
-        for whole in _suffix_transforms(g, p, inverse):
-            pass
-        for edges, c in whole.items():
+        for edges, c in _path_transform(g, p.edges, inverse).items():
             q = Path((p.start, *map(efinish.__getitem__, edges)), edges)
             out[q] = out.get(q, 0.0) + a * c
     return GradedElement(g, out)

@@ -14,10 +14,12 @@ after edge i.  Splitting a pairing at the partner of its first edge
 (first-return decomposition) turns the Catalan-sized sum into an
 O(n^3) interval recursion, so :func:`tau` has no length cap.  Its row
 for e_{i+1}..e_n depends on that suffix alone, so :class:`FaceStack`
-keeps the rows as a stack that grows by one edge in front: a single
-path is a walk with one branch, and a caller that traces a family of
-loops walks their suffix tree and builds each distinct suffix's row
-once.  :func:`tau_pairing` keeps the single-diagram term as the oracle.
+keeps the rows as a stack that grows by one edge in front.  :func:`tau`
+reads the stacks of suffixes of at most SUFFIX_MEMO_LEN edges from a
+memo bounded by TAU_MEMO_MAX entries and shared by every loop, so loops
+traced one by one fill each distinct suffix's row once; a caller that
+walks a family's suffix tree on one stack does the same without the
+memo.  :func:`tau_pairing` keeps the single-diagram term as the oracle.
 """
 
 from __future__ import annotations
@@ -150,11 +152,6 @@ def e_vertex(graph: Graph, v) -> GradedElement:
     return GradedElement.basis(graph, vertex_path(graph.index(v)))
 
 
-def e_parity(graph: Graph, parity: int) -> GradedElement:
-    return GradedElement(graph, {vertex_path(v): 1.0
-                                 for v in graph.vertices_of_parity(parity)})
-
-
 def bullet_mul(x: GradedElement, y: GradedElement) -> GradedElement:
     """Concatenation product; terms with mismatched endpoints drop out."""
     x._check(y)
@@ -243,6 +240,14 @@ class FaceStack:
         self.edges.pop()
         self.rows.pop()
 
+    def pushed(self, *pushed: int) -> "FaceStack":
+        """A new stack with this one's rows and the edges pushed; this one is left as it is."""
+        new = FaceStack.__new__(FaceStack)
+        new._mu2, new._erev, new._efinish = self._mu2, self._erev, self._efinish
+        new.edges, new.rows = self.edges[:], self.rows[:]
+        new.push(*pushed)
+        return new
+
     def corner_with(self, e: int) -> float:
         """F of e in front of the suffix, its entry r = 0, from the partners alone.
 
@@ -259,7 +264,13 @@ class FaceStack:
 
 # Loops held, of all graphs together.  One pass of verify --suite all at
 # degree 6 traces 446 distinct loops, one of any perfbench workload <= 1,122.
+# The face rows and the transforms of suffixes are held to the same bound.
 TAU_MEMO_MAX = 4096
+
+# The longest suffix whose face rows (and transforms, in falg) are memoized,
+# filled by recursion no deeper: the default verify degree.  The edges in
+# front of it are pushed onto a FaceStack on each call.
+SUFFIX_MEMO_LEN = 16
 
 
 def tau_path(graph: Graph, path: Path) -> float:
@@ -275,15 +286,32 @@ def tau_path(graph: Graph, path: Path) -> float:
 
 
 @functools.lru_cache(maxsize=TAU_MEMO_MAX)
+def _face_stack(graph: Graph, suffix: tuple[int, ...]) -> FaceStack:
+    """The :class:`FaceStack` with the suffix (at most SUFFIX_MEMO_LEN edges) pushed.
+
+    It is that of suffix[1:] with one more row, so each distinct suffix
+    fills its row once while it stays in the memo, and the rows below
+    are shared with the entries of the shorter suffixes.  Callers read
+    the stack and push onto a :meth:`~FaceStack.pushed` copy.
+    """
+    if not suffix:
+        return FaceStack(graph)
+    return _face_stack(graph, suffix[1:]).pushed(suffix[0])
+
+
+@functools.lru_cache(maxsize=TAU_MEMO_MAX)
 def tau_loop(graph: Graph, edges: tuple[int, ...]) -> float:
     """Trace of the loop with these edges (at least one), memoized by the edge tuple.
 
-    A walk with a single branch: the edges are pushed onto a
-    :class:`FaceStack` from the last, and the first edge's corner is read
-    without its row.
+    The first edge's corner is read, without its row, over the face rows
+    of the other edges: those of their last SUFFIX_MEMO_LEN come from the
+    memo of :func:`_face_stack`, shared by every loop, and any edges in
+    front of them are pushed for this call alone.
     """
-    faces = FaceStack(graph)
-    faces.push(*edges[:0:-1])
+    rest = edges[1:]
+    faces = _face_stack(graph, rest[-SUFFIX_MEMO_LEN:])
+    if len(rest) > SUFFIX_MEMO_LEN:
+        faces = faces.pushed(*reversed(rest[:-SUFFIX_MEMO_LEN]))
     denom = math.prod(map(graph.mu, map(graph.efinish.__getitem__, edges)))
     return graph.mu2[graph.estart[edges[0]]] * faces.corner_with(edges[0]) / denom
 
@@ -316,10 +344,3 @@ def corner(x: GradedElement, side) -> GradedElement:
     keep = _corner_vertices(x.graph, side)
     return GradedElement(x.graph, {p: c for p, c in x.terms.items()
                                    if p.start in keep and p.finish in keep})
-
-
-def corner_trace(x: GradedElement, side) -> float:
-    """Trace of the corner, rescaled to be 1 on the corner unit."""
-    keep = _corner_vertices(x.graph, side)
-    mass = sum(x.graph.mu2[v] for v in keep)
-    return tau(corner(x, side)) / mass

@@ -352,7 +352,7 @@ def _suite_cdelta(run: _Runner):
             for v in range(g.n_vertices):
                 dv = delta_v(g, v)
 
-                @functools.cache
+                @functools.lru_cache(maxsize=24)  # 4 kinds at the lengths 0, 2, ..., 10
                 def gen(kind, length):  # one generator on the loops at v of one length
                     return epitl.path_matrix(g, length, length + (2 if kind[0] == "C" else -2),
                                              lambda y: cdelta.gen_act(g, v, kind, y), at=v)

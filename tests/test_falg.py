@@ -334,33 +334,128 @@ def test_transforms_fill_no_gap_rows(monkeypatch, battery):
         falg.t_phi_path(g, p)
 
 
+def _suffix_transforms(graph, path, inverse):
+    """Yield phi (or psi) of e_{i+1}..e_n for i = n..0, as {through edges: coeff}.
+
+    The per-path oracle: each is one step from the one before, with cap
+    c_i = mu(v_{i+1})/mu(v_i), and nothing is memoized.
+    """
+    n, v, e = path.length, path.vertices, path.edges
+    mu, erev = graph.mu, graph.erev
+    older = prev = {(): 1.0}
+    yield prev
+    for i in range(n - 1, -1, -1):
+        cap = mu(v[i + 1]) / mu(v[i])
+        if not inverse:
+            acc = falg._phi_step(e[i], erev[e[i]], cap, prev)
+        else:
+            acc = falg._psi_step(e[i], cap, prev,
+                                 older if i + 1 < n and e[i + 1] == erev[e[i]] else None)
+        older, prev = prev, acc
+        yield acc
+
+
 @pytest.mark.parametrize("inverse", [False, True], ids=["phi", "psi"])
-def test_suffix_transforms_grow_quadratically(a2, inverse):
+def test_suffix_transforms_grow_quadratically(monkeypatch, a2, inverse):
     # deterministic work counter on the a2 alternating loops: a suffix of
     # length k maps to the k//2 + 1 alternating paths of lengths k, k-2, ...,
     # so the suffix transforms hold (n+2)^2/4 terms in all, where the gap
-    # rows made about n^3/24 multiply-adds
+    # rows made about n^3/24 multiply-adds.  Counted on the production
+    # route from a cold memo: every step's output, and the empty suffix's
+    # one term; the oracle's suffixes hold as many
+    held = []
+    name = "_psi_step" if inverse else "_phi_step"
+    step = getattr(falg, name)
+    monkeypatch.setattr(falg, name, lambda *args: held.append(step(*args)) or held[-1])
     for n in (20, 40, 80):
         loop = a2.path_from_vertices(["v0", "v1"] * (n // 2) + ["v0"])
-        terms = sum(map(len, falg._suffix_transforms(a2, loop, inverse)))
+        falg._suffix_transform.cache_clear()
+        held.clear()
+        falg._path_transform(a2, loop.edges, inverse)
+        terms = 1 + sum(map(len, held))
+        assert len(held) == n
+        assert terms == sum(map(len, _suffix_transforms(a2, loop, inverse)))
         assert terms <= (n + 2) ** 2 // 4
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["phi", "psi"])
 def test_basis_transforms_match_suffix_transforms(battery, inverse):
     # the memo's entry for each path of length <= 8 is the dict the per-path
-    # recursion ends with: the same terms, in the same order, bit for bit
+    # recursion ends with, and the dict the production route returns: the
+    # same terms, in the same order, bit for bit
     for g in battery.values():
         memo = falg.basis_transforms(g, 8, inverse)
         keys = set()
         for n in range(9):
             for p in enumerate_paths(g, None, n, None):
-                for whole in falg._suffix_transforms(g, p, inverse):
-                    pass
+                *_, whole = _suffix_transforms(g, p, inverse)
                 key = p.edges or p.start
                 assert list(memo[key].items()) == list(whole.items())
+                assert list(falg._path_transform(g, p.edges, inverse).items()) == list(whole.items())
                 keys.add(key)
         assert memo.keys() == keys
+
+
+def _alternating_and_random_loops(rng, k1_4_length):
+    """The a2 alternating loop of length 40 and two random k1_4 loops of k1_4_length."""
+    a2, k1_4 = named_graph("a2"), named_graph("k1_4")
+    loops = [(a2, a2.path_from_vertices(["v0", "v1"] * 20 + ["v0"]))]
+    for _ in range(2):
+        names = [v for k in rng.integers(4, size=k1_4_length // 2) for v in ("c", f"l{k}")]
+        loops.append((k1_4, k1_4.path_from_vertices(names + ["c"])))
+    return loops
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["phi", "psi"])
+def test_transforms_match_the_per_path_recursion(battery, rng, inverse):
+    # phi and psi step once from the memo entry of each path's suffix (past
+    # SUFFIX_MEMO_LEN edges, once per edge in front of it): their results
+    # equal the per-path recursion's, in dict order, bit for bit, with the
+    # memo filled by the paths before or emptied before every call
+    paths = [(g, p) for g in battery.values() for n in range(9)
+             for p in enumerate_paths(g, None, n, None)]
+    paths += _alternating_and_random_loops(rng, 24)
+    assert max(p.length for _, p in paths) > gralg.SUFFIX_MEMO_LEN + 1
+    for clear in (False, True):
+        falg._suffix_transform.cache_clear()
+        for g, p in paths:
+            if clear:
+                falg._suffix_transform.cache_clear()
+            *_, whole = _suffix_transforms(g, p, inverse)
+            got = (falg.psi if inverse else falg.phi)(GradedElement.basis(g, p))
+            assert [(q.edges, c) for q, c in got.terms.items()] == list(whole.items())
+            assert all(q.start == p.start for q in got.terms)
+        assert 0 < falg._suffix_transform.cache_info().currsize <= gralg.TAU_MEMO_MAX
+
+
+def test_memos_transform_and_face_row_each_suffix_once(monkeypatch):
+    # deterministic work counters on every loop of the trace-loops battery
+    # (a3 to length 10, a4 and dbl to 8, k1_4 to 6), traced and transformed
+    # in enumerate_paths order from cold memos: one phi step per distinct
+    # proper suffix and one more per loop, and one face row per distinct
+    # proper suffix, where the per-path routes took 7,988 steps and 6,866
+    # pushes (one per edge, and one per edge but the first)
+    steps, pushed = [], []
+    phi_step, push = falg._phi_step, gralg.FaceStack.push
+    monkeypatch.setattr(falg, "_phi_step", lambda *args: steps.append(1) or phi_step(*args))
+    monkeypatch.setattr(gralg.FaceStack, "push",
+                        lambda self, *edges: pushed.extend(edges) or push(self, *edges))
+    for memo in (falg._suffix_transform, gralg._face_stack, gralg.tau_loop):
+        memo.cache_clear()
+    suffixes, loops, edges = set(), 0, 0
+    for name, max_len in (("a3", 10), ("a4", 8), ("k1_4", 6), ("dbl", 8)):
+        g = named_graph(name)
+        for n in range(2, max_len + 1, 2):
+            for v in range(g.n_vertices):
+                for p in enumerate_paths(g, v, n, v):
+                    b = GradedElement.basis(g, p)
+                    assert tau(b) == pytest.approx(falg.t_functional(falg.phi(b)), rel=1e-9)
+                    suffixes.update((name, p.edges[i:]) for i in range(1, n))
+                    loops += 1
+                    edges += n
+    assert (len(suffixes), loops, edges) == (1252, 1122, 7988)
+    assert len(steps) == len(suffixes) + loops == 2374
+    assert len(pushed) == len(suffixes) == 1252 < edges - loops == 6866
 
 
 def test_basis_transforms_count_their_terms(a2):

@@ -1,13 +1,14 @@
 import itertools
+import math
 
 import pytest
 
 from graphfree import gralg
 from graphfree import noncross as ncx
-from graphfree.gralg import (GradedElement, bullet_mul, corner, corner_trace,
-                             e_parity, e_vertex, star, tau, tau_pairing, tau_path,
-                             unit)
-from graphfree.graphs import GraphError, enumerate_paths, named_graph, two_vertex_graph
+from graphfree.gralg import (GradedElement, bullet_mul, corner, e_vertex, star, tau,
+                             tau_pairing, tau_path, unit)
+from graphfree.graphs import (GraphError, enumerate_paths, named_graph, two_vertex_graph,
+                              vertex_path)
 from graphfree.verification import random_element, standard_graphs
 
 
@@ -193,6 +194,52 @@ def test_tau_memo_is_bounded():
     info = gralg.tau_loop.cache_info()
     assert info.currsize == gralg.TAU_MEMO_MAX
     assert info.misses == len(loops) + 10
+
+
+def _plain_tau_loop(graph, edges):
+    """The trace of a loop by one FaceStack walk that pushes every edge but the first."""
+    faces = gralg.FaceStack(graph)
+    faces.push(*edges[:0:-1])
+    denom = math.prod(map(graph.mu, map(graph.efinish.__getitem__, edges)))
+    return graph.mu2[graph.estart[edges[0]]] * faces.corner_with(edges[0]) / denom
+
+
+def test_tau_loop_matches_a_plain_face_stack_walk(battery, rng):
+    # tau_loop reads the rows of its suffixes from a memo shared by every
+    # loop, and pushes only the edges in front of its last SUFFIX_MEMO_LEN:
+    # its traces equal one walk's per loop, bit for bit, with the memos
+    # filled by the loops before (some evicted, on dbl) or emptied before
+    # every call.  Past the cap: the a2 alternating loop of length 40 and
+    # random k1_4 loops of length 48
+    loops = [(g, p.edges) for g in battery.values() for p in _paths(g, range(2, 13, 2), True)]
+    a2, k1_4 = battery["a2"], named_graph("k1_4")
+    loops.append((a2, a2.path_from_vertices(["v0", "v1"] * 20 + ["v0"]).edges))
+    for _ in range(2):
+        names = [v for k in rng.integers(4, size=24) for v in ("c", f"l{k}")]
+        loops.append((k1_4, k1_4.path_from_vertices(names + ["c"]).edges))
+    assert len(loops) > gralg.TAU_MEMO_MAX
+    for clear in (False, True):
+        gralg._face_stack.cache_clear()
+        gralg.tau_loop.cache_clear()
+        for g, edges in loops:
+            if clear:
+                gralg._face_stack.cache_clear()
+                gralg.tau_loop.cache_clear()
+            assert gralg.tau_loop(g, edges) == _plain_tau_loop(g, edges)
+        info = gralg._face_stack.cache_info()
+        assert info.currsize <= gralg.TAU_MEMO_MAX
+        assert clear or info.misses > gralg.TAU_MEMO_MAX
+
+
+def e_parity(graph, parity: int) -> GradedElement:
+    """The sum of the vertex paths of one parity."""
+    return GradedElement(graph, {vertex_path(v): 1.0
+                                 for v in graph.vertices_of_parity(parity)})
+
+
+def corner_trace(x: GradedElement, side) -> float:
+    """Trace of the corner, rescaled to be 1 on the corner unit."""
+    return tau(corner(x, side)) / tau(corner(unit(x.graph), side))
 
 
 def test_corner_examples(a2):

@@ -1,3 +1,4 @@
+import ast
 import copy
 import gc
 import importlib
@@ -294,3 +295,85 @@ def test_every_memo_is_bounded():
     assert {"_paths", "tau_loop", "enumerate_nc", "_mobius_row"} <= set(memos)
     assert "_cache" not in Graph.__slots__
     assert not hasattr(two_vertex_graph(2), "_cache")
+
+
+def _memo_bounds(sources: dict[str, str]):
+    """Yield (module, line, bound) for every functools memo in the sources.
+
+    sources maps a module's name to its text.  bound is the int maxsize
+    of an ``lru_cache(...)`` call, given as a literal or as a name bound
+    at the top of the module to an int literal (or imported there from a
+    sibling module that binds it so).  It is None for anything else:
+    ``maxsize=None``, a bare ``@lru_cache``, ``functools.cache``, a name
+    bound to no int.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    ints = {name: {t.id: node.value.value for node in tree.body
+                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                   and type(node.value.value) is int
+                   for t in node.targets if isinstance(t, ast.Name)}
+            for name, tree in trees.items()}
+    for name, tree in trees.items():
+        known = dict(ints[name])
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                known.update((a.asname or a.name, ints.get(node.module, {}).get(a.name))
+                             for a in node.names)
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                for a in node.names:
+                    if a.name in ("cache", "lru_cache"):
+                        yield name, node.lineno, None  # a bare name hides what it memoizes
+                continue
+            if not (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                continue
+            call = calls.get(id(node)) if node.attr == "lru_cache" else None
+            args = [] if call is None else call.args + [k.value for k in call.keywords
+                                                          if k.arg == "maxsize"]
+            bound = args[0] if len(args) == 1 else None
+            if isinstance(bound, ast.Constant):
+                bound = bound.value if type(bound.value) is int else None
+            elif isinstance(bound, ast.Name):
+                bound = known.get(bound.id)
+            else:
+                bound = None
+            yield name, node.lineno, bound
+
+
+def test_every_lru_cache_has_a_finite_int_bound():
+    # a scan of the source, nested memos included: every functools memo is
+    # lru_cache with a positive int maxsize, a literal or a module constant
+    src = FilePath(graphfree.__file__).parent
+    sources = {f.stem: f.read_text() for f in sorted(src.glob("*.py"))}
+    found = list(_memo_bounds(sources))
+    assert len(found) >= 10
+    for module, line, bound in found:
+        assert type(bound) is int and bound > 0, f"{module}.py:{line}"
+
+
+@pytest.mark.parametrize("text", [
+    "import functools\n@functools.cache\ndef f(x): return x\n",
+    "import functools\n@functools.lru_cache\ndef f(x): return x\n",
+    "import functools\n@functools.lru_cache()\ndef f(x): return x\n",
+    "import functools\n@functools.lru_cache(maxsize=None)\ndef f(x): return x\n",
+    "import functools\nf = functools.lru_cache(lambda x: x)\n",
+    "import functools\nN = None\n@functools.lru_cache(maxsize=N)\ndef f(x): return x\n",
+    "import functools\n@functools.lru_cache(maxsize=2.5)\ndef f(x): return x\n",
+    "import functools\ndef g():\n    @functools.cache\n    def f(x): return x\n",
+    "from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(x): return x\n",
+    "import functools\nfrom .other import N\n@functools.lru_cache(maxsize=N)\ndef f(x): return x\n",
+])
+def test_memo_bound_scan_refuses_unbounded_memos(text):
+    found = list(_memo_bounds({"mod": text, "other": "M = 8\n"}))
+    assert found and any(bound is None for *_, bound in found)
+
+
+def test_memo_bound_scan_reads_module_constants():
+    text = ("import functools\nfrom .other import M\nN = 16\n"
+            "@functools.lru_cache(maxsize=N)\ndef f(x): return x\n"
+            "@functools.lru_cache(M)\ndef g(x): return x\n"
+            "@functools.lru_cache(maxsize=4)\ndef h(x): return x\n")
+    found = list(_memo_bounds({"mod": text, "other": "M = 8\n"}))
+    assert [bound for *_, bound in found] == [16, 8, 4]
