@@ -14,7 +14,6 @@ from .graphs import (
     GraphError,
     Path,
     build_graph,
-    connected_component,
     connected_components,
     delta_max,
     delta_v,
@@ -24,7 +23,6 @@ from .graphs import (
     named_graph,
     pf_weighting,
     star_graph,
-    subgraph_star,
     two_vertex_graph,
 )
 from .gralg import GradedElement, bullet_mul, corner, e_vertex, star, tau, unit
@@ -33,9 +31,8 @@ from .noncross import (NCPartition, catalan, double_bijection, enumerate_nc,
                        enumerate_tl, epsilon_identity_check, is_starry,
                        kreweras, kreweras_class_structure, mobius_nc)
 from .epitl import EpiMorphism, act, compose, enumerate_hom
-from .cdelta import (CenterReport, TPQMorphism, c_2n, c_element, center_report,
-                     d_element, graph_atoms, tpq_act, tpq_compose,
-                     weight_functional, zv_truncation)
+from .cdelta import (CenterReport, TPQMorphism, c_2n, center_report, graph_atoms,
+                     tpq_act, tpq_compose, weight_functional, zv_truncation)
 from .cumulants import (FreenessReport, freeness_certificate, kappa_mobius,
                         kappa_starry, moment_phi, omega_matrix_moments)
 from .factors import (AlgDesc, FactorReport, component_parameter,
@@ -47,10 +44,9 @@ from .verification import VerificationReport, run_verification
 
 __all__ = [
     # graphs
-    "Graph", "GraphError", "Path", "build_graph", "connected_component",
-    "connected_components", "delta_max", "delta_v", "enumerate_paths",
-    "graph_from_spec", "line_graph", "named_graph", "pf_weighting",
-    "star_graph", "subgraph_star", "two_vertex_graph",
+    "Graph", "GraphError", "Path", "build_graph", "connected_components",
+    "delta_max", "delta_v", "enumerate_paths", "graph_from_spec", "line_graph",
+    "named_graph", "pf_weighting", "star_graph", "two_vertex_graph",
     # graded picture
     "GradedElement", "bullet_mul", "corner", "e_vertex", "star", "tau", "unit",
     # filtered picture
@@ -62,9 +58,8 @@ __all__ = [
     # cap category
     "EpiMorphism", "act", "compose", "enumerate_hom",
     # local diagram category
-    "CenterReport", "TPQMorphism", "c_2n", "c_element", "center_report",
-    "d_element", "graph_atoms", "tpq_act", "tpq_compose",
-    "weight_functional", "zv_truncation",
+    "CenterReport", "TPQMorphism", "c_2n", "center_report", "graph_atoms",
+    "tpq_act", "tpq_compose", "weight_functional", "zv_truncation",
     # cumulants
     "FreenessReport", "freeness_certificate", "kappa_mobius", "kappa_starry",
     "moment_phi", "omega_matrix_moments",

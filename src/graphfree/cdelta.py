@@ -7,7 +7,7 @@ instantiated as the local index delta(v) of the ambient vertex when
 acting on loops at v.  The four generators, a cap or a cup at either
 end of a loop, act through the cap and cup kernels of :mod:`epitl`;
 this module only says where each one sits.  It also builds the
-distinguished elements c, c_{2n}, d, the alternating truncations x_m
+distinguished elements c_{2n} (c = c_2), the alternating truncations x_m
 of the central-atom element, and the center/atom report.
 """
 
@@ -207,23 +207,12 @@ def weight_functional(t: TPQMorphism, delta: float) -> float:
 # distinguished elements
 
 
-def c_element(graph: Graph, v) -> GradedElement:
-    """The doubled-edge sum at v (one cup applied to the corner unit)."""
-    return epitl.cup(e_vertex(graph, v), 0)
-
-
 def c_2n(graph: Graph, v, n: int) -> GradedElement:
     """n left cups applied to the corner unit; top term of the n-th power."""
     cur = e_vertex(graph, v)
     for _ in range(n):
         cur = epitl.cup(cur, 0)
     return cur
-
-
-def d_element(graph: Graph, v) -> GradedElement:
-    """The depth-two exploration sum at v: a cup at vertex 1 of c, so the
-    loop v-w-x-w-v weighs mu(x)/mu(v)."""
-    return epitl.cup(c_element(graph, v), 1)
 
 
 def zv_truncation(graph: Graph, v, m: int) -> GradedElement:

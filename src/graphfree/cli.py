@@ -107,6 +107,12 @@ def _load_graph(args) -> Graph:
 def _parse_loop(g: Graph, text: str):
     names = [s.strip() for s in text.split(",")]
     try:
+        idx = [g.index(x) for x in names]
+        for u, x in zip(idx, idx[1:]):
+            if sum(g.efinish[e] == x for e in g.out_edges(u)) > 1:
+                raise CliError(f"--loop {text} crosses the parallel edges {g.ids[u]} -> "
+                               f"{g.ids[x]}, which a vertex list cannot tell apart; "
+                               "--all-loops traces every loop edge by edge")
         return g.path_from_vertices(names)
     except GraphError as exc:
         raise CliError(str(exc)) from exc

@@ -26,8 +26,8 @@ read without building phi; its rows are kept per suffix
 builds each distinct suffix's row once.
 Left multiplication truncated at a degree is a :class:`SparseMatrix`
 indexed by path rank, built without a path per entry; its norm is the
-largest over the components of its nonzero pattern, with one batched
-SVD per block shape.
+square root of the top Ritz value of a Lanczos iteration on M^T M whose
+products run over the triplets, so no dense block is ever filled.
 """
 
 from __future__ import annotations
@@ -407,63 +407,53 @@ def left_mult_norm_bound(graph: Graph, path: Path) -> float:
     return (2 * m + 1) * max(1.0, d ** (m / 2)) / graph.mu(path.finish)
 
 
-def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Component label of each of n nodes joined by the edges a[k]-b[k].
-
-    Each round hooks every root to the smallest root across its edges and
-    then jumps pointers to the roots.  A component that is not merged in
-    one round is merged in the next, so O(log n) rounds of numpy passes
-    over the edges suffice.
-    """
-    label = np.arange(n)
-    while True:
-        la, lb = label[a], label[b]
-        lo, hi = np.minimum(la, lb), np.maximum(la, lb)
-        apart = lo != hi
-        if not apart.any():
-            return label
-        np.minimum.at(label, hi[apart], lo[apart])
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
+# operator_norm stops once the top Ritz pair's residual bound is at most
+# RITZ_TOL times its Ritz value: an eigenvalue of M^T M then lies within
+# 64 eps of that value, relatively, and its square root within about 32 eps
+# of the norm returned.
+RITZ_TOL = 64 * np.finfo(float).eps
 
 
 def operator_norm(mat) -> float:
-    """Spectral norm of a SparseMatrix (or a dense array), block by block.
+    """Spectral norm of a SparseMatrix (or a dense array) by Lanczos on M^T M.
 
-    Rows and columns split into the connected components of the bipartite
-    graph of nonzero entries.  Permuted by components the matrix is a
-    direct sum, whose norm is the largest norm of its blocks.  Only the
-    triplets are visited: the single-entry components are read at once as
-    the largest |entry| among them, and the other blocks are filled from
-    their triplets, rows and columns in ascending order, into one stack
-    per block shape that takes one batched SVD.  A matrix without nonzeros
-    has norm 0.
+    Zero columns add no singular value and are dropped.  Each step takes
+    M^T M q as two `np.bincount` passes over the triplets and
+    orthogonalises the result against every earlier Lanczos vector (twice,
+    so orthogonality holds to rounding); the start vector is seeded, so
+    the result repeats.  The square root of the top Ritz value is
+    returned, a lower bound on the norm.  The loop stops when the
+    residual bound beta_k |s_k| of the top Ritz pair falls to RITZ_TOL
+    times its value (a breakdown, beta_k ~ 0, meets that too, since
+    |s_k| <= 1), or once there are as many steps as nonzero columns,
+    where the Krylov space is the whole space and the Ritz values are
+    exact.  A matrix without nonzeros has norm 0.
     """
     if not isinstance(mat, SparseMatrix):
         rows, cols = np.nonzero(mat)
         mat = SparseMatrix(rows, cols, mat[rows, cols], mat.shape)
-    (n_rows, n_cols), rows, cols, vals = mat.shape, mat.rows, mat.cols, mat.vals
-    if not vals.size:
+    if not mat.vals.size:
         return 0.0
-    label = _components(rows, n_rows + cols, n_rows + n_cols)[rows]
-    multi = np.bincount(label)[label] > 1
-    best = float(np.abs(vals[~multi]).max(initial=0.0))
-    label, vals = label[multi], vals[multi]
-    # each triplet's row and column rank in its block, and its block's shape
-    ranks, sizes = [], []
-    for x, n in ((rows[multi], n_rows), (cols[multi], n_cols)):
-        keys, where = np.unique(label * n + x, return_inverse=True)
-        ranks.append(where - np.searchsorted(keys, label * n))
-        sizes.append(np.bincount(keys // n)[label])
-    shape = sizes[0] * (n_cols + 1) + sizes[1]
-    # with return_index np.unique does not import numpy.ma (13-15 ms, once)
-    for key in np.unique(shape, return_index=True)[0]:
-        part = shape == key
-        blocks, at = np.unique(label[part], return_inverse=True)
-        stack = np.zeros((blocks.size, sizes[0][part][0], sizes[1][part][0]))
-        stack[at, ranks[0][part], ranks[1][part]] = vals[part]
-        best = max(best, float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
-    return best
+    rows, vals = mat.rows, mat.vals
+    cols = np.unique(mat.cols, return_inverse=True)[1]  # the nonzero columns, numbered
+    n_cols = cols.max() + 1
+    q = np.random.default_rng(0).standard_normal(n_cols)
+    q /= np.linalg.norm(q)
+    basis, alphas, betas = np.empty((8, n_cols)), [], []  # rows double when full
+    basis[0] = q
+    while True:
+        w = np.bincount(rows, weights=vals * q[cols])
+        w = np.bincount(cols, weights=vals * w[rows])
+        alphas.append(q @ w)
+        done = basis[:len(alphas)]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+        beta = np.linalg.norm(w)
+        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        if len(alphas) == n_cols or beta * abs(s[-1, -1]) <= RITZ_TOL * theta[-1]:
+            return float(np.sqrt(max(theta[-1], 0.0)))
+        betas.append(beta)
+        q = w / beta
+        if len(alphas) == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[len(alphas)] = q

@@ -519,51 +519,6 @@ def _paths(out_edges: tuple, efinish: tuple, s, length: int, f) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# derived subgraphs
-
-
-def _induced(graph: Graph, keep: list[int], star=None):
-    keep_set = set(keep)
-    old_to_new = {v: i for i, v in enumerate(keep)}
-    gamma = sum(graph.mu2[v] for v in keep)
-    mu2 = [graph.mu2[v] / gamma for v in keep]
-    estart, efinish, erev = [], [], []
-    old_edges = [e for e in range(graph.n_directed_edges)
-                 if graph.estart[e] in keep_set and graph.efinish[e] in keep_set]
-    emap = {e: i for i, e in enumerate(old_edges)}
-    for e in old_edges:
-        estart.append(old_to_new[graph.estart[e]])
-        efinish.append(old_to_new[graph.efinish[e]])
-        erev.append(emap[graph.erev[e]])
-    new_star = old_to_new.get(star) if star is not None else None
-    sub = Graph([graph.ids[v] for v in keep], [graph.parity[v] for v in keep],
-                mu2, estart, efinish, erev, new_star)
-    return sub, gamma
-
-
-def subgraph_star(graph: Graph, w) -> tuple[Graph, float]:
-    """Induced subgraph on the opposite-parity vertices plus w.
-
-    The weighting is the renormalized restriction; the renormalization
-    constant gamma (mass kept) is returned alongside.
-    """
-    i = graph.index(w)
-    other = 1 - graph.parity[i]
-    keep = sorted(set(graph.vertices_of_parity(other)) | {i})
-    return _induced(graph, keep)
-
-
-def connected_component(graph: Graph, v) -> tuple[Graph, float]:
-    """Connected component of v with renormalized weights, plus gamma."""
-    i = graph.index(v)
-    for comp in connected_components(graph):
-        if i in comp:
-            star = graph.star if graph.star in comp else None
-            return _induced(graph, comp, star=star)
-    raise GraphError(f"unknown vertex {v!r}")
-
-
-# ---------------------------------------------------------------------------
 # stock graphs used throughout the examples and tests
 
 

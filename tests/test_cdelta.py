@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from graphfree import cdelta as cd, falg
+from graphfree import cdelta as cd, epitl, falg
 from graphfree.gralg import GradedElement, bullet_mul, e_vertex
-from graphfree.graphs import (GraphError, Path, delta_v, enumerate_paths,
+from graphfree.graphs import (Graph, GraphError, Path, delta_v, enumerate_paths,
                               named_graph, two_vertex_graph)
 
 
@@ -99,8 +99,13 @@ def test_weight_functional_multiplicative(rng):
             delta ** power * cd.weight_functional(comp, delta))
 
 
+def c_element(graph: Graph, v) -> GradedElement:
+    """The doubled-edge sum at v (one cup applied to the corner unit)."""
+    return epitl.cup(e_vertex(graph, v), 0)
+
+
 def test_c_element_examples(a2, a3):
-    c = cd.c_element(a2, "v0")
+    c = c_element(a2, "v0")
     loop = a2.path_from_vertices(["v0", "v1", "v0"])
     assert c.coeff(loop) == pytest.approx(a2.mu(1) / a2.mu(0))
     # one cap annihilates the doubled edge to delta(v) e_v
@@ -116,15 +121,21 @@ def test_c2n_top_term_and_norm(a3, rng):
         c2n = cd.c_2n(a3, v, n)
         assert sum(c * c for c in c2n.terms.values()) == pytest.approx(dv ** n)
     # c_{2n} is the top-degree term of the n-th sharp power of c
-    c = cd.c_element(a3, v)
+    c = c_element(a3, v)
     power = c
     for n in (2, 3):
         power = falg.sharp_mul(power, c)
         assert power.component(2 * n).norm_inf_diff(cd.c_2n(a3, v, n)) < 1e-10
 
 
+def d_element(graph: Graph, v) -> GradedElement:
+    """The depth-two exploration sum at v: a cup at vertex 1 of c, so the
+    loop v-w-x-w-v weighs mu(x)/mu(v)."""
+    return epitl.cup(c_element(graph, v), 1)
+
+
 def test_d_element_single_edge(a2):
-    d = cd.d_element(a2, "v0")
+    d = d_element(a2, "v0")
     loop = a2.path_from_vertices(["v0", "v1", "v0", "v1", "v0"])
     assert list(d.terms) == [loop]
     assert d.coeff(loop) == pytest.approx(1.0)  # mu(v)/mu(v)
@@ -153,7 +164,7 @@ def test_adjointness_of_cap_and_cup(a3):
 
 def test_commutator_top_terms(a3, rng):
     v = "v1"
-    c = cd.c_element(a3, v)
+    c = c_element(a3, v)
     for n in (1, 2):
         x = rand_loops(a3, a3.index(v), n, rng)
         top_left = falg.sharp_mul(c, x).component(2 * n + 2)
@@ -246,7 +257,7 @@ def test_commutator_with_d_nonvanishing(a3, dbl):
     # which is what forces the alternating coefficient recurrence
     for g in (a3, dbl):
         for vi in range(g.n_vertices):
-            d = cd.d_element(g, vi)
+            d = d_element(g, vi)
             for k in (1, 2):
                 c2k = cd.c_2n(g, vi, k)
                 comm = falg.sharp_mul(d, c2k) - falg.sharp_mul(c2k, d)
@@ -255,7 +266,7 @@ def test_commutator_with_d_nonvanishing(a3, dbl):
     # on the one-edge graph the commutator collapses: the dichotomy needs
     # at least two edges
     a2 = two_vertex_graph(1, 0.5, 0.5)
-    d = cd.d_element(a2, "v")
+    d = d_element(a2, "v")
     c2 = cd.c_2n(a2, "v", 1)
     comm = falg.sharp_mul(d, c2) - falg.sharp_mul(c2, d)
     assert comm.component(6).is_zero()
@@ -304,7 +315,7 @@ def d_element_direct(graph, vi: int) -> GradedElement:
 def test_d_element_matches_depth_two_sum(name):
     g = named_graph(name)
     for vi in range(g.n_vertices):
-        d = cd.d_element(g, vi)
+        d = d_element(g, vi)
         assert d.terms.keys() == d_element_direct(g, vi).terms.keys()
         assert d.norm_inf_diff(d_element_direct(g, vi)) < 1e-12
 

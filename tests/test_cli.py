@@ -64,6 +64,17 @@ def test_trace_loop_has_no_degree_cap(a2_file, capsys):
     assert row["transform_trace"] == pytest.approx(8398, rel=1e-12)
 
 
+def test_trace_loop_across_parallel_edges_points_to_all_loops(capsys):
+    # dbl joins v and w by two edges; a vertex list cannot pick one, and
+    # --loop takes no edge ids, so the error names the edges and --all-loops
+    assert main(["trace", "--named", "dbl", "--loop", "v,w,v"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "crosses the parallel edges v -> w" in captured.err
+    assert "--all-loops" in captured.err and "give edge ids" not in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_trace_refuses_too_many_loops(capsys):
     assert main(["trace", "--named", "k1_4", "--all-loops", "--max-len", "60"]) == 2
     err = capsys.readouterr().err

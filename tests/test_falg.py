@@ -713,32 +713,48 @@ def _alternating_truncations(degree):
         yield falg.truncated_left_mult(cdelta.zv_truncation(g, "v", m), degree)[0]
 
 
+def _edge_sum_truncation(degree):
+    """T_D of phi(X) for dbl's edge sum X = sum_e e: one block of the nonzero pattern."""
+    g = named_graph("dbl")
+    x = GradedElement(g, {g.path(g.estart[e], (e,)): 1.0 for e in range(g.n_directed_edges)})
+    return falg.truncated_left_mult(falg.phi(x), degree)[0]
+
+
 def test_operator_norm_of_alternating_truncations_matches_dense_norm():
-    # the norm checks bound it from above only, so a norm reading 0 would
-    # pass them; here it meets the dense spectral norm.  Zero rows and
-    # columns add no singular value, and dropping them takes the degree-10
-    # dense SVDs from 4094 x 4094 to 1279 x 1279
-    for degree in (8, 10):
-        for mat in _alternating_truncations(degree):
+    # the truncations meet the dense spectral norm.  Zero rows and columns
+    # add no singular value, and dropping them takes the degree-10 dense
+    # SVDs from 4094 x 4094 to 1279 x 1279
+    for mats in (_alternating_truncations(8), _alternating_truncations(10),
+                 [_edge_sum_truncation(6), _edge_sum_truncation(8)]):
+        for mat in mats:
             dense = mat.toarray()
             dense = dense[np.ix_(dense.any(axis=1), dense.any(axis=0))]
             want = float(np.linalg.norm(dense, 2))
             assert abs(falg.operator_norm(mat) - want) <= 1e-12 * want
 
 
-def test_operator_norm_takes_one_svd_per_block_shape(monkeypatch):
-    # the three degree-8 truncations have 7, 4 and 5 distinct shapes among
-    # their 243 multi-entry blocks
+def test_operator_norm_counts_its_lanczos_products(monkeypatch):
+    # each Lanczos step takes M^T M q as two np.bincount passes over the
+    # triplets; the three degree-8 truncations (1,022 columns, 509 to 761
+    # nonzeros) converge in 9, 8 and 8 steps, and no SVD is taken
     mats = list(_alternating_truncations(8))
     calls = []
-    for name in ("svd", "norm"):
-        def counting(*args, real=getattr(np.linalg, name), **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
+
+    def counting(*args, real=np.bincount, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator_norm took an SVD")
+
+    monkeypatch.setattr(np, "bincount", counting)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    products = []
     for mat in mats:
+        calls.clear()
         falg.operator_norm(mat)
-    assert 0 < len(calls) <= 16
+        products.append(len(calls) / 2)
+    assert products == [9, 8, 8]
 
 
 def test_gram_blocks_match_all_pairs_loop():

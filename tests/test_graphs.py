@@ -14,10 +14,9 @@ import pytest
 
 import graphfree
 from graphfree.graphs import (EVEN, ODD, Graph, GraphError, Path, build_graph,
-                              connected_component, connected_components,
-                              delta_v, enumerate_paths, graph_from_spec,
-                              line_graph, named_graph, pf_weighting, star_graph,
-                              subgraph_star, two_vertex_graph, vertex_path, _paths)
+                              connected_components, delta_v, enumerate_paths,
+                              graph_from_spec, line_graph, named_graph, pf_weighting,
+                              star_graph, two_vertex_graph, vertex_path, _paths)
 
 SQ2 = math.sqrt(2.0)
 
@@ -229,6 +228,47 @@ def test_path_value_contract(a3):
         Path((0,), (0,))
 
 
+def _induced(graph: Graph, keep: list[int], star=None):
+    keep_set = set(keep)
+    old_to_new = {v: i for i, v in enumerate(keep)}
+    gamma = sum(graph.mu2[v] for v in keep)
+    mu2 = [graph.mu2[v] / gamma for v in keep]
+    estart, efinish, erev = [], [], []
+    old_edges = [e for e in range(graph.n_directed_edges)
+                 if graph.estart[e] in keep_set and graph.efinish[e] in keep_set]
+    emap = {e: i for i, e in enumerate(old_edges)}
+    for e in old_edges:
+        estart.append(old_to_new[graph.estart[e]])
+        efinish.append(old_to_new[graph.efinish[e]])
+        erev.append(emap[graph.erev[e]])
+    new_star = old_to_new.get(star) if star is not None else None
+    sub = Graph([graph.ids[v] for v in keep], [graph.parity[v] for v in keep],
+                mu2, estart, efinish, erev, new_star)
+    return sub, gamma
+
+
+def subgraph_star(graph: Graph, w) -> tuple[Graph, float]:
+    """Induced subgraph on the opposite-parity vertices plus w.
+
+    The weighting is the renormalized restriction; the renormalization
+    constant gamma (mass kept) is returned alongside.
+    """
+    i = graph.index(w)
+    other = 1 - graph.parity[i]
+    keep = sorted(set(graph.vertices_of_parity(other)) | {i})
+    return _induced(graph, keep)
+
+
+def connected_component(graph: Graph, v) -> tuple[Graph, float]:
+    """Connected component of v with renormalized weights, plus gamma."""
+    i = graph.index(v)
+    for comp in connected_components(graph):
+        if i in comp:
+            star = graph.star if graph.star in comp else None
+            return _induced(graph, comp, star=star)
+    raise GraphError(f"unknown vertex {v!r}")
+
+
 def test_subgraph_star_k12():
     g = star_graph(2)
     sub, gamma = subgraph_star(g, "c")
@@ -377,3 +417,62 @@ def test_memo_bound_scan_reads_module_constants():
             "@functools.lru_cache(maxsize=4)\ndef h(x): return x\n")
     found = list(_memo_bounds({"mod": text, "other": "M = 8\n"}))
     assert [bound for *_, bound in found] == [16, 8, 4]
+
+
+# Top-level functions of src/graphfree that no other code there calls, each
+# with the role that keeps it in the package.
+UNCALLED_ALLOWED = {
+    "left_mult_norm_bound": "the paper's explicit bound on left multiplication, "
+                            "kept as the upper side of the planned generator-norm checks",
+    "psi": "the inverse transform; perfbench/tracing.py wraps it by name",
+    "tau_pairing": "the one-diagram trace term; perfbench/tracing.py wraps it by name",
+    "unit": "the identity of the graded picture, part of the package's API",
+}
+
+
+def _uncalled_functions(sources: dict[str, str]):
+    """Yield (module, name) for each top-level function that no code loads.
+
+    sources maps a module's name to its text.  A function counts as
+    used when its name is read, bare or as an attribute, anywhere in the
+    sources outside its own definition (decorators included); the
+    package's ``__init__``, which only re-exports, is not searched.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for stmt in tree.body:
+            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != owner:
+                    used.add(name)
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name not in used:
+                yield module, stmt.name
+
+
+def test_every_function_has_a_caller_in_the_package():
+    # code that only tests call lives in the tests; the allowlist names
+    # the exceptions, and every name on it must still be uncalled
+    src = FilePath(graphfree.__file__).parent
+    sources = {f.stem: f.read_text() for f in sorted(src.glob("*.py"))}
+    uncalled = dict((name, module) for module, name in _uncalled_functions(sources))
+    assert uncalled.keys() == UNCALLED_ALLOWED.keys(), uncalled
+    assert sum(text.count("\ndef ") for text in sources.values()) > 100
+
+
+@pytest.mark.parametrize("text", [
+    "def f():\n    return 1\n",
+    "def f(n):\n    return f(n - 1) if n else 0\n",
+    "import functools\n@functools.lru_cache(maxsize=8)\ndef f(x):\n    return x\n",
+])
+def test_uncalled_scan_finds_a_function_used_only_by_itself(text):
+    sources = {"mod": text, "__init__": "from .mod import f\n__all__ = ['f']\n"}
+    assert list(_uncalled_functions(sources)) == [("mod", "f")]
+    sources["other"] = "from . import mod\n\ndef g():\n    return mod.f\n"
+    assert list(_uncalled_functions(sources)) == [("other", "g")]
