@@ -25,7 +25,7 @@ from .graphs import (
     star_graph,
     two_vertex_graph,
 )
-from .gralg import GradedElement, bullet_mul, corner, e_vertex, star, tau, unit
+from .gralg import GradedElement, bullet_mul, e_vertex, star, tau, unit
 from .falg import inner, phi, psi, sharp_mul, t_functional, truncated_left_mult
 from .noncross import (NCPartition, catalan, double_bijection, enumerate_nc,
                        enumerate_tl, epsilon_identity_check, is_starry,
@@ -48,7 +48,7 @@ __all__ = [
     "delta_max", "delta_v", "enumerate_paths", "graph_from_spec", "line_graph",
     "named_graph", "pf_weighting", "star_graph", "two_vertex_graph",
     # graded picture
-    "GradedElement", "bullet_mul", "corner", "e_vertex", "star", "tau", "unit",
+    "GradedElement", "bullet_mul", "e_vertex", "star", "tau", "unit",
     # filtered picture
     "inner", "phi", "psi", "sharp_mul", "t_functional", "truncated_left_mult",
     # combinatorics

@@ -144,7 +144,14 @@ def generator_word(t: TPQMorphism) -> list[tuple[str, int]]:
 
 
 def compose_word(word: list[tuple[str, int]]):
-    """Compose a generator word with the composition rule (test helper)."""
+    """Compose a generator word, first entry applied first, by the composition rule.
+
+    Returns (closed loops, morphism): the loops closed by the
+    :func:`tpq_compose` steps, one power of delta each, and the basis
+    morphism of the word.  The ``cap-normalization-identity`` and
+    ``weight-multiplicativity`` checks of :mod:`graphfree.verification`
+    compose their words with it.
+    """
     total_power = 0
     out = None
     for kind, level in word:

@@ -72,11 +72,11 @@ class CliError(Exception):
 
 
 def _load_graph(args) -> Graph:
-    if getattr(args, "named", None):
+    if (args.graph is None) == (args.named is None):
+        raise CliError("give exactly one of a graph file and --named NAME")
+    if args.named is not None:
         g = named_graph(args.named)
     else:
-        if not args.graph:
-            raise CliError("give a graph file or --named NAME")
         try:
             with open(args.graph, encoding="utf-8") as fh:
                 record = json.load(fh)
@@ -88,7 +88,7 @@ def _load_graph(args) -> Graph:
             g, _ = graph_from_spec(record)
         except GraphError as exc:
             raise CliError(f"{args.graph}: {exc}") from exc
-    if getattr(args, "weights", None):
+    if args.weights is not None:
         try:
             raw = [float(x) for x in args.weights.split(",")]
         except ValueError as exc:
@@ -96,7 +96,7 @@ def _load_graph(args) -> Graph:
         if len(raw) != g.n_vertices:
             raise CliError(f"--weights needs {g.n_vertices} values")
         g = g.with_mu2(normalize_weights(raw))
-    if getattr(args, "pf", False):
+    if args.pf:
         try:
             g, _ = pf_weighting(g)
         except GraphError as exc:
@@ -226,11 +226,11 @@ def _refuse_long_loop(n: int, fix: str):
 
 def cmd_trace(args) -> int:
     g = _load_graph(args)
-    if args.loop:
+    if args.loop is not None:
         p = _parse_loop(g, args.loop)
         _refuse_long_loop(p.length, "give a shorter loop")
         traced = [(_loop_name(g, p.start, p.edges), tau_path(g, p), falg.t_phi_path(g, p))]
-    elif args.all_loops:
+    else:
         max_len = -1
         for max_len, total, work in _all_loop_work(g, args.max_len):
             if total > TRACE_MAX_LOOPS:
@@ -243,8 +243,6 @@ def cmd_trace(args) -> int:
                                f"length l): {work} up to length {max_len} alone; "
                                f"lower --max-len")
         traced = _all_loop_traces(g, max_len)
-    else:
-        raise CliError("give --loop or --all-loops")
     rows, payload = [], []
     for name, via_pairings, via_transform in traced:
         rows.append([name, f"{via_pairings:.12g}", f"{via_transform:.12g}",
@@ -269,7 +267,7 @@ def cmd_moments(args) -> int:
     g = _load_graph(args)
     payload = {}
     lines = []
-    if args.tuple:
+    if args.tuple is not None:
         paths = _parse_tuple(g, args.tuple)
         # the moment traces the composite loop
         _refuse_long_loop(sum(p.length for p in paths), "give a shorter tuple")
@@ -277,7 +275,7 @@ def cmd_moments(args) -> int:
         pretty = {g.ids[v]: c for v, c in val.items()}
         lines.append(f"moment: {pretty}")
         payload["moment"] = pretty
-    elif args.matrix_moments:
+    else:
         kmax = args.matrix_moments
         _refuse_long_loop(2 * kmax, "lower --matrix-moments")
         work = cumulants.matrix_moment_rows(g.n_edges, kmax)
@@ -299,16 +297,12 @@ def cmd_moments(args) -> int:
         payload["matrix_moments"] = got
         payload["pairing_sums"] = want
         payload["rate"] = rate
-    else:
-        raise CliError("give --tuple or --matrix-moments K")
     _emit(args, lines, payload)
     return EXIT_OK
 
 
 def cmd_cumulants(args) -> int:
     g = _load_graph(args)
-    if not args.tuple:
-        raise CliError("give --tuple 'v,w,v;v,w,v'")
     paths = _parse_tuple(g, args.tuple)
     # the first order past the budget, never Catalan(n) itself: it has
     # ~0.6 n digits, too many to format for a long tuple
@@ -448,21 +442,26 @@ _FLAGS = {"--tol": {"type": _checked(float, lambda t: 0 <= t < math.inf,
                                      "finite non-negative float"), "default": 1e-9},
           "--max-degree": {"type": _COUNT, "default": 16},
           "--max-len": {"type": _COUNT, "default": 4},
-          "--seed": {"type": _COUNT, "default": 0},
-          "--matrix-moments": {"type": _checked(int, lambda n: n >= 1, "positive integer"),
-                               "metavar": "K",
-                               "help": "normalized matrix moments up to order K"}}
+          "--seed": {"type": _COUNT, "default": 0}}
 
 
 def _add_common(p, *flags, graph_arg: bool = True):
-    """The graph arguments, the given entries of _FLAGS, and --json."""
+    """The graph arguments, the given entries of _FLAGS, and --json.
+
+    The graph comes from exactly one of a spec file and --named, checked
+    by :func:`_load_graph`: in an argparse group the optional positional
+    would take the value of an unknown option (``factor --named a3
+    --max-degree 3``) and report a conflict instead.  The weights come
+    from at most one of --pf and --weights.
+    """
     if graph_arg:
         p.add_argument("graph", nargs="?", help="graph spec file (JSON record)")
         p.add_argument("--named", help="built-in graph (a2, a3, a4, k1_2, ...)")
-        p.add_argument("--pf", action="store_true",
-                       help="replace the weighting by the Perron-Frobenius one")
-        p.add_argument("--weights",
-                       help="comma-separated vertex weights (normalized)")
+        weighting = p.add_mutually_exclusive_group()
+        weighting.add_argument("--pf", action="store_true",
+                               help="replace the weighting by the Perron-Frobenius one")
+        weighting.add_argument("--weights",
+                               help="comma-separated vertex weights (normalized)")
     for flag in flags:
         p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -477,18 +476,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="trace of loops via both routes")
     _add_common(p, "--tol", "--max-len")
-    p.add_argument("--loop", help="comma-separated vertex ids")
-    p.add_argument("--all-loops", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--loop", help="comma-separated vertex ids")
+    which.add_argument("--all-loops", action="store_true")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("moments", help="base-valued or matrix moments")
-    _add_common(p, "--matrix-moments")
-    p.add_argument("--tuple", help="semicolon-separated loops of length 2")
+    _add_common(p)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--tuple", help="semicolon-separated loops of length 2")
+    which.add_argument("--matrix-moments", metavar="K",
+                       type=_checked(int, lambda n: n >= 1, "positive integer"),
+                       help="normalized matrix moments up to order K")
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("cumulants", help="cumulants by both routes")
     _add_common(p, "--tol")
-    p.add_argument("--tuple", help="semicolon-separated length-2 paths")
+    p.add_argument("--tuple", required=True, help="semicolon-separated length-2 paths")
     p.set_defaults(fn=cmd_cumulants)
 
     p = sub.add_parser("freeness", help="mixed-cumulant certificate")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, Path, enumerate_paths, vertex_path
+from .graphs import Graph, GraphError, Path, enumerate_paths
 from .gralg import GradedElement
 from . import noncross
 
@@ -242,19 +242,6 @@ def closed_cap_value(graph: Graph, t: noncross.NCPartition, path: Path) -> float
         if b <= n or a > n:
             coeff *= graph.mu(path.vertices[a]) / graph.mu(path.vertices[b])
     return coeff
-
-
-def diffexp_check(f: EpiMorphism, x: GradedElement, tol: float = 1e-12) -> bool:
-    """Compare the action of a capping morphism with its closed form."""
-    if f.target != 0:
-        raise GraphError("closed form applies to morphisms into [0]")
-    g = x.graph
-    t = to_tl(f)
-    rhs: dict[Path, float] = {}
-    for p, c in x.terms.items():
-        q = vertex_path(p.finish)
-        rhs[q] = rhs.get(q, 0.0) + c * closed_cap_value(g, t, p)
-    return act(f, x).norm_inf_diff(GradedElement(g, rhs)) <= tol
 
 
 # ---------------------------------------------------------------------------

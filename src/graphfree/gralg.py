@@ -322,25 +322,3 @@ def tau(x: GradedElement) -> float:
     Vanishes in odd degrees; tau(unit) = 1.
     """
     return sum(c * tau_path(x.graph, p) for p, c in x.terms.items())
-
-
-# ---------------------------------------------------------------------------
-# corners
-
-
-def _corner_vertices(graph: Graph, side) -> set[int]:
-    if side == "even":
-        return set(graph.vertices_of_parity(0))
-    if side == "odd":
-        return set(graph.vertices_of_parity(1))
-    return {graph.index(side)}
-
-
-def corner(x: GradedElement, side) -> GradedElement:
-    """Compression e.x.e onto paths starting and ending in the given side.
-
-    ``side`` is a vertex id, or "even"/"odd" for the parity corners.
-    """
-    keep = _corner_vertices(x.graph, side)
-    return GradedElement(x.graph, {p: c for p, c in x.terms.items()
-                                   if p.start in keep and p.finish in keep})

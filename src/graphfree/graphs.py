@@ -482,11 +482,24 @@ def enumerate_paths(graph: Graph, start=None, length: int = 0, finish=None) -> l
     Exhaustive, duplicate-free and deterministic: starts ascend by vertex
     index and edges are explored in edge-id order.  Calls share the list.
     """
+    return _paths(graph._out, graph.efinish, *_path_query(graph, start, length, finish))
+
+
+def iter_paths(graph: Graph, start=None, length: int = 0, finish=None):
+    """The paths of :func:`enumerate_paths`, in its order, one at a time.
+
+    No list is built or held, so a caller that reads each path once
+    (the freeness certificate, over up to millions of tuples) keeps its
+    memory flat.
+    """
+    return _walk(graph._out, graph.efinish, *_path_query(graph, start, length, finish))
+
+
+def _path_query(graph: Graph, start, length: int, finish):
     if length < 0:
         raise GraphError("path length must be >= 0")
-    s = None if start is None else graph.index(start)
-    f = None if finish is None else graph.index(finish)
-    return _paths(graph._out, graph.efinish, s, length, f)
+    return (None if start is None else graph.index(start), length,
+            None if finish is None else graph.index(finish))
 
 
 # Lists held, keyed by edge structure, not graph: one pass of verify --suite
@@ -498,24 +511,34 @@ PATHS_MEMO_MAX = 1024
 
 @functools.lru_cache(maxsize=PATHS_MEMO_MAX)
 def _paths(out_edges: tuple, efinish: tuple, s, length: int, f) -> list[Path]:
-    starts = [s] if s is not None else list(range(len(out_edges)))
-    out: list[Path] = []
+    return list(_walk(out_edges, efinish, s, length, f))
 
-    def extend(verts, edges):
-        if len(edges) == length:
-            if f is None or verts[-1] == f:
-                out.append(Path(tuple(verts), tuple(edges)))
-            return
-        for e in out_edges[verts[-1]]:
+
+def _walk(out_edges: tuple, efinish: tuple, s, length: int, f):
+    """Yield the paths depth first, on one stack of out-edge iterators."""
+    starts = range(len(out_edges)) if s is None else (s,)
+    if not length:
+        yield from (Path((v,), ()) for v in starts if f in (None, v))
+        return
+    for v0 in starts:
+        verts, edges, todo = [v0], [], [iter(out_edges[v0])]
+        while todo:
+            e = next(todo[-1], None)
+            if e is None:  # the top vertex is done: step back over its edge
+                todo.pop()
+                if edges:
+                    verts.pop()
+                    edges.pop()
+                continue
             verts.append(efinish[e])
             edges.append(e)
-            extend(verts, edges)
+            if len(edges) < length:
+                todo.append(iter(out_edges[verts[-1]]))
+                continue
+            if f is None or verts[-1] == f:
+                yield Path(tuple(verts), tuple(edges))
             verts.pop()
             edges.pop()
-
-    for v0 in starts:
-        extend([v0], [])
-    return out
 
 
 # ---------------------------------------------------------------------------

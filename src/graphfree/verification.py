@@ -14,6 +14,7 @@ certificate, factor parameters, and the tower suite.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import cdelta, cumulants, epitl, factors, falg, gralg, noncross, towers
 from .graphs import (EVEN, ODD, Graph, build_graph, delta_max, delta_v,
-                     enumerate_paths, line_graph, named_graph, two_vertex_graph)
+                     enumerate_paths, line_graph, named_graph, two_vertex_graph,
+                     vertex_path)
 from .gralg import GradedElement, bullet_mul, star, tau
 
 
@@ -335,11 +337,12 @@ def _suite_epitl(run: _Runner):
 
     def closed_form():
         for f in epitl.enumerate_hom(6, 0):
+            t = epitl.to_tl(f)
             for p in enumerate_paths(g, None, 6, None):
-                b = GradedElement.basis(g, p)
-                ok = epitl.diffexp_check(f, b, run.tol)
-                yield 0.0 if ok else 1.0
-    run.check("full-capping-closed-form", closed_form, 0.0)
+                closed = {vertex_path(p.finish): epitl.closed_cap_value(g, t, p)}
+                yield epitl.act(f, GradedElement.basis(g, p)).norm_inf_diff(
+                    GradedElement(g, closed))
+    run.check("full-capping-closed-form", closed_form, run.tol)
 
 
 def _suite_cdelta(run: _Runner):
@@ -504,17 +507,15 @@ def _suite_cumulants(run: _Runner):
     a3f = named_graph("fork")  # two hubs through one even vertex
 
     def two_routes():
-        gens = cumulants.even_generators(a3f)
         for k in (1, 2, 3, 4):
-            for tup in _composable_tuples(gens, k, limit=120, seed=run.seed):
+            for tup in _composable_tuples(a3f, k, limit=120, seed=run.seed):
                 yield cumulants.b_diff_norm(cumulants.kappa_mobius(a3f, tup),
                                             cumulants.kappa_starry(a3f, tup))
     run.check("cumulant-closed-form", two_routes, run.tol)
 
     def moment_consistency():
-        gens = cumulants.even_generators(a3f)
         for k in (1, 2, 3, 4):
-            for tup in _composable_tuples(gens, k, limit=60, seed=run.seed + 1):
+            for tup in _composable_tuples(a3f, k, limit=60, seed=run.seed + 1):
                 lhs = cumulants.moment_phi(a3f, tup)
                 rhs = cumulants.kappa_from_kernel(
                     lambda ps: cumulants.kappa_starry(a3f, ps), tup)
@@ -523,15 +524,12 @@ def _suite_cumulants(run: _Runner):
 
     def mobius_roundtrip():
         rng = np.random.default_rng(run.seed + 2)
-        gens = cumulants.even_generators(a3f)
         values: dict[tuple, cumulants.BElement] = {}
 
         def kernel(paths):
             key = tuple(paths)
             if key not in values:
-                comp = paths[0]
-                for p in paths[1:]:
-                    comp = comp.concat(p) if comp is not None else None
+                comp = cumulants._compose_all(paths)
                 if comp is None or comp.start != comp.finish:
                     values[key] = {}
                 else:
@@ -542,7 +540,7 @@ def _suite_cumulants(run: _Runner):
             return cumulants.kappa_of_moments(kernel, paths)
 
         for k in (1, 2, 3, 4):
-            for tup in _composable_tuples(gens, k, limit=40, seed=run.seed + 3):
+            for tup in _composable_tuples(a3f, k, limit=40, seed=run.seed + 3):
                 recovered = cumulants.kappa_from_kernel(kappa_kernel, tup)
                 yield cumulants.b_diff_norm(recovered, kernel(tup))
     run.check("mobius-inversion-roundtrip", mobius_roundtrip, run.tol)
@@ -550,9 +548,8 @@ def _suite_cumulants(run: _Runner):
     # both partitions hold several interval blocks, so "first" and "last"
     # extract them in different orders
     def extension_order():
-        gens = cumulants.even_generators(a3f)
         pis = (noncross.nc_zero(4), noncross.nc(4, [(1,), (2, 3), (4,)]))
-        for tup in _composable_tuples(gens, 4, limit=40, seed=run.seed + 4):
+        for tup in _composable_tuples(a3f, 4, limit=40, seed=run.seed + 4):
             for p in pis:
                 a = cumulants.moment_pi(a3f, p, tup, pick="first")
                 b = cumulants.moment_pi(a3f, p, tup, pick="last")
@@ -560,8 +557,7 @@ def _suite_cumulants(run: _Runner):
     run.check("extension-order-independence", extension_order, run.tol)
 
     def bimodule():
-        gens = cumulants.even_generators(a3f)
-        for tup in _composable_tuples(gens, 3, limit=60, seed=run.seed + 5):
+        for tup in _composable_tuples(a3f, 3, limit=60, seed=run.seed + 5):
             val = cumulants.kappa_mobius(a3f, tup)
             u, x = tup[0].start, tup[-1].finish
             for v, c in val.items():
@@ -581,24 +577,13 @@ def _suite_cumulants(run: _Runner):
     run.check("freeness-certificate", certificate, 1e-10)
 
 
-def _composable_tuples(gens, k, limit, seed):
+def _composable_tuples(graph, k, limit, seed):
+    """The first ``limit`` of ``10 * limit`` seeded draws that do not dead-end."""
     rng = np.random.default_rng(seed)
-    by_start: dict[int, list] = {}
-    for p in gens:
-        by_start.setdefault(p.start, []).append(p)
-    out = []
-    attempts = 0
-    while len(out) < limit and attempts < limit * 10:
-        attempts += 1
-        tup = []
-        for i in range(k):
-            pool = gens if not tup else by_start.get(tup[-1].finish, [])
-            if not pool:
-                break
-            tup.append(pool[int(rng.integers(0, len(pool)))])
-        if len(tup) == k:
-            out.append(tuple(tup))
-    return out
+    gens = cumulants.even_generators(graph)
+    by_start = {v: enumerate_paths(graph, v, 2) for v in graph.vertices_of_parity(EVEN)}
+    draws = (cumulants.draw_tuple(gens, by_start, k, rng) for _ in range(10 * limit))
+    return list(itertools.islice(filter(None, draws), limit))
 
 
 def _tpq_sample(n, m, rng, count):
@@ -764,18 +749,8 @@ def _suite_planar(run: _Runner):
         run.check(f"minimal-projection-traces[{name}]", traces, tol)
 
         def loop_iso(g=g):
-            star_v = g.star
-            loops = []
-            for n in (0, 2, 4):
-                loops += enumerate_paths(g, star_v, n, star_v)
-            for p in loops:
-                xp = GradedElement.basis(g, p)
-                yield abs(tau(xp) / g.mu2[star_v] - towers.gr0_trace(towers.theta(g, xp)))
-                for q in loops:
-                    xq = GradedElement.basis(g, q)
-                    lhs = towers.theta(g, bullet_mul(xp, xq))
-                    rhs = towers.gr0_mul(towers.theta(g, xp), towers.theta(g, xq))
-                    yield lhs.norm_inf_diff(rhs)
+            return _loop_isomorphism(g, g.star, (0, 2, 4), functools.partial(towers.theta, g),
+                                     towers.gr0_trace, towers.gr0_mul)
         run.check(f"loop-isomorphism[{name}]", loop_iso, tol)
 
         def two_routes(g=g):
@@ -814,27 +789,24 @@ def _suite_planar(run: _Runner):
         run.check(f"pairing-elements[{name}]", pairing_elements, tol)
 
         def shifted(g=g):
-            hub = None
-            for v in range(g.n_vertices):
-                if v != g.star and enumerate_paths(g, g.star, 1, v):
-                    hub = v
-                    break
-            qproj, _ = towers.q_projection(g, hub)
-            tau_q = towers.gr1_trace_raw(qproj)
-            loops = []
-            for n in (0, 2):
-                loops += enumerate_paths(g, hub, n, hub)
-            for p in loops:
-                xp = GradedElement.basis(g, p)
-                tp = towers.theta1(g, hub, xp)
-                yield abs(tau(xp) / g.mu2[hub] - towers.gr1_trace_raw(tp) / tau_q)
-                for q in loops:
-                    xq = GradedElement.basis(g, q)
-                    lhs = towers.theta1(g, hub, bullet_mul(xp, xq))
-                    rhs = towers.gr1_mul(towers.theta1(g, hub, xp),
-                                         towers.theta1(g, hub, xq))
-                    yield lhs.norm_inf_diff(rhs)
+            hub = next((v for v in range(g.n_vertices)
+                        if v != g.star and enumerate_paths(g, g.star, 1, v)), None)
+            tau_q = towers.gr1_trace_raw(towers.q_projection(g, hub)[0])
+            yield from _loop_isomorphism(g, hub, (0, 2), functools.partial(towers.theta1, g, hub),
+                                         lambda t: towers.gr1_trace_raw(t) / tau_q, towers.gr1_mul)
         run.check(f"shifted-loop-isomorphism[{name}]", shifted, tol)
+
+
+def _loop_isomorphism(g, base, lengths, theta, trace, mul):
+    """Yield how far theta, on the loops at base of the given lengths, is
+    from carrying tau / mu2(base) to ``trace`` and the product to ``mul``."""
+    loops = [p for n in lengths for p in enumerate_paths(g, base, n, base)]
+    for p in loops:
+        xp = GradedElement.basis(g, p)
+        yield abs(tau(xp) / g.mu2[base] - trace(theta(xp)))
+        for q in loops:
+            xq = GradedElement.basis(g, q)
+            yield theta(bullet_mul(xp, xq)).norm_inf_diff(mul(theta(xp), theta(xq)))
 
 
 _SUITES = {"combinatorics": _suite_combinatorics, "isomorphism": _suite_isomorphism,

@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from graphfree import cumulants, epitl, falg, noncross
-from graphfree.graphs import Path
+from graphfree import cumulants, epitl, factors, falg, noncross
+from graphfree.graphs import Path, delta_v
 from graphfree.gralg import GradedElement
 from graphfree.verification import run_verification
 
@@ -105,6 +105,17 @@ def _closed_cap_nan_where_nonzero(graph, t, path):
     return math.nan if _closed_cap_value(graph, t, path) else 0.0
 
 
+def _closed_cap_left_weight_inverted(graph, t, path):
+    """epitl.closed_cap_value whose pairs left of the midpoint weigh
+    mu(v_b)/mu(v_a), not mu(v_a)/mu(v_b); towers.ztl weighs each loop by it."""
+    value = _closed_cap_value(graph, t, path)
+    n = path.length // 2
+    for a, b in t.blocks:
+        if b <= n:
+            value *= (graph.mu(path.vertices[b]) / graph.mu(path.vertices[a])) ** 2
+    return value
+
+
 def _moment_pi_first_block_reads_one(graph, pi, paths, pick="first"):
     """cumulants.moment_pi whose first extracted block reads 1.0 at every
     vertex, so its scalar is dropped; "first" and "last" extract different
@@ -157,12 +168,43 @@ def _mobius_row_deep_mu_negated(n):
                        for node in nodes)
 
 
+_mobius_nc = noncross.mobius_nc
+
+
+def _mobius_sign_flipped_off_the_zero(p, q):
+    """noncross.mobius_nc with the sign of mu(p, 1_n) flipped where the
+    Kreweras complement of p has two or more classes, one of size 2.
+    mu(0_n, 1_n) has a one-class complement, so only the identity
+    sum_sigma mu(sigma, 1_n) = [n = 1] sees it."""
+    k = noncross.kreweras(p)
+    flip = (q == noncross.nc_one(p.n) and k.num_blocks >= 2
+            and any(len(b) == 2 for b in k.blocks))
+    return -_mobius_nc(p, q) if flip else _mobius_nc(p, q)
+
+
+def _component_parameter_pf_shortcut(graph, comp):
+    """factors.component_parameter as 1 + (delta - 1)|m|^2, which holds
+    only when delta is the same at every vertex (the PF weighting)."""
+    gamma = sum(graph.mu2[v] for v in comp)
+    norm2 = sum((graph.mu2[v] / gamma) ** 2 for v in comp)
+    return 1 + (delta_v(graph, comp[0]) - 1) * norm2
+
+
+_psi_step = falg._psi_step
+
+
+def _psi_step_without_correction(e, cap, prev, older):
+    """falg._psi_step that loses its -c psi(r[1:]) term."""
+    return _psi_step(e, cap, prev, None)
+
+
 def _kreweras_zero(p):
     """noncross.kreweras that returns the all-singletons partition."""
     return noncross.nc_zero(p.n)
 
 
 EXCHANGE = ("exchange-relation[a3]", "exchange-relation[k1_2]", "exchange-relation[dbl]")
+STANDARD = ("a2", "a3", "a4", "k1_2", "k1_3", "dbl")
 
 MUTANTS = [
     # (module, name, mutant, suite, checks it must fail)
@@ -175,9 +217,11 @@ MUTANTS = [
     (epitl, "act", _act_spurious_second_image, "epitl", ("exchange-relation[a3]",)),
     # a NaN deviation fails its check; max(dev, nan) used to drop it
     (falg, "t_functional", _t_functional_nan, "trace",
-     tuple(f"tau-equals-t-phi[{g}]" for g in ("a2", "a3", "a4", "k1_2", "k1_3", "dbl"))),
+     tuple(f"tau-equals-t-phi[{g}]" for g in STANDARD)),
     (epitl, "closed_cap_value", _closed_cap_nan_where_nonzero, "planar",
      ("pairing-elements[a3]", "loop-isomorphism[a3]", "loop-product-two-routes[a3]")),
+    (epitl, "closed_cap_value", _closed_cap_left_weight_inverted, "planar",
+     ("pairing-elements[a3]", "loop-product-two-routes[a3]")),
     (cumulants, "moment_pi", _moment_pi_first_block_reads_one, "cumulants",
      ("extension-order-independence",)),
     # the norm checks are upper bounds: a norm reading too much fails them
@@ -191,6 +235,13 @@ MUTANTS = [
     (falg, "truncated_left_mult", _truncation_times_four, "cdelta",
      ("alternating-truncation-structure",)),
     (noncross, "kreweras", _kreweras_zero, "combinatorics", ("kreweras-oracle-and-rank",)),
+    (noncross, "mobius_nc", _mobius_sign_flipped_off_the_zero, "combinatorics",
+     ("mobius-zero-to-one",)),
+    (factors, "component_parameter", _component_parameter_pf_shortcut, "factor",
+     ("component-parameter-routes",)),
+    # the round trip follows from the two step rules: a wrong step fails it everywhere
+    (falg, "_psi_step", _psi_step_without_correction, "isomorphism",
+     tuple(f"phi-psi-identity[{g}]" for g in STANDARD)),
     (cumulants, "_mobius_row", _mobius_row_deep_mu_negated, "cumulants",
      ("cumulant-closed-form", "mobius-inversion-roundtrip", "freeness-certificate")),
 ]
@@ -215,3 +266,11 @@ def test_an_error_witness_names_the_exception_type(monkeypatch):
                   if r.check_id == "exchange-relation[a3]")
     assert not result.passed
     assert result.witness.startswith("error: KeyError: "), result.witness
+
+
+def test_a_mobius_sign_flip_reads_its_deviation(monkeypatch):
+    # at full depth (n <= 6) the identity misses by 40; at --fast (n <= 5) by 20
+    monkeypatch.setattr(noncross, "mobius_nc", _mobius_sign_flipped_off_the_zero)
+    result = next(r for r in run_verification("combinatorics").results
+                  if r.check_id == "mobius-zero-to-one")
+    assert not result.passed and result.witness.startswith("max deviation 40 ")

@@ -515,3 +515,94 @@ def test_factor_fuzz_pf_parameter(tmp_path_factory, spec):
     spec["vertices"].append({"id": "lone", "parity": "even"})
     f.write_text(json.dumps(spec))
     assert _run_cli(["factor", str(f), "--json"])[0] == 2
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+D4_SPEC = str(Path(__file__).parent.parent / "graphs" / "d4.graph")
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--named", "dbl", "--weights", "3,1", "--pf"],
+    ["factor", D4_SPEC, "--named", "dbl"],
+    ["factor", "--named", "dbl", D4_SPEC],
+    ["trace", "--named", "a3", "--loop", "v0,v1,v0", "--all-loops"],
+    ["moments", "--named", "dbl", "--tuple", "v,w,v", "--matrix-moments", "3"],
+    ["factor"],
+    ["trace", "--loop", "v,w,v"],
+    ["trace", "--named", "a3"],
+    ["moments", "--named", "dbl"],
+    ["cumulants", "--named", "a3"],
+], ids=["pf-and-weights", "file-and-named", "named-and-file", "loop-and-all-loops",
+        "tuple-and-matrix-moments", "no-graph", "no-graph-for-trace", "no-loop",
+        "no-moment-kind", "no-cumulant-tuple"])
+def test_contradictory_or_missing_arguments_are_input_errors(capsys, argv):
+    # nothing is silently dropped or defaulted: each case names its options
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+# loops of length 2 on the fuzzed graphs (each valid on some of them), a
+# longer path and an unknown vertex
+_FUZZ_LOOPS = st.sampled_from(["v0,v1,v0", "v1,v0,v1", "v,w,v", "l0,c,l1", "v,w1,v",
+                               "v0,v1,v2", "v2,v1,v0,v1", "x"])
+
+
+def _either_or(draw, first, second):
+    """One of two options, each alone most often, sometimes both or neither."""
+    pick = draw(st.sampled_from(["first"] * 3 + ["second"] * 3 + ["both", "neither"]))
+    return (first if pick in ("first", "both") else []) + (
+        second if pick in ("second", "both") else [])
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv for trace, moments, cumulants, freeness, factor and gram on small
+    graphs and capped sizes, with and without the conflicting options."""
+    cmd = draw(st.sampled_from(["trace", "moments", "cumulants", "freeness", "factor",
+                                "gram"]))
+    named = draw(st.sampled_from(["a2", "a3", "k1_2", "dbl", "fork", "e9"]))
+    argv = [cmd] + _either_or(draw, ["--named", named],
+                              [str(draw(st.sampled_from(GRAPH_SPECS[:4])))])
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        argv += _either_or(draw, ["--pf"], ["--weights", ",".join(map(str, weights))])
+    if cmd == "trace":
+        argv += _either_or(draw, ["--loop", draw(_FUZZ_LOOPS)],
+                           ["--all-loops", "--max-len", str(draw(st.integers(0, 6)))])
+    elif cmd == "moments":
+        argv += _either_or(draw, ["--tuple", draw(_FUZZ_LOOPS)],
+                           ["--matrix-moments", str(draw(st.integers(0, 4)))])
+    elif cmd == "cumulants":
+        tup = ";".join(draw(st.lists(_FUZZ_LOOPS, min_size=1, max_size=4)))
+        argv += _either_or(draw, ["--tuple", tup], [])
+    elif cmd == "freeness":
+        argv += ["--max-order", str(draw(st.integers(1, 4))),
+                 "--seed", str(draw(st.integers(0, 3)))]
+    elif cmd == "gram":
+        argv += ["--max-degree", str(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(["0", "1e-9", "-1"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(argv=cli_argvs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cli_fuzz_exits_0_1_or_2(argv):
+    # main returns 0, 1 or 2; the only exception it lets out is argparse's SystemExit(2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            assert main(argv) in (0, 1, 2), argv
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -16,6 +16,13 @@ def composable_tuples(gens, k):
             yield tup
 
 
+def _mixed_tuples(graph, k):
+    """Composable generator k-tuples with two or more hubs, in the certificate's order."""
+    for tup in composable_tuples(cm.even_generators(graph), k):
+        if len({p.vertices[1] for p in tup}) > 1:
+            yield tup
+
+
 def _sum_extensions_by_plans(kernel, paths, weighted):
     """Mobius inversion partition by partition: the oracle for the plan trie.
 
@@ -373,7 +380,7 @@ def test_freeness_failing_certificate_names_its_tuple(fork, monkeypatch):
     # a nonzero mixed cumulant on one tuple fails the certificate, and the
     # witness names that tuple, path by path
     real = cm.kappa_mobius
-    target = next(cm._mixed_tuples(fork, cm.even_generators(fork), 3))
+    target = next(_mixed_tuples(fork, 3))
 
     def mutant(graph, tup):
         out = dict(real(graph, tup))
@@ -397,9 +404,35 @@ def test_freeness_certificate_fails_on_a_nan_cumulant(fork, monkeypatch):
     assert rep.n_tuples == 21
     assert math.isnan(rep.max_mixed_cumulant) and not rep.passed
     # the witness is the first NaN tuple, as verify's runner stops at the first
-    first = next(cm._mixed_tuples(fork, cm.even_generators(fork), 2))
+    first = next(_mixed_tuples(fork, 2))
     assert rep.witness == " ; ".join(
         "->".join(fork.ids[v] for v in p.vertices) for p in first)
+
+
+@pytest.mark.parametrize("name", ["fork", "a4", "a3", "k1_3"])
+def test_certificate_runs_every_mixed_tuple_in_order(monkeypatch, name):
+    # the tuples cut from the paths are the composable generator tuples
+    # with two or more hubs, in the order of the product of the generators
+    g = named_graph(name)
+    seen = []
+    monkeypatch.setattr(cm, "kappa_mobius", lambda graph, tup: seen.append(tup) or {})
+    rep = cm.freeness_certificate(g, max_order=5)
+    want = [tup for k in range(2, 6) for tup in _mixed_tuples(g, k)]
+    assert seen == want and rep.n_tuples == len(want)
+
+
+def test_draw_tuple_walks_the_generators(fork):
+    gens = cm.even_generators(fork)
+    by_start = {v: [p for p in gens if p.start == v] for v in fork.vertices_of_parity(0)}
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3, 4):
+        tup = cm.draw_tuple(gens, by_start, k, rng)
+        assert len(tup) == k and all(a.finish == b.start for a, b in zip(tup, tup[1:]))
+    # a walk with nowhere to go dead-ends; with no generators nothing is drawn
+    assert cm.draw_tuple(gens, {}, 2, rng) is None
+    state = rng.bit_generator.state
+    assert cm.draw_tuple([], by_start, 1, rng) is None
+    assert rng.bit_generator.state == state
 
 
 def test_freeness_certificate_order_six(fork):

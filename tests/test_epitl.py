@@ -181,17 +181,23 @@ def test_full_capping_closed_form_telescopes(a3):
             assert out.is_zero()
 
 
+def _closed_form_deviation(f: epitl.EpiMorphism, g, p: Path) -> float:
+    """How far a full capping's action on one basis path is from its closed form."""
+    closed = {vertex_path(p.finish): epitl.closed_cap_value(g, epitl.to_tl(f), p)}
+    return epitl.act(f, GradedElement.basis(g, p)).norm_inf_diff(GradedElement(g, closed))
+
+
 def test_paper_capping_relation_on_a3(a3):
     rel = ncx.nc(10, [(1, 10), (2, 7), (3, 6), (4, 5), (8, 9)])
     f = epitl.from_tl(rel)
     for p in enumerate_paths(a3, None, 10, None):
-        assert epitl.diffexp_check(f, GradedElement.basis(a3, p))
+        assert _closed_form_deviation(f, a3, p) <= 1e-12
 
 
 def test_diffexp_exhaustive_degree6(a3):
     for f in epitl.enumerate_hom(6, 0):
         for p in enumerate_paths(a3, None, 6, None):
-            assert epitl.diffexp_check(f, GradedElement.basis(a3, p))
+            assert _closed_form_deviation(f, a3, p) <= 1e-12
 
 
 def test_cap_adjoint_and_norm(battery):

@@ -468,16 +468,6 @@ def test_basis_transforms_count_their_terms(a2):
             assert sum(map(len, memo.values())) == terms
 
 
-def test_round_trip_check_fails_without_psi_correction(monkeypatch):
-    # a mutant of the shared step: psi(e r) loses its -c psi(r[1:]) term
-    step = falg._psi_step
-    monkeypatch.setattr(falg, "_psi_step", lambda e, cap, prev, older: step(e, cap, prev, None))
-    report = run_verification("isomorphism", max_degree=4)
-    roundtrips = [r for r in report.results if r.check_id.startswith("phi-psi-identity[")]
-    assert len(roundtrips) == len(standard_graphs())
-    assert not any(r.passed for r in roundtrips)
-
-
 def test_round_trip_check_reads_only_the_memos(monkeypatch):
     # phi-psi-identity composes the two memos: it runs no per-path
     # transform and builds no Path or element; the checks that do fail here

@@ -5,8 +5,8 @@ import pytest
 
 from graphfree import gralg
 from graphfree import noncross as ncx
-from graphfree.gralg import (GradedElement, bullet_mul, corner, e_vertex, star, tau,
-                             tau_pairing, tau_path, unit)
+from graphfree.gralg import (GradedElement, bullet_mul, e_vertex, star, tau, tau_pairing,
+                             tau_path, unit)
 from graphfree.graphs import (GraphError, enumerate_paths, named_graph, two_vertex_graph,
                               vertex_path)
 from graphfree.verification import random_element, standard_graphs
@@ -235,6 +235,24 @@ def e_parity(graph, parity: int) -> GradedElement:
     """The sum of the vertex paths of one parity."""
     return GradedElement(graph, {vertex_path(v): 1.0
                                  for v in graph.vertices_of_parity(parity)})
+
+
+def _corner_vertices(graph, side) -> set[int]:
+    if side == "even":
+        return set(graph.vertices_of_parity(0))
+    if side == "odd":
+        return set(graph.vertices_of_parity(1))
+    return {graph.index(side)}
+
+
+def corner(x: GradedElement, side) -> GradedElement:
+    """Compression e.x.e onto paths starting and ending in the given side.
+
+    ``side`` is a vertex id, or "even"/"odd" for the parity corners.
+    """
+    keep = _corner_vertices(x.graph, side)
+    return GradedElement(x.graph, {p: c for p, c in x.terms.items()
+                                   if p.start in keep and p.finish in keep})
 
 
 def corner_trace(x: GradedElement, side) -> float:

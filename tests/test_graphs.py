@@ -15,8 +15,9 @@ import pytest
 import graphfree
 from graphfree.graphs import (EVEN, ODD, Graph, GraphError, Path, build_graph,
                               connected_components, delta_v, enumerate_paths,
-                              graph_from_spec, line_graph, named_graph, pf_weighting,
-                              star_graph, two_vertex_graph, vertex_path, _paths)
+                              graph_from_spec, iter_paths, line_graph, named_graph,
+                              pf_weighting, star_graph, two_vertex_graph, vertex_path,
+                              _paths)
 
 SQ2 = math.sqrt(2.0)
 
@@ -186,6 +187,19 @@ def test_paths_deterministic_and_reversal(a3):
         r = p.reversed_in(a3)
         assert r.start == p.finish and r.finish == p.start
         assert r.reversed_in(a3) == p
+
+
+def test_iter_paths_yields_the_list_one_at_a_time(battery):
+    # the paths of enumerate_paths in its order, with no list memoized
+    for g in battery.values():
+        for n in range(6):
+            for s, f in ((None, None), (0, None), (None, 0), (0, 0)):
+                want = enumerate_paths(g, s, n, f)
+                before = _paths.cache_info()
+                assert list(iter_paths(g, s, n, f)) == want
+                assert _paths.cache_info() == before
+        with pytest.raises(GraphError):
+            iter_paths(g, None, -1)
 
 
 def _drop_edge_pair(path, i):
@@ -430,13 +444,34 @@ UNCALLED_ALLOWED = {
 }
 
 
+def _reads(node, bound=frozenset()):
+    """Yield each name read under node, bare or as an attribute.
+
+    A bare name bound in an enclosing function (a parameter, an
+    assignment or loop target anywhere in it) is that function's
+    variable, not a read of a top-level function, and is skipped.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        args = node.args
+        bound = bound | {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                         args.vararg, args.kwarg) if a}
+        bound |= {n.id for n in ast.walk(node)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, bound)
+
+
 def _uncalled_functions(sources: dict[str, str]):
     """Yield (module, name) for each top-level function that no code loads.
 
     sources maps a module's name to its text.  A function counts as
-    used when its name is read, bare or as an attribute, anywhere in the
-    sources outside its own definition (decorators included); the
-    package's ``__init__``, which only re-exports, is not searched.
+    used when its name is read (:func:`_reads`) anywhere in the sources
+    outside its own definition (decorators included); the package's
+    ``__init__``, which only re-exports, is not searched.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = set()
@@ -445,11 +480,7 @@ def _uncalled_functions(sources: dict[str, str]):
             continue
         for stmt in tree.body:
             owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
-            for node in ast.walk(stmt):
-                name = (node.id if isinstance(node, ast.Name)
-                        else node.attr if isinstance(node, ast.Attribute) else None)
-                if name is not None and name != owner:
-                    used.add(name)
+            used.update(name for name in _reads(stmt) if name != owner)
     for module, tree in trees.items():
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef) and stmt.name not in used:
@@ -476,3 +507,18 @@ def test_uncalled_scan_finds_a_function_used_only_by_itself(text):
     assert list(_uncalled_functions(sources)) == [("mod", "f")]
     sources["other"] = "from . import mod\n\ndef g():\n    return mod.f\n"
     assert list(_uncalled_functions(sources)) == [("other", "g")]
+
+
+@pytest.mark.parametrize("reader", [
+    "def g(f):\n    return f\n",
+    "def g():\n    f = 2\n    return f\n",
+    "def g(xs):\n    for f in xs:\n        print(f)\n",
+    "def g():\n    return lambda f: f\n",
+], ids=["parameter", "assignment", "loop-target", "lambda-parameter"])
+def test_uncalled_scan_ignores_names_bound_in_the_reader(reader):
+    # a local variable named like a top-level function does not call it
+    sources = {"mod": "def f():\n    return 1\n", "other": reader,
+               "__init__": "from .mod import f\n"}
+    assert sorted(_uncalled_functions(sources)) == [("mod", "f"), ("other", "g")]
+    sources["other"] += "\ndef h():\n    return f()\n"
+    assert sorted(_uncalled_functions(sources)) == [("other", "g"), ("other", "h")]

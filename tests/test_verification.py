@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from graphfree import cdelta, cumulants, epitl, factors, noncross
+from graphfree import cdelta, cumulants, epitl
 from graphfree.cli import main
-from graphfree.graphs import delta_v, enumerate_paths, named_graph
+from graphfree.graphs import enumerate_paths, named_graph
 from graphfree.verification import VerificationReport, _Runner, run_verification
 
 
@@ -175,61 +175,6 @@ def test_diagram_relation_checks_act_once_per_basis_path(monkeypatch):
     # each length it meets (8,624 calls when each side acted on each loop)
     gens = _calls_per_check(monkeypatch, cdelta, "gen_act", "cdelta")
     assert gens["generator-relations"] == 3160
-
-
-def _check(suite, check_id):
-    return next(r for r in run_verification(suite).results if r.check_id == check_id)
-
-
-def test_mobius_check_catches_a_wrong_sign_off_the_zero(monkeypatch):
-    # mu(0_n, 1_n) has a one-class Kreweras complement, so a sign error on
-    # the complements with a class of size 2 is seen only by the identity
-    # sum_sigma mu(sigma, 1_n) = [n = 1]
-    real = noncross.mobius_nc
-
-    def mutant(p, q):
-        k = noncross.kreweras(p)
-        flip = (q == noncross.nc_one(p.n) and k.num_blocks >= 2
-                and any(len(b) == 2 for b in k.blocks))
-        return -real(p, q) if flip else real(p, q)
-
-    assert _check("combinatorics", "mobius-zero-to-one").passed
-    monkeypatch.setattr(noncross, "mobius_nc", mutant)
-    result = _check("combinatorics", "mobius-zero-to-one")
-    assert not result.passed and result.witness.startswith("max deviation 40 ")
-
-
-def test_component_parameter_check_catches_the_pf_shortcut(monkeypatch):
-    # 1 + (delta - 1)|m|^2 holds only when delta is the same at every
-    # vertex; the check draws its graphs off the PF weighting
-    def shortcut(graph, comp):
-        gamma = sum(graph.mu2[v] for v in comp)
-        norm2 = sum((graph.mu2[v] / gamma) ** 2 for v in comp)
-        return 1 + (delta_v(graph, comp[0]) - 1) * norm2
-
-    assert _check("factor", "component-parameter-routes").passed
-    monkeypatch.setattr(factors, "component_parameter", shortcut)
-    assert not _check("factor", "component-parameter-routes").passed
-
-
-def test_tower_checks_catch_a_wrong_left_cap_weight(monkeypatch):
-    # towers.ztl weighs each loop by epitl.closed_cap_value, so inverting
-    # the mu-ratio of the pairs left of the midpoint must reach the tower
-    # checks that compare ztl with the Jones projections and the loop product
-    real = epitl.closed_cap_value
-
-    def mutant(graph, t, path):
-        value = real(graph, t, path)
-        n = path.length // 2
-        for a, b in t.blocks:
-            if b <= n:
-                value *= (graph.mu(path.vertices[b]) / graph.mu(path.vertices[a])) ** 2
-        return value
-
-    monkeypatch.setattr(epitl, "closed_cap_value", mutant)
-    results = {r.check_id: r for r in run_verification("planar", max_degree=4).results}
-    assert not results["pairing-elements[a3]"].passed
-    assert not results["loop-product-two-routes[a3]"].passed
 
 
 def test_verify_never_imports_numpy_ma():
