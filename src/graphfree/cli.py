@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -328,11 +329,12 @@ def cmd_freeness(args) -> int:
     g = _load_graph(args)
     # The tuples of order k are the paths of length 2k between even vertices,
     # and each costs one extension per partition in NC(k); past the first
-    # zero power there are none.
+    # zero power there are none, and with fewer than two hubs none is mixed
+    # and none is walked.
     evens = g.vertices_of_parity(0)
     total = 0
-    for k, power in zip(range(2, args.max_order + 1),
-                        itertools.islice(adjacency_powers(g), 4, None, 2)):
+    orders = range(2, args.max_order + 1 if len(cumulants.hubs(g)) > 1 else 2)
+    for k, power in zip(orders, itertools.islice(adjacency_powers(g), 4, None, 2)):
         if not power.any():
             break
         total += int(power[np.ix_(evens, evens)].sum()) * catalan(k)
@@ -341,9 +343,8 @@ def cmd_freeness(args) -> int:
                            f"more than {FREENESS_MAX_EXTENSIONS} (tuple, partition) "
                            f"extensions: at least {total} up to order {k} alone; "
                            "lower --max-order")
-    rng = np.random.default_rng(args.seed)
-    rep = cumulants.freeness_certificate(g, max_order=args.max_order,
-                                         tol=args.tol, rng=rng)
+    rep = cumulants.freeness_certificate(g, max_order=args.max_order, tol=args.tol,
+                                         rng=random.Random(args.seed))
     lines = [
         f"mixed tuples checked: {rep.n_tuples} (orders 2..{rep.max_order})",
         f"max mixed cumulant:   {rep.max_mixed_cumulant:.3g} (tol {rep.tol:.1g})",

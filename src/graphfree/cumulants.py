@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter, mul
 
@@ -363,23 +364,33 @@ def even_generators(graph: Graph) -> list[Path]:
     return [p for v in graph.vertices_of_parity(0) for p in enumerate_paths(graph, v, 2)]
 
 
-def draw_tuple(gens, by_start, k: int, rng):
+def hubs(graph: Graph) -> tuple[int, ...]:
+    """The odd vertices with an edge: the hubs a generator passes through.
+
+    A tuple is mixed when its generators pass two of them, so a graph
+    with at most one has no mixed tuple at any order.
+    """
+    return tuple(v for v in graph.vertices_of_parity(1) if graph.out_edges(v))
+
+
+def draw_tuple(gens, by_start, k: int, rng: random.Random):
     """A random composable k-tuple of generators, or None where the walk dead-ends.
 
     The first is drawn from ``gens``, each next one from ``by_start`` of
-    the finish before it, one ``rng.integers`` call per draw.
+    the finish before it, one ``rng.choice`` of the stdlib
+    ``random.Random`` per draw; an empty pool ends the walk before a draw.
     """
     tup = ()
     for _ in range(k):
         pool = by_start.get(tup[-1].finish) if tup else gens
         if not pool:
             return None
-        tup += (pool[int(rng.integers(0, len(pool)))],)
+        tup += (rng.choice(pool),)
     return tup
 
 
-def freeness_certificate(graph: Graph, max_order: int = 5,
-                         tol: float = 1e-10, rng=None) -> FreenessReport:
+def freeness_certificate(graph: Graph, max_order: int = 5, tol: float = 1e-10,
+                         rng: random.Random | None = None) -> FreenessReport:
     """Check that mixed cumulants of the corner generators vanish.
 
     The composable k-tuples of generators are the length-2k paths from
@@ -388,18 +399,20 @@ def freeness_certificate(graph: Graph, max_order: int = 5,
     with ``Path.segment``; a tuple is mixed when its hubs, the odd
     vertices of the path, are not all one.  Every mixed tuple of orders
     2..max_order goes through the Mobius-inversion cumulant, and the
-    first largest one is the witness of a failure.  With ``rng``, 20
-    draws of :func:`draw_tuple` and a random partition spot-check the
-    product formula for the doubled diagrams against their brute-force
-    action.
+    first largest one is the witness of a failure; a graph with at most
+    one of :func:`hubs` has none, and no path is walked.  With ``rng``, a
+    stdlib ``random.Random``, 20 draws of :func:`draw_tuple` and a random
+    partition spot-check the product formula for the doubled diagrams
+    against their brute-force action.  The certificate passes when both
+    deviations are at most ``tol``; a NaN fails it.
     """
     if max_order < 2:
         raise GraphError("max_order must be at least 2")
     gens = even_generators(graph)
     evens = graph.vertices_of_parity(0)
     worst, worst_tup, count = 0.0, (), 0
-    # without generators no order has a tuple
-    for k in range(2, max_order + 1 if gens else 2):
+    # with fewer than two hubs (so also without generators) no tuple is mixed
+    for k in range(2, max_order + 1 if len(hubs(graph)) > 1 else 2):
         for path in (q for v in evens for q in iter_paths(graph, v, 2 * k)):
             if len(set(path.vertices[1::2])) == 1:
                 continue
@@ -413,15 +426,14 @@ def freeness_certificate(graph: Graph, max_order: int = 5,
     if rng is not None and gens:
         by_start = {v: enumerate_paths(graph, v, 2) for v in evens}
         for _ in range(20):
-            k = int(rng.integers(1, 4))
+            k = rng.randrange(1, 4)
             tup = draw_tuple(gens, by_start, k, rng)
             if tup is None:
                 continue
-            pis = noncross.enumerate_nc(k)
-            pi = pis[int(rng.integers(0, len(pis)))]
+            pi = rng.choice(noncross.enumerate_nc(k))
             devs.append(b_diff_norm(spi_value(graph, pi, tup), doubled_action(graph, pi, tup)))
     stp_dev = max_abs(devs)
-    passed = worst < tol and stp_dev < tol
+    passed = worst <= tol and stp_dev <= tol  # a NaN compares false
     # a passing certificate's argmax is a rounding-level cumulant, not a witness
     witness = "" if passed else " ; ".join(
         "->".join(graph.ids[v] for v in p.vertices) for p in worst_tup)

@@ -33,6 +33,7 @@ products run over the triplets, so no dense block is ever filled.
 from __future__ import annotations
 
 import functools
+import random
 from itertools import islice
 from typing import NamedTuple
 
@@ -420,9 +421,11 @@ def operator_norm(mat) -> float:
     Zero columns add no singular value and are dropped.  Each step takes
     M^T M q as two `np.bincount` passes over the triplets and
     orthogonalises the result against every earlier Lanczos vector (twice,
-    so orthogonality holds to rounding); the start vector is seeded, so
-    the result repeats.  The square root of the top Ritz value is
-    returned, a lower bound on the norm.  The loop stops when the
+    so orthogonality holds to rounding).  The start vector is uniform on
+    [-1/2, 1/2) per column, read as 53-bit fractions off the bytes of
+    ``random.Random(0)`` in one vectorised step, so the result repeats and
+    ``numpy.random`` is never loaded.  The square root of the top Ritz
+    value is returned, a lower bound on the norm.  The loop stops when the
     residual bound beta_k |s_k| of the top Ritz pair falls to RITZ_TOL
     times its value (a breakdown, beta_k ~ 0, meets that too, since
     |s_k| <= 1), or once there are as many steps as nonzero columns,
@@ -437,7 +440,8 @@ def operator_norm(mat) -> float:
     rows, vals = mat.rows, mat.vals
     cols = np.unique(mat.cols, return_inverse=True)[1]  # the nonzero columns, numbered
     n_cols = cols.max() + 1
-    q = np.random.default_rng(0).standard_normal(n_cols)
+    bits = np.frombuffer(random.Random(0).randbytes(8 * int(n_cols)), np.uint64)
+    q = (bits >> np.uint64(11)) * 2.0 ** -53 - 0.5
     q /= np.linalg.norm(q)
     basis, alphas, betas = np.empty((8, n_cols)), [], []  # rows double when full
     basis[0] = q

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -48,3 +50,9 @@ def battery():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def py_rng():
+    """The stdlib generator the library's seeded draws take."""
+    return random.Random(20240817)

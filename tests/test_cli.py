@@ -227,6 +227,28 @@ def test_freeness_stops_at_zero_power(point_file, capsys):
     assert data["passed"] is True and data["n_tuples"] == 0
 
 
+def test_freeness_passes_exact_zeros_at_tol_zero(capsys):
+    # every mixed cumulant of d6 at order 2 and every diagram deviation is
+    # an exact zero, which lies within --tol 0
+    assert main(["freeness", str(Path(__file__).parent.parent / "graphs" / "d6.graph"),
+                 "--max-order", "2", "--seed", "3", "--tol", "0", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is True
+    assert data["max_mixed_cumulant"] == 0 and data["stp_max_dev"] == 0
+
+
+def test_freeness_with_one_hub_walks_no_path(monkeypatch, capsys):
+    # a3 has one odd vertex, so no tuple is mixed: the work guard charges
+    # nothing for any order, and the certificate walks no path
+    def refuse(*args):
+        raise AssertionError("walked a path")
+
+    monkeypatch.setattr(cumulants, "iter_paths", refuse)
+    assert main(["freeness", "--named", "a3", "--max-order", "100000000", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is True and data["n_tuples"] == 0 and data["stp_checks"] == 20
+
+
 def test_moments_matrix(capsys):
     assert main(["moments", "--named", "dbl", "--matrix-moments", "4",
                  "--json"]) == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -368,8 +369,28 @@ def test_freeness_vacuous_on_single_hub(a3):
     assert rep.passed and rep.n_tuples == 0
 
 
-def test_freeness_two_hub_graph(fork, rng):
-    rep = cm.freeness_certificate(fork, max_order=4, tol=1e-10, rng=rng)
+def test_freeness_with_one_hub_walks_no_path(monkeypatch):
+    # 40 parallel edges: 2,560,000 paths of length 4, none of them mixed
+    def refuse(*args):
+        raise AssertionError("walked a path")
+
+    monkeypatch.setattr(cm, "iter_paths", refuse)
+    g = two_vertex_graph(40, 0.5, 0.5)
+    assert cm.hubs(g) == g.vertices_of_parity(1)
+    rep = cm.freeness_certificate(g, max_order=2, rng=random.Random(0))
+    assert rep.passed and rep.n_tuples == 0 and rep.stp_checks == 20
+
+
+def test_freeness_passes_at_its_tol(fork, monkeypatch):
+    # a deviation equal to tol passes, as in every other check; NaN fails
+    for value, tol, passed in ((0.0, 0.0, True), (1e-10, 1e-10, True),
+                               (2e-10, 1e-10, False), (math.nan, 1e-10, False)):
+        monkeypatch.setattr(cm, "b_norm", lambda val, value=value: value)
+        assert cm.freeness_certificate(fork, max_order=2, tol=tol).passed is passed
+
+
+def test_freeness_two_hub_graph(fork, py_rng):
+    rep = cm.freeness_certificate(fork, max_order=4, tol=1e-10, rng=py_rng)
     assert rep.passed
     assert rep.n_tuples > 0
     assert rep.stp_checks > 0
@@ -424,15 +445,15 @@ def test_certificate_runs_every_mixed_tuple_in_order(monkeypatch, name):
 def test_draw_tuple_walks_the_generators(fork):
     gens = cm.even_generators(fork)
     by_start = {v: [p for p in gens if p.start == v] for v in fork.vertices_of_parity(0)}
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for k in (1, 2, 3, 4):
         tup = cm.draw_tuple(gens, by_start, k, rng)
         assert len(tup) == k and all(a.finish == b.start for a, b in zip(tup, tup[1:]))
     # a walk with nowhere to go dead-ends; with no generators nothing is drawn
     assert cm.draw_tuple(gens, {}, 2, rng) is None
-    state = rng.bit_generator.state
+    state = rng.getstate()
     assert cm.draw_tuple([], by_start, 1, rng) is None
-    assert rng.bit_generator.state == state
+    assert rng.getstate() == state
 
 
 def test_freeness_certificate_order_six(fork):

@@ -64,17 +64,17 @@ def test_sharp_matches_chain_oracle_all_short_pairs():
                     assert abs(got[t] - c) <= 1e-12 * abs(c)
 
 
-def test_inner_matches_chain_state(rng):
+def test_inner_matches_chain_state(py_rng):
     for g in standard_graphs().values():
         hits = 0
         for _ in range(50):
-            x = random_element(g, rng, max_len=4, n_terms=4)
+            x = random_element(g, py_rng, max_len=4, n_terms=4)
             # y shares some of x's paths (rescaled) and adds random ones, so
             # the pairs mix matched, mismatched-length and mismatched-endpoint
             # terms
-            shared = list(x.terms)[:int(rng.integers(0, len(x.terms) + 1))]
-            y = random_element(g, rng, max_len=4, n_terms=3) + GradedElement(
-                g, {p: float(rng.uniform(-1, 1)) for p in shared})
+            shared = list(x.terms)[:py_rng.randrange(len(x.terms) + 1)]
+            y = random_element(g, py_rng, max_len=4, n_terms=3) + GradedElement(
+                g, {p: py_rng.uniform(-1, 1) for p in shared})
             want = falg.t_functional(_chain_sharp_mul(star(y), x))
             assert abs(falg.inner(x, y) - want) <= 1e-12 * max(1.0, abs(want))
             hits += want != 0
@@ -159,20 +159,20 @@ def test_sharp_unital_and_idempotent_action(a3):
     assert falg.sharp_mul(e_vertex(a3, "v2"), x).is_zero()
 
 
-def test_sharp_associative(battery, rng):
+def test_sharp_associative(battery, py_rng):
     for g in battery.values():
         for _ in range(12):
-            x = random_element(g, rng, max_len=3, n_terms=2)
-            y = random_element(g, rng, max_len=3, n_terms=2)
-            z = random_element(g, rng, max_len=3, n_terms=2)
+            x = random_element(g, py_rng, max_len=3, n_terms=2)
+            y = random_element(g, py_rng, max_len=3, n_terms=2)
+            z = random_element(g, py_rng, max_len=3, n_terms=2)
             lhs = falg.sharp_mul(falg.sharp_mul(x, y), z)
             rhs = falg.sharp_mul(x, falg.sharp_mul(y, z))
             assert lhs.norm_inf_diff(rhs) < 1e-10
 
 
-def test_sharp_star_antimultiplicative(a3, rng):
+def test_sharp_star_antimultiplicative(a3, py_rng):
     for _ in range(25):
-        x, y = random_element(a3, rng), random_element(a3, rng)
+        x, y = random_element(a3, py_rng), random_element(a3, py_rng)
         lhs = star(falg.sharp_mul(x, y))
         rhs = falg.sharp_mul(star(y), star(x))
         assert lhs.norm_inf_diff(rhs) < 1e-12
@@ -187,10 +187,10 @@ def test_state_and_inner(a2):
     assert falg.inner(loop, other) == 0.0
 
 
-def test_state_tracial(battery, rng):
+def test_state_tracial(battery, py_rng):
     for g in battery.values():
         for _ in range(25):
-            x, y = random_element(g, rng), random_element(g, rng)
+            x, y = random_element(g, py_rng), random_element(g, py_rng)
             lhs = falg.t_functional(falg.sharp_mul(x, y))
             rhs = falg.t_functional(falg.sharp_mul(y, x))
             assert abs(lhs - rhs) < 1e-10
@@ -232,11 +232,11 @@ def test_phi_psi_mutually_inverse(battery):
                 assert falg.phi(falg.psi(b)).norm_inf_diff(b) < 1e-10
 
 
-def test_phi_multiplicative_and_star(battery, rng):
+def test_phi_multiplicative_and_star(battery, py_rng):
     for g in battery.values():
         for _ in range(10):
-            x = random_element(g, rng, max_len=2, n_terms=2)
-            y = random_element(g, rng, max_len=3, n_terms=2)
+            x = random_element(g, py_rng, max_len=2, n_terms=2)
+            y = random_element(g, py_rng, max_len=3, n_terms=2)
             lhs = falg.phi(bullet_mul(x, y))
             rhs = falg.sharp_mul(falg.phi(x), falg.phi(y))
             assert lhs.norm_inf_diff(rhs) < 1e-10
@@ -556,11 +556,11 @@ def test_truncated_left_mult_bounds(a2):
         3 * max(1.0, delta_max(a2) ** 0.5) / a2.mu(1))
 
 
-def test_truncated_left_mult_projection_and_symmetry(a3, rng):
+def test_truncated_left_mult_projection_and_symmetry(a3, py_rng):
     ev = e_vertex(a3, "v1")
     mat, _ = falg.truncated_left_mult(ev, 4)
     assert falg.operator_norm(mat) == pytest.approx(1.0)
-    x = random_element(a3, rng, max_len=2, n_terms=3)
+    x = random_element(a3, py_rng, max_len=2, n_terms=3)
     sym = 0.5 * (x + star(x))
     m2, _ = falg.truncated_left_mult(sym, 3)
     # self-adjoint elements give symmetric truncations on matched degrees;
@@ -594,7 +594,7 @@ def _assert_matches_columns(a, max_degree):
     assert np.all(np.abs(got.toarray() - want) <= 1e-15 * np.abs(want))
 
 
-def test_truncated_left_mult_matches_column_oracle(rng):
+def test_truncated_left_mult_matches_column_oracle(py_rng):
     g = two_vertex_graph(2, 0.8, 0.2)
     for m in (1, 2, 3):
         xm = cdelta.zv_truncation(g, "v", m)
@@ -606,7 +606,7 @@ def test_truncated_left_mult_matches_column_oracle(rng):
             _assert_matches_columns(e_vertex(g, v), 4)
         for d in range(2, 6):
             for _ in range(3):
-                x = random_element(g, rng, max_len=d + 2, n_terms=5)
+                x = random_element(g, py_rng, max_len=d + 2, n_terms=5)
                 longer += any(p.length > d for p in x.terms)
                 _assert_matches_columns(x, d)
     assert longer >= 20
@@ -725,8 +725,9 @@ def test_operator_norm_of_alternating_truncations_matches_dense_norm():
 
 def test_operator_norm_counts_its_lanczos_products(monkeypatch):
     # each Lanczos step takes M^T M q as two np.bincount passes over the
-    # triplets; the three degree-8 truncations (1,022 columns, 509 to 761
-    # nonzeros) converge in 9, 8 and 8 steps, and no SVD is taken
+    # triplets; from the seeded uniform start the three degree-8
+    # truncations (1,022 columns, 509 to 761 nonzeros) converge in 9, 8 and
+    # 9 steps, and no SVD is taken
     mats = list(_alternating_truncations(8))
     calls = []
 
@@ -744,7 +745,7 @@ def test_operator_norm_counts_its_lanczos_products(monkeypatch):
         calls.clear()
         falg.operator_norm(mat)
         products.append(len(calls) / 2)
-    assert products == [9, 8, 8]
+    assert products == [9, 8, 9]
 
 
 def test_gram_blocks_match_all_pairs_loop():

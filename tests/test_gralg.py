@@ -31,10 +31,10 @@ def test_unit_and_idempotents(a2):
     assert bullet_mul(ev, ev).norm_inf_diff(ev) == 0
 
 
-def test_star_involution_and_antimultiplicativity(a3, rng):
+def test_star_involution_and_antimultiplicativity(a3, py_rng):
     for _ in range(30):
-        x = random_element(a3, rng)
-        y = random_element(a3, rng)
+        x = random_element(a3, py_rng)
+        y = random_element(a3, py_rng)
         assert star(star(x)).norm_inf_diff(x) < 1e-12
         lhs = star(bullet_mul(x, y))
         rhs = bullet_mul(star(y), star(x))
@@ -70,10 +70,10 @@ def test_tau_single_pairing_terms(a2):
     assert tau_pairing(a2, t2, loop) == pytest.approx(a2.mu2[0])
 
 
-def test_tau_traciality(battery, rng):
+def test_tau_traciality(battery, py_rng):
     for g in battery.values():
         for _ in range(40):
-            x, y = random_element(g, rng), random_element(g, rng)
+            x, y = random_element(g, py_rng), random_element(g, py_rng)
             assert abs(tau(bullet_mul(x, y)) - tau(bullet_mul(y, x))) < 1e-9
 
 
@@ -270,8 +270,8 @@ def test_corner_examples(a2):
     assert corner(unit(a2), "even").norm_inf_diff(e_parity(a2, 0)) == 0
 
 
-def test_matrix_view_partition(a3, rng):
-    x = random_element(a3, rng, max_len=3, n_terms=6)
+def test_matrix_view_partition(a3, py_rng):
+    x = random_element(a3, py_rng, max_len=3, n_terms=6)
     total = GradedElement(a3)
     for v in range(a3.n_vertices):
         for w in range(a3.n_vertices):

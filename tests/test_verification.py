@@ -1,12 +1,15 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphfree
 from graphfree import cdelta, cumulants, epitl
 from graphfree.cli import main
 from graphfree.graphs import enumerate_paths, named_graph
@@ -122,12 +125,13 @@ def test_check_stores_plain_bool():
 @pytest.mark.parametrize("mixed,stp,passed", [
     (3e-11, 5e-11, True),    # a pass reports its margin, the larger deviation
     (0.0, 2e-10, False),     # a failed diagram identity fails the check
-    (1e-10, 0.0, False),     # so does a failed certificate whose deviation ties the tol
+    (1e-10, 0.0, True),      # a deviation that ties the tol passes, as in the runner
     (float("nan"), 0.0, False),
+    (0.0, float("nan"), False),
 ])
 def test_freeness_certificate_check_reports_its_margin(monkeypatch, mixed, stp, passed):
     def certificate(graph, max_order, tol, rng):
-        return cumulants.FreenessReport(max_order, tol, 1, mixed, mixed < tol and stp < tol,
+        return cumulants.FreenessReport(max_order, tol, 1, mixed, mixed <= tol and stp <= tol,
                                         stp_checks=1, stp_max_dev=stp)
 
     monkeypatch.setattr(cumulants, "freeness_certificate", certificate)
@@ -177,13 +181,79 @@ def test_diagram_relation_checks_act_once_per_basis_path(monkeypatch):
     assert gens["generator-relations"] == 3160
 
 
+def _subprocess_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
 def test_verify_never_imports_numpy_ma():
     # numpy.ma costs 13-15 ms to import, once per process; a bare np.unique
     # (no return_index, return_inverse or return_counts) pulls it in
     code = ("import sys; from graphfree.verification import run_verification; "
             "assert run_verification('all', max_degree=4).ok; "
             "print('numpy.ma' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
+                         env=_subprocess_env(), check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_verify_and_freeness_never_import_numpy_random():
+    # numpy.random is lazy in numpy 2 and costs 11-13 ms and 4.6 MiB to
+    # import; every seeded draw of the library is a stdlib random.Random
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from graphfree import cli",
+        "from graphfree.verification import run_verification",
+        "assert run_verification('all', max_degree=4).ok",
+        "loaded = ['numpy.random' in sys.modules]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['freeness', '--named', 'fork']) == 0",
+        "loaded.append('numpy.random' in sys.modules)",
+        "print(loaded)"])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_subprocess_env(), check=True)
+    assert out.stdout.strip() == "[False, False]"
+
+
+def _numpy_random_references(source: str) -> list[int]:
+    """Lines of source that name numpy.random: an attribute or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            named = (node.attr == "random" and isinstance(node.value, ast.Name)
+                     and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            named = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            named = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        else:
+            continue
+        if named:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_library_module_references_numpy_random():
+    assert _numpy_random_references("import numpy as np\nq = np.random.default_rng(0)\n") == [2]
+    assert _numpy_random_references("from numpy import random\n") == [1]
+    found = {path.name: _numpy_random_references(path.read_text())
+             for path in sorted(Path(graphfree.__file__).parent.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_verify_json_repeats_for_a_seed():
+    # two processes with different hash seeds; only the timings may differ
+    def report(hash_seed):
+        code = ("import sys; from graphfree.cli import main; "
+                "sys.exit(main(['verify', '--max-degree', '4', '--seed', '3', '--json']))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(_subprocess_env(), PYTHONHASHSEED=hash_seed), check=True)
+        data = json.loads(out.stdout)
+        for entry in data["checks"] + data["suites"]:
+            del entry["elapsed"]
+        return data
+
+    first = report("1")
+    assert first["ok"] and first["passed"] == len(CHECK_IDS)
+    assert report("2") == first
