@@ -3,19 +3,18 @@
 Commands: trace, moments, cumulants, freeness, factor, gram, verify.
 Graphs come from spec files (JSON records with ``vertices`` and
 ``edges``) or from the built-in battery via ``--named``.  Exit codes:
-0 success, 1 verification failure, 2 input error.
+0 success, 1 verification failure, 2 input error.  A command whose counted
+work would pass its budget exits 2 before the work starts, with one message:
+"<command> would need more than <budget> <unit>: at least <count> <where>; <fix>".
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import random
 import sys
-
-import numpy as np
 
 from . import cumulants, factors, falg, verification
 from .graphs import (Graph, GraphError, adjacency_powers,
@@ -33,16 +32,12 @@ EXIT_INPUT = 2
 # some 4 s; at the default degree 16, a3 needs 132,348 and k1_3 needs 64.6M.
 GRAM_MAX_PAIRS = 2_000_000
 
-# trace --all-loops refuses above this many loops, and trace refuses above
-# this much work, counted from the powers of A before any loop is built.
-# Both routes run O(n^3) interval recursions on one loop of length n, so
-# --loop charges n^3.  --all-loops builds one row per distinct suffix on
-# each of its two stacks (_all_loop_traces): at most 1^T A^l 1 rows of
-# length l, plus one corner per loop, each at most l^2/2 multiply-adds,
-# so it charges 2 l^2 1^T A^l 1 per length l (_all_loop_work).  On a
-# 2-core x86-64 host a3 to length 24 (16,383 loops, 3.9e7 steps) takes
-# 0.7-0.9 s, the a2 loops to length 400 (8.6e7) 1.1 s, and the a2
-# alternating loop of length 792 (5e8, the densest recursion there is)
+# trace --all-loops refuses above this many loops, and trace above this many
+# steps, counted before any loop is built: n^3 for one loop of length n (both
+# routes run O(n^3) interval recursions), and for --all-loops the bound of
+# _all_loop_work.  On a 2-core x86-64 host a3 to length 24 (16,383 loops,
+# 3.9e7 steps) takes 0.7-0.9 s, the a2 loops to length 400 (8.6e7) 1.1 s, and
+# the a2 alternating loop of length 792 (5e8, the densest recursion there is)
 # 5.5-5.8 s.
 TRACE_MAX_LOOPS = 20_000
 TRACE_MAX_WORK = 500_000_000
@@ -54,22 +49,23 @@ TRACE_MAX_WORK = 500_000_000
 # takes 7.3 s; at K = 30 it would push 4.3e9.
 MATRIX_MOMENTS_MAX_ROWS = 1_000_000
 
-# freeness refuses above this many (tuple, partition) extensions: the
-# composable generator tuples of order k, counted from A^(2k), times
-# Catalan(k), summed over k.  At about 1-3 us each (2-core x86-64 host) that
-# is 10-30 s; fork needs 776,861 to order 7 (1.0-1.4 s) and 6,755,691 to
+# freeness refuses above this many (tuple, partition) extensions
+# (cumulants.freeness_extensions).  At about 1-3 us each (2-core x86-64 host)
+# that is 10-30 s; fork needs 776,861 to order 7 (1.0-1.4 s) and 6,755,691 to
 # order 8 (6.9 s).
 FREENESS_MAX_EXTENSIONS = 10_000_000
-
-# cumulants refuses tuples whose NC(n) has more partitions than this: Mobius
-# inversion builds and caches a plan trie of all Catalan(n) of them.  n = 11
-# (58,786) takes 1.4-1.5 s and 64 MB on a 2-core x86-64 host, and each order
-# costs ~4x more.
-CUMULANTS_MAX_PARTITIONS = 100_000
 
 
 class CliError(Exception):
     pass
+
+
+def _refuse_over(counts, budget: int, unit: str, doing: str, fix: str):
+    """CliError at the first (where, units) of counts past budget; reads no further."""
+    for where, units in counts:
+        if units > budget:
+            raise CliError(f"{doing} would need more than {budget} {unit}: "
+                           f"at least {units} {where}; {fix}")
 
 
 def _load_graph(args) -> Graph:
@@ -218,31 +214,26 @@ def _all_loop_work(g: Graph, max_len: int):
         yield n, loops, steps
 
 
-def _refuse_long_loop(n: int, fix: str):
-    """CliError when one loop of length n, traced in some n^3 steps, passes TRACE_MAX_WORK."""
-    if n ** 3 > TRACE_MAX_WORK:
-        raise CliError(f"tracing a loop of length {n} takes some n^3 = {n ** 3} "
-                       f"steps, more than {TRACE_MAX_WORK}; {fix}")
+def _refuse_long_loop(n: int, doing: str, fix: str):
+    """Refuse one loop of length n, traced in some n^3 steps, past TRACE_MAX_WORK."""
+    _refuse_over([(f"at length {n}", n ** 3)], TRACE_MAX_WORK,
+                 "steps (n^3 on a loop of length n)", doing, fix)
 
 
 def cmd_trace(args) -> int:
     g = _load_graph(args)
     if args.loop is not None:
         p = _parse_loop(g, args.loop)
-        _refuse_long_loop(p.length, "give a shorter loop")
+        _refuse_long_loop(p.length, "trace --loop", "give a shorter loop")
         traced = [(_loop_name(g, p.start, p.edges), tau_path(g, p), falg.t_phi_path(g, p))]
     else:
-        max_len = -1
-        for max_len, total, work in _all_loop_work(g, args.max_len):
-            if total > TRACE_MAX_LOOPS:
-                raise CliError(f"trace --all-loops --max-len {args.max_len} would trace "
-                               f"more than {TRACE_MAX_LOOPS} loops: {total} up to "
-                               f"length {max_len} alone; lower --max-len")
-            if work > TRACE_MAX_WORK:
-                raise CliError(f"trace --all-loops --max-len {args.max_len} would take "
-                               f"more than {TRACE_MAX_WORK} steps (2 l^2 per path of "
-                               f"length l): {work} up to length {max_len} alone; "
-                               f"lower --max-len")
+        max_len, doing = -1, f"trace --all-loops --max-len {args.max_len}"
+        # both budgets at each length, so the first length past either refuses
+        for max_len, loops, steps in _all_loop_work(g, args.max_len):
+            where = f"up to length {max_len}"
+            _refuse_over([(where, loops)], TRACE_MAX_LOOPS, "loops", doing, "lower --max-len")
+            _refuse_over([(where, steps)], TRACE_MAX_WORK,
+                         "steps (2 l^2 per path of length l)", doing, "lower --max-len")
         traced = _all_loop_traces(g, max_len)
     rows, payload = [], []
     for name, via_pairings, via_transform in traced:
@@ -271,19 +262,19 @@ def cmd_moments(args) -> int:
     if args.tuple is not None:
         paths = _parse_tuple(g, args.tuple)
         # the moment traces the composite loop
-        _refuse_long_loop(sum(p.length for p in paths), "give a shorter tuple")
+        _refuse_long_loop(sum(p.length for p in paths), "moments --tuple",
+                          "give a shorter tuple")
         val = cumulants.moment_phi(g, paths)
         pretty = {g.ids[v]: c for v, c in val.items()}
         lines.append(f"moment: {pretty}")
         payload["moment"] = pretty
     else:
         kmax = args.matrix_moments
-        _refuse_long_loop(2 * kmax, "lower --matrix-moments")
-        work = cumulants.matrix_moment_rows(g.n_edges, kmax)
-        if work > MATRIX_MOMENTS_MAX_ROWS:
-            raise CliError(f"--matrix-moments {kmax} would push {work} face rows for the "
-                           f"words of {g.n_edges} edges, more than "
-                           f"{MATRIX_MOMENTS_MAX_ROWS}; lower --matrix-moments")
+        doing, fix = f"moments --matrix-moments {kmax}", "lower --matrix-moments"
+        _refuse_long_loop(2 * kmax, doing, fix)  # before q^K rows, whose K is unbounded
+        rows = cumulants.matrix_moment_rows(g, kmax)  # checks the shape first
+        _refuse_over([(f"for the words of {g.n_edges} edges", rows)],
+                     MATRIX_MOMENTS_MAX_ROWS, "face rows", doing, fix)
         got = cumulants.omega_matrix_moments(g, kmax)
         evens = g.vertices_of_parity(0)
         odds = g.vertices_of_parity(1)
@@ -307,12 +298,9 @@ def cmd_cumulants(args) -> int:
     paths = _parse_tuple(g, args.tuple)
     # the first order past the budget, never Catalan(n) itself: it has
     # ~0.6 n digits, too many to format for a long tuple
-    n = len(paths)
-    k = next((k for k in range(n + 1) if catalan(k) > CUMULANTS_MAX_PARTITIONS), None)
-    if k is not None:
-        raise CliError(f"cumulants of a {n}-tuple would invert over at least "
-                       f"Catalan({k}) = {catalan(k)} non-crossing partitions, more "
-                       f"than {CUMULANTS_MAX_PARTITIONS}; give a shorter tuple")
+    _refuse_over(((f"in NC({k})", catalan(k)) for k in range(len(paths) + 1)),
+                 cumulants.CUMULANTS_MAX_PARTITIONS, "non-crossing partitions",
+                 f"cumulants of a {len(paths)}-tuple", "give a shorter tuple")
     via_mobius = cumulants.kappa_mobius(g, paths)
     via_closed = cumulants.kappa_starry(g, paths)
     diff = cumulants.b_diff_norm(via_mobius, via_closed)
@@ -327,22 +315,10 @@ def cmd_cumulants(args) -> int:
 
 def cmd_freeness(args) -> int:
     g = _load_graph(args)
-    # The tuples of order k are the paths of length 2k between even vertices,
-    # and each costs one extension per partition in NC(k); past the first
-    # zero power there are none, and with fewer than two hubs none is mixed
-    # and none is walked.
-    evens = g.vertices_of_parity(0)
-    total = 0
-    orders = range(2, args.max_order + 1 if len(cumulants.hubs(g)) > 1 else 2)
-    for k, power in zip(orders, itertools.islice(adjacency_powers(g), 4, None, 2)):
-        if not power.any():
-            break
-        total += int(power[np.ix_(evens, evens)].sum()) * catalan(k)
-        if total > FREENESS_MAX_EXTENSIONS:
-            raise CliError(f"freeness --max-order {args.max_order} would evaluate "
-                           f"more than {FREENESS_MAX_EXTENSIONS} (tuple, partition) "
-                           f"extensions: at least {total} up to order {k} alone; "
-                           "lower --max-order")
+    _refuse_over(((f"up to order {k}", total)
+                  for k, total in cumulants.freeness_extensions(g, args.max_order)),
+                 FREENESS_MAX_EXTENSIONS, "(tuple, partition) extensions",
+                 f"freeness --max-order {args.max_order}", "lower --max-order")
     rep = cumulants.freeness_certificate(g, max_order=args.max_order, tol=args.tol,
                                          rng=random.Random(args.seed))
     lines = [
@@ -376,13 +352,11 @@ def cmd_factor(args) -> int:
 
 def cmd_gram(args) -> int:
     g = _load_graph(args)
-    # Stop counting at the first degree past the limit: the count is then a
-    # lower bound, but its cost stays bounded for any --max-degree.
-    for degree, pairs in zip(range(args.max_degree + 1), falg.gram_pair_counts(g)):
-        if pairs > GRAM_MAX_PAIRS:
-            raise CliError(f"gram at --max-degree {args.max_degree} would evaluate "
-                           f"more than {GRAM_MAX_PAIRS} inner products: {pairs} up "
-                           f"to degree {degree} alone; lower --max-degree")
+    # stopping at the first degree past the budget bounds the count's cost
+    _refuse_over(((f"up to degree {d}", pairs) for d, pairs in
+                  zip(range(args.max_degree + 1), falg.gram_pair_counts(g))),
+                 GRAM_MAX_PAIRS, "inner products", f"gram at --max-degree {args.max_degree}",
+                 "lower --max-degree")
     basis = falg.truncated_basis(g, args.max_degree)
     worst_off, worst_diag = 0.0, 0.0
     # each fold keeps the first NaN, which max() would drop

@@ -27,12 +27,13 @@ plans are summed from a table indexed by their rank in NC(n).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter, mul
 
-from .graphs import Graph, GraphError, Path, enumerate_paths, iter_paths
+from .graphs import Graph, GraphError, Path, adjacency_powers, enumerate_paths, iter_paths
 from .gralg import FaceStack, GradedElement, max_abs, max_abs_diff, tau_loop
 from . import epitl, noncross
 
@@ -143,8 +144,13 @@ def kappa_mobius(graph: Graph, paths) -> BElement:
     return kappa_of_moments(lambda ps: _loop_moment(graph, ps), paths)
 
 
-# The cumulants command refuses tuples past n = 11 (CUMULANTS_MAX_PARTITIONS),
-# so 12 entries hold every row it can ask for.
+# The cumulants command refuses an n-tuple when NC(n) has more partitions than
+# this: Mobius inversion builds and caches a plan trie of all Catalan(n) of
+# them.  n = 11 (58,786) takes 1.4-1.5 s and 64 MB on a 2-core x86-64 host,
+# each order ~4x more, and 12 entries of _mobius_row hold every n it admits.
+CUMULANTS_MAX_PARTITIONS = 100_000
+
+
 @functools.lru_cache(maxsize=12)
 def _mobius_row(n: int):
     """The extraction plans of NC(n) as one trie, with mu(pi, 1_n) per plan.
@@ -373,6 +379,11 @@ def hubs(graph: Graph) -> tuple[int, ...]:
     return tuple(v for v in graph.vertices_of_parity(1) if graph.out_edges(v))
 
 
+def _mixed_orders(graph: Graph, max_order: int) -> range:
+    """The orders 2..max_order, or none where fewer than two :func:`hubs` mix no tuple."""
+    return range(2, max_order + 1 if len(hubs(graph)) > 1 else 2)
+
+
 def draw_tuple(gens, by_start, k: int, rng: random.Random):
     """A random composable k-tuple of generators, or None where the walk dead-ends.
 
@@ -411,8 +422,7 @@ def freeness_certificate(graph: Graph, max_order: int = 5, tol: float = 1e-10,
     gens = even_generators(graph)
     evens = graph.vertices_of_parity(0)
     worst, worst_tup, count = 0.0, (), 0
-    # with fewer than two hubs (so also without generators) no tuple is mixed
-    for k in range(2, max_order + 1 if len(hubs(graph)) > 1 else 2):
+    for k in _mixed_orders(graph, max_order):
         for path in (q for v in evens for q in iter_paths(graph, v, 2 * k)):
             if len(set(path.vertices[1::2])) == 1:
                 continue
@@ -443,6 +453,15 @@ def freeness_certificate(graph: Graph, max_order: int = 5, tol: float = 1e-10,
                           len(devs), stp_dev, notes)
 
 
+def freeness_extensions(graph: Graph, max_order: int):
+    """Yield (k, extensions to order k): even paths of length 2k, by A^(2k), times Catalan(k)."""
+    evens, total = graph.vertices_of_parity(0), 0
+    for k, power in zip(_mixed_orders(graph, max_order),
+                        itertools.islice(adjacency_powers(graph), 4, None, 2)):
+        total += sum(power[v, w] for v in evens for w in evens) * noncross.catalan(k)
+        yield k, total
+
+
 # ---------------------------------------------------------------------------
 # matrix moments for the two-vertex graph
 
@@ -459,13 +478,25 @@ def nc_rate_moment(rate: float, k: int) -> float:
                for b in range(1, k + 1))
 
 
-def matrix_moment_rows(q: int, kmax: int) -> int:
-    """Face rows :func:`omega_matrix_moments` pushes for q edges up to order kmax.
+def _two_vertex_edges(graph: Graph):
+    """(w, the w -> v edges) of a two-vertex graph with odd w; GraphError on any other."""
+    odds = graph.vertices_of_parity(1)
+    if len(odds) != 1 or len(graph.vertices_of_parity(0)) != 1:
+        raise GraphError("matrix moments need a two-vertex graph")
+    forward = graph.out_edges(odds[0])
+    if not forward:
+        raise GraphError("matrix moments need at least one edge")
+    return odds[0], forward
 
-    The q root reverse edges, and at each order d < kmax a forward edge
-    and its tied reverse per word, 2 q^(d+1) rows.  The closing forward
-    edges are read as corners, without rows.
+
+def matrix_moment_rows(graph: Graph, kmax: int) -> int:
+    """Face rows :func:`omega_matrix_moments` pushes on graph up to order kmax.
+
+    For q edges: the q root reverse edges, and at each order d < kmax a
+    forward edge and its tied reverse per word, 2 q^(d+1) rows.  The
+    closing forward edges are read as corners, without rows.
     """
+    q = len(_two_vertex_edges(graph)[1])
     if q == 1:
         return 2 * kmax - 1
     return q + 2 * (q ** (kmax + 1) - q * q) // (q - 1)
@@ -492,15 +523,8 @@ def omega_matrix_moments(graph: Graph, kmax: int) -> list[float]:
     alternates w and v, so tau = mu2(w) F / (mu(v) mu(w))^k, and the
     moment over jump^k is the corner sum over q (q mu2(w))^k.
     """
-    evens = graph.vertices_of_parity(0)
-    odds = graph.vertices_of_parity(1)
-    if len(evens) != 1 or len(odds) != 1:
-        raise GraphError("matrix moments need a two-vertex graph")
-    w = odds[0]
-    forward = graph.out_edges(w)  # w -> v edges
+    w, forward = _two_vertex_edges(graph)
     q = len(forward)
-    if not q:
-        raise GraphError("matrix moments need at least one edge")
     back = [graph.erev[f] for f in forward]
     faces = FaceStack(graph)
     sums = [0.0] * (kmax + 1)

@@ -24,6 +24,15 @@ A2_SPEC = """{
 }"""
 
 
+def _refuse_work(monkeypatch, owner, *names):
+    """Make each named worker of owner fail the test if a command reaches it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in names:
+        monkeypatch.setattr(owner, name, refuse)
+
+
 @pytest.fixture
 def a2_file(tmp_path):
     f = tmp_path / "a2.graph"
@@ -75,17 +84,20 @@ def test_trace_loop_across_parallel_edges_points_to_all_loops(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_trace_refuses_too_many_loops(capsys):
+def test_trace_refuses_too_many_loops(monkeypatch, capsys):
+    _refuse_work(monkeypatch, cli, "_all_loop_traces")
     assert main(["trace", "--named", "k1_4", "--all-loops", "--max-len", "60"]) == 2
     err = capsys.readouterr().err
     assert "43693 up to length 14" in err and "Traceback" not in err
 
 
-def test_trace_refuses_long_loops(capsys):
+def test_trace_refuses_long_loops(monkeypatch, capsys):
     # both routes cost O(n^3) on a loop of length n, so --loop refuses by
     # n^3; --all-loops builds one row per distinct suffix on each stack and
     # refuses by 2 l^2 per path of length l, counted from A^l before any
     # loop is built, at the first length past the budget, with the count
+    _refuse_work(monkeypatch, cli, "_all_loop_traces", "tau_path")
+    _refuse_work(monkeypatch, falg, "t_phi_path")
     assert main(["trace", "--named", "a2", "--all-loops", "--max-len", "19998"]) == 2
     err = capsys.readouterr().err
     assert "500780644 up to length 721" in err and "Traceback" not in err
@@ -93,6 +105,7 @@ def test_trace_refuses_long_loops(capsys):
     assert main(["trace", "--named", "a2", "--loop", loop]) == 2
     err = capsys.readouterr().err
     assert "length 800" in err and "512000000" in err and "Traceback" not in err
+    monkeypatch.undo()
     # no length cap: k1_4 loops of length 48 and 100 are traced, and the
     # routes agree relative to the trace
     rng = np.random.default_rng(48)
@@ -183,18 +196,19 @@ def test_cumulants_command(capsys):
     assert "difference" in out
 
 
-def test_cumulants_refuses_oversized_tuple(capsys):
+def test_cumulants_refuses_oversized_tuple(monkeypatch, capsys):
     # NC(12) has 208,012 partitions, NC(8) 1,430
     loop = "v0,v1,v0"
+    _refuse_work(monkeypatch, cumulants, "kappa_mobius", "kappa_starry")
     assert main(["cumulants", "--named", "a3", "--tuple", ";".join([loop] * 12)]) == 2
     err = capsys.readouterr().err
     assert "208012" in err and "Traceback" not in err
-    assert main(["cumulants", "--named", "a3", "--tuple", ";".join([loop] * 8)]) == 0
-    capsys.readouterr()
     # Catalan(8000) has ~4,800 digits, past Python's int-to-str limit
     assert main(["cumulants", "--named", "a3", "--tuple", ";".join([loop] * 8000)]) == 2
     err = capsys.readouterr().err
     assert "8000-tuple" in err and "208012" in err and "Traceback" not in err
+    monkeypatch.undo()
+    assert main(["cumulants", "--named", "a3", "--tuple", ";".join([loop] * 8)]) == 0
 
 
 def test_freeness_command(capsys):
@@ -211,8 +225,9 @@ def test_freeness_passing_certificate_names_no_witness(capsys):
     assert data["passed"] is True and data["witness"] == ""
 
 
-def test_freeness_refuses_oversized_work(capsys):
+def test_freeness_refuses_oversized_work(monkeypatch, capsys):
     # fork: 776,861 extensions to order 7, 6,755,691 to 8, 59,975,143 to 9
+    _refuse_work(monkeypatch, cumulants, "freeness_certificate")
     assert main(["freeness", "--named", "fork", "--max-order", "12"]) == 2
     err = capsys.readouterr().err
     assert "at least 59975143 up to order 9" in err and "Traceback" not in err
@@ -259,13 +274,10 @@ def test_moments_matrix(capsys):
 def test_moments_matrix_refuses_by_work(monkeypatch, capsys):
     # the face rows of the word tree are counted in closed form, so the
     # refusal comes before the walk: dbl (q = 2) to order 30 would push 4.3e9
-    def refuse(*args):
-        raise AssertionError("walk started")
-
-    monkeypatch.setattr(cumulants, "omega_matrix_moments", refuse)
+    _refuse_work(monkeypatch, cumulants, "omega_matrix_moments")
     assert main(["moments", "--named", "dbl", "--matrix-moments", "30"]) == 2
     err = capsys.readouterr().err
-    assert "4294967290 face rows" in err and "Traceback" not in err
+    assert "4294967290 for the words of 2 edges" in err and "Traceback" not in err
     # q = 1 has few rows but one dense loop of length 2K, refused as trace
     # refuses it
     assert main(["moments", "--named", "a2", "--matrix-moments", "400"]) == 2
@@ -273,6 +285,17 @@ def test_moments_matrix_refuses_by_work(monkeypatch, capsys):
     assert "length 800" in err and "512000000" in err
     monkeypatch.undo()
     assert main(["moments", "--named", "dbl", "--matrix-moments", "5"]) == 0
+
+
+@pytest.mark.parametrize("name,kmax", [("a3", 30), ("k1_4", 12)])
+def test_moments_matrix_checks_the_shape_before_counting(monkeypatch, capsys, name, kmax):
+    # no K runs on a graph of more than two vertices, so the row count reads
+    # the shape first and reports it, not a count of rows for its edges
+    _refuse_work(monkeypatch, cumulants, "omega_matrix_moments")
+    assert main(["moments", "--named", name, "--matrix-moments", str(kmax)]) == 2
+    err = capsys.readouterr().err
+    assert "matrix moments need a two-vertex graph" in err
+    assert "face rows" not in err and "Traceback" not in err
 
 
 def test_moments_matrix_without_edges_is_input_error(tmp_path, capsys):
@@ -284,13 +307,15 @@ def test_moments_matrix_without_edges_is_input_error(tmp_path, capsys):
     assert "at least one edge" in err and "Traceback" not in err
 
 
-def test_moments_tuple_refuses_by_work(capsys):
+def test_moments_tuple_refuses_by_work(monkeypatch, capsys):
     # the moment traces the composite loop, so --tuple refuses by n^3 of its
     # length as trace --loop does: 1,200 copies of v0,v1,v0 make length 2,400
+    _refuse_work(monkeypatch, cumulants, "moment_phi")
     assert main(["moments", "--named", "a2", "--tuple",
                  ";".join(["v0,v1,v0"] * 1200)]) == 2
     err = capsys.readouterr().err
     assert "length 2400" in err and "13824000000" in err and "Traceback" not in err
+    monkeypatch.undo()
     assert main(["moments", "--named", "a2", "--tuple", ";".join(["v0,v1,v0"] * 300),
                  "--json"]) == 0
     assert 0 < json.loads(capsys.readouterr().out)["moment"]["v0"] < float("inf")
@@ -351,7 +376,8 @@ def test_gram_command(capsys):
     assert "passed: True" in capsys.readouterr().out
 
 
-def test_gram_refuses_oversized_work(capsys):
+def test_gram_refuses_oversized_work(monkeypatch, capsys):
+    _refuse_work(monkeypatch, falg, "truncated_basis", "gram_blocks")
     assert main(["gram", "--named", "k1_3"]) == 2
     err = capsys.readouterr().err
     assert "2396950 up to degree 13" in err and "Traceback" not in err

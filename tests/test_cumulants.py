@@ -7,7 +7,8 @@ import pytest
 
 from graphfree import cumulants as cm, epitl, falg, gralg, noncross as ncx
 from graphfree.gralg import GradedElement, bullet_mul, tau
-from graphfree.graphs import GraphError, Path, named_graph, pf_weighting, two_vertex_graph
+from graphfree.graphs import (GraphError, Path, iter_paths, named_graph, pf_weighting,
+                              two_vertex_graph)
 
 
 def composable_tuples(gens, k):
@@ -535,7 +536,7 @@ def test_matrix_moments_push_one_row_per_suffix(monkeypatch, q, kmax, rows):
 
     monkeypatch.setattr(gralg.FaceStack, "push", counting)
     cm.omega_matrix_moments(g, kmax)
-    assert len(pushed) == len(suffixes) == cm.matrix_moment_rows(q, kmax) == rows
+    assert len(pushed) == len(suffixes) == cm.matrix_moment_rows(g, kmax) == rows
     assert rows < sum(2 * k * q ** k for k in range(1, kmax + 1))
 
 
@@ -582,3 +583,24 @@ def test_loop_moment_builds_no_composite(monkeypatch):
     assert rep.passed and 0 < info.currsize < gralg.TAU_MEMO_MAX
     assert len(builds) <= info.misses
     assert set(keys) == {tuple}
+
+
+def test_mobius_row_memo_holds_every_order_the_budget_admits():
+    # the cumulants command admits the n-tuples whose NC(n) fits the
+    # budget; the plan-trie memo keeps a row for each of those n
+    admitted = [n for n in range(1, 40) if ncx.catalan(n) <= cm.CUMULANTS_MAX_PARTITIONS]
+    assert admitted == list(range(1, 12))
+    assert cm._mobius_row.cache_info().maxsize >= len(admitted)
+
+
+def test_freeness_extensions_count_the_certificate_tuples(fork, monkeypatch):
+    # the count reads A^(2k); the certificate walks the paths it counts and
+    # computes no adjacency power
+    evens = fork.vertices_of_parity(0)
+    tuples = [sum(1 for v in evens for _ in iter_paths(fork, v, 2 * k)) for k in range(2, 6)]
+    assert list(cm.freeness_extensions(fork, 5)) == [
+        (k, sum(t * ncx.catalan(j) for j, t in zip(range(2, k + 1), tuples)))
+        for k in range(2, 6)]
+    assert list(cm.freeness_extensions(named_graph("a3"), 10 ** 8)) == []  # one hub
+    monkeypatch.setattr(cm, "adjacency_powers", None)
+    assert cm.freeness_certificate(fork, max_order=3).passed

@@ -522,3 +522,57 @@ def test_uncalled_scan_ignores_names_bound_in_the_reader(reader):
     assert sorted(_uncalled_functions(sources)) == [("mod", "f"), ("other", "g")]
     sources["other"] += "\ndef h():\n    return f()\n"
     assert sorted(_uncalled_functions(sources)) == [("other", "g"), ("other", "h")]
+
+
+def _budget_breaches(text: str, helper: str = "_refuse_over"):
+    """Yield (line, name) for each work-budget check in text made outside helper.
+
+    A budget is a name with ``_MAX_`` in it, bare or as an attribute, and
+    may be read only as a whole argument of a call to helper.  A raise
+    whose message says "more than" is an over-budget refusal, and may
+    only come from inside helper.
+    """
+    tree = ast.parse(text)
+    as_args = {id(arg) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == helper
+               for arg in (*node.args, *(k.value for k in node.keywords))}
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == helper
+              for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        name = getattr(node, "id", getattr(node, "attr", ""))
+        if ("_MAX_" in name and isinstance(node.ctx, ast.Load)
+                and id(node) not in as_args):
+            yield node.lineno, name
+        if (isinstance(node, ast.Raise) and node.exc is not None
+                and id(node) not in inside and "more than" in ast.unparse(node.exc)):
+            yield node.lineno, "raise"
+
+
+def test_cli_refuses_work_through_one_helper():
+    # every budget of cli.py is read as an argument of _refuse_over, and
+    # only _refuse_over raises an over-budget refusal
+    text = (FilePath(graphfree.__file__).parent / "cli.py").read_text()
+    assert list(_budget_breaches(text)) == []
+    read = {getattr(node, "id", getattr(node, "attr", "")) for node in ast.walk(ast.parse(text))
+            if isinstance(getattr(node, "ctx", None), ast.Load)}
+    assert {name for name in read if "_MAX_" in name} == {
+        "GRAM_MAX_PAIRS", "TRACE_MAX_LOOPS", "TRACE_MAX_WORK", "MATRIX_MOMENTS_MAX_ROWS",
+        "FREENESS_MAX_EXTENSIONS", "CUMULANTS_MAX_PARTITIONS"}
+
+
+@pytest.mark.parametrize("text", [
+    "def f(n):\n    if n > GRAM_MAX_PAIRS:\n        raise CliError('too many pairs')\n",
+    "def f(n):\n    raise CliError(f'{n} pairs, more than the budget')\n",
+    "def f(n):\n    _refuse_over([('', n)], 2 * TRACE_MAX_WORK, 'steps', 'trace', 'fix')\n",
+    "def f(n):\n    return n > cumulants.CUMULANTS_MAX_PARTITIONS\n",
+    "def g(n):\n    _refuse_over([], TRACE_MAX_WORK, 's', 'd', 'f')\n"
+    "    raise CliError(f'{n} is more than allowed')\n",
+], ids=["bare-compare", "own-message", "budget-in-expression", "attribute-read",
+        "raise-beside-the-helper"])
+def test_budget_scan_finds_a_refusal_outside_the_helper(text):
+    helper = ("def _refuse_over(counts, budget, unit, doing, fix):\n"
+              "    for where, units in counts:\n        if units > budget:\n"
+              "            raise CliError(f'{doing}: more than {budget} {unit}')\n")
+    assert list(_budget_breaches(helper)) == []
+    assert list(_budget_breaches(helper + text))
