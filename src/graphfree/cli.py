@@ -6,6 +6,9 @@ Graphs come from spec files (JSON records with ``vertices`` and
 0 success, 1 verification failure, 2 input error.  A command whose counted
 work would pass its budget exits 2 before the work starts, with one message:
 "<command> would need more than <budget> <unit>: at least <count> <where>; <fix>".
+The counts, their budgets and the ``trace --all-loops`` walk live beside the
+work they size (:mod:`falg`, :mod:`cumulants`); this module parses, loads
+graphs, refuses through :func:`_refuse_over` and prints.
 """
 
 from __future__ import annotations
@@ -17,43 +20,14 @@ import random
 import sys
 
 from . import cumulants, factors, falg, verification
-from .graphs import (Graph, GraphError, adjacency_powers,
-                     graph_from_spec, named_graph, normalize_weights, pf_weighting)
-from .gralg import FaceStack, tau_path
+from .graphs import (Graph, GraphError, graph_from_spec, named_graph, normalize_weights,
+                     pf_weighting)
+from .gralg import tau_path
 from .noncross import catalan
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
-
-
-# gram refuses above this many in-block inner products (falg.gram_pair_counts).
-# At about 2 us each, path enumeration included (2-core x86-64 host), that is
-# some 4 s; at the default degree 16, a3 needs 132,348 and k1_3 needs 64.6M.
-GRAM_MAX_PAIRS = 2_000_000
-
-# trace --all-loops refuses above this many loops, and trace above this many
-# steps, counted before any loop is built: n^3 for one loop of length n (both
-# routes run O(n^3) interval recursions), and for --all-loops the bound of
-# _all_loop_work.  On a 2-core x86-64 host a3 to length 24 (16,383 loops,
-# 3.9e7 steps) takes 0.7-0.9 s, the a2 loops to length 400 (8.6e7) 1.1 s, and
-# the a2 alternating loop of length 792 (5e8, the densest recursion there is)
-# 5.5-5.8 s.
-TRACE_MAX_LOOPS = 20_000
-TRACE_MAX_WORK = 500_000_000
-
-# moments --matrix-moments K refuses above this many face rows
-# (cumulants.matrix_moment_rows), and, as trace does, when a single loop of
-# length 2K passes TRACE_MAX_WORK.  On a 2-core x86-64 host a row costs 2-14 us
-# (most for q = 2, whose words pair most), so dbl at K = 17 (524,286 rows)
-# takes 7.3 s; at K = 30 it would push 4.3e9.
-MATRIX_MOMENTS_MAX_ROWS = 1_000_000
-
-# freeness refuses above this many (tuple, partition) extensions
-# (cumulants.freeness_extensions).  At about 1-3 us each (2-core x86-64 host)
-# that is 10-30 s; fork needs 776,861 to order 7 (1.0-1.4 s) and 6,755,691 to
-# order 8 (6.9 s).
-FREENESS_MAX_EXTENSIONS = 10_000_000
 
 
 class CliError(Exception):
@@ -136,87 +110,9 @@ def _table(rows, header):
 # commands
 
 
-def _loop_name(g: Graph, start: int, edges) -> str:
-    return "->".join(g.ids[v] for v in (start, *map(g.efinish.__getitem__, edges)))
-
-
-def _all_loop_traces(g: Graph, max_len: int):
-    """(name, pairing trace, transform trace) of every loop up to max_len.
-
-    From each end vertex v, the walks into v are grown backwards depth
-    first, one edge in front at a time, and pruned where the front vertex
-    lies too far from v to close within max_len.  Each push adds one row
-    to a face stack and one to a gap stack, so a row is built once per
-    distinct suffix; where the front reaches v, both corners are read as
-    the per-loop routes read them (:func:`tau_path`,
-    :func:`falg.t_phi_path`), so the values are theirs to the last bit,
-    and a loop of length max_len is not pushed at all.  The two stacks
-    stay separate recurrences.  The loops come out in the order of
-    enumerate_paths: by length, start and edge ids.
-    """
-    mu, mu2, estart, efinish = g.mu, g.mu2, g.estart, g.efinish
-    into = [[g.erev[e] for e in g.out_edges(u)] for u in range(g.n_vertices)]
-    max_len -= max_len % 2  # the graph is bipartite: every loop has even length
-    found = []
-    for v in range(g.n_vertices):
-        dist, frontier = {v: 0}, [v]
-        for d in range(1, max_len + 1):  # breadth first, as far as a loop can reach
-            frontier = [x for u in frontier for x in map(efinish.__getitem__, g.out_edges(u))
-                        if x not in dist]
-            dist.update((x, d) for x in frontier)
-        faces, gaps, suffix = FaceStack(g), falg.GapStack(g), []
-        found.append((0, v, (), mu2[v], mu2[v]))
-        todo = [iter(into[v])]
-        while todo:
-            e = next(todo[-1], None)
-            if e is None:
-                todo.pop()
-                if suffix:
-                    suffix.pop()
-                    faces.pop()
-                    gaps.pop()
-                continue
-            u, length = estart[e], len(suffix) + 1
-            if length + dist.get(u, max_len) > max_len:
-                continue
-            if u == v:
-                edges = (e, *reversed(suffix))
-                denom = math.prod(map(mu, map(efinish.__getitem__, edges)))
-                found.append((length, v, edges, mu2[v] * faces.corner_with(e) / denom,
-                              gaps.corner_with(e) * mu2[v]))
-            if length < max_len:
-                suffix.append(e)
-                faces.push(e)
-                gaps.push(e)
-                todo.append(iter(into[u]))
-    found.sort(key=lambda t: t[:3])
-    return [(_loop_name(g, v, edges), pairing, transform)
-            for _, v, edges, pairing, transform in found]
-
-
-def _all_loop_work(g: Graph, max_len: int):
-    """Yield (n, loops, steps) up to length n, for n = 0..max_len while paths exist.
-
-    (A^l)[v, v] counts the loops of length l at v, and 1^T A^l 1 all
-    paths of length l, which bound the suffixes that
-    :func:`_all_loop_traces` pushes at that length.  A push or a corner
-    read at length l adds, per partner r < l, a row of at most r
-    entries: at most l^2/2 multiply-adds, on each of two stacks.  So
-    steps bounds the walk's multiply-adds by 2 l^2 1^T A^l 1 per length.
-    Stops at the first zero power, past which no path exists.
-    """
-    loops = steps = 0
-    for n, power in zip(range(max_len + 1), adjacency_powers(g)):
-        if not power.any():
-            return
-        loops += sum(power.diagonal())
-        steps += 2 * n * n * sum(power.flat)
-        yield n, loops, steps
-
-
 def _refuse_long_loop(n: int, doing: str, fix: str):
-    """Refuse one loop of length n, traced in some n^3 steps, past TRACE_MAX_WORK."""
-    _refuse_over([(f"at length {n}", n ** 3)], TRACE_MAX_WORK,
+    """Refuse one loop of length n, traced in some n^3 steps, past falg.TRACE_MAX_WORK."""
+    _refuse_over([(f"at length {n}", n ** 3)], falg.TRACE_MAX_WORK,
                  "steps (n^3 on a loop of length n)", doing, fix)
 
 
@@ -225,18 +121,20 @@ def cmd_trace(args) -> int:
     if args.loop is not None:
         p = _parse_loop(g, args.loop)
         _refuse_long_loop(p.length, "trace --loop", "give a shorter loop")
-        traced = [(_loop_name(g, p.start, p.edges), tau_path(g, p), falg.t_phi_path(g, p))]
+        traced = [(p.start, p.edges, tau_path(g, p), falg.t_phi_path(g, p))]
     else:
         max_len, doing = -1, f"trace --all-loops --max-len {args.max_len}"
         # both budgets at each length, so the first length past either refuses
-        for max_len, loops, steps in _all_loop_work(g, args.max_len):
+        for max_len, loops, steps in falg.all_loop_work(g, args.max_len):
             where = f"up to length {max_len}"
-            _refuse_over([(where, loops)], TRACE_MAX_LOOPS, "loops", doing, "lower --max-len")
-            _refuse_over([(where, steps)], TRACE_MAX_WORK,
+            _refuse_over([(where, loops)], falg.TRACE_MAX_LOOPS, "loops", doing,
+                         "lower --max-len")
+            _refuse_over([(where, steps)], falg.TRACE_MAX_WORK,
                          "steps (2 l^2 per path of length l)", doing, "lower --max-len")
-        traced = _all_loop_traces(g, max_len)
+        traced = falg.all_loop_traces(g, max_len)
     rows, payload = [], []
-    for name, via_pairings, via_transform in traced:
+    for start, edges, via_pairings, via_transform in traced:
+        name = "->".join(g.ids[v] for v in (start, *map(g.efinish.__getitem__, edges)))
         rows.append([name, f"{via_pairings:.12g}", f"{via_transform:.12g}",
                      f"{abs(via_pairings - via_transform):.3g}"])
         payload.append({"loop": name, "pairing_trace": via_pairings,
@@ -271,10 +169,11 @@ def cmd_moments(args) -> int:
     else:
         kmax = args.matrix_moments
         doing, fix = f"moments --matrix-moments {kmax}", "lower --matrix-moments"
+        cumulants.two_vertex_edges(g)  # no K runs on another shape
         _refuse_long_loop(2 * kmax, doing, fix)  # before q^K rows, whose K is unbounded
-        rows = cumulants.matrix_moment_rows(g, kmax)  # checks the shape first
-        _refuse_over([(f"for the words of {g.n_edges} edges", rows)],
-                     MATRIX_MOMENTS_MAX_ROWS, "face rows", doing, fix)
+        _refuse_over([(f"for the words of {g.n_edges} edges",
+                       cumulants.matrix_moment_rows(g, kmax))],
+                     cumulants.MATRIX_MOMENTS_MAX_ROWS, "face rows", doing, fix)
         got = cumulants.omega_matrix_moments(g, kmax)
         evens = g.vertices_of_parity(0)
         odds = g.vertices_of_parity(1)
@@ -317,7 +216,7 @@ def cmd_freeness(args) -> int:
     g = _load_graph(args)
     _refuse_over(((f"up to order {k}", total)
                   for k, total in cumulants.freeness_extensions(g, args.max_order)),
-                 FREENESS_MAX_EXTENSIONS, "(tuple, partition) extensions",
+                 cumulants.FREENESS_MAX_EXTENSIONS, "(tuple, partition) extensions",
                  f"freeness --max-order {args.max_order}", "lower --max-order")
     rep = cumulants.freeness_certificate(g, max_order=args.max_order, tol=args.tol,
                                          rng=random.Random(args.seed))
@@ -355,7 +254,7 @@ def cmd_gram(args) -> int:
     # stopping at the first degree past the budget bounds the count's cost
     _refuse_over(((f"up to degree {d}", pairs) for d, pairs in
                   zip(range(args.max_degree + 1), falg.gram_pair_counts(g))),
-                 GRAM_MAX_PAIRS, "inner products", f"gram at --max-degree {args.max_degree}",
+                 falg.GRAM_MAX_PAIRS, "inner products", f"gram at --max-degree {args.max_degree}",
                  "lower --max-degree")
     basis = falg.truncated_basis(g, args.max_degree)
     worst_off, worst_diag = 0.0, 0.0

@@ -22,6 +22,11 @@ one memo of block values per tuple: each distinct block (at most 2^n -
 1) reaches the kernel once, each step's scalar is read once per shared
 prefix, a zero scalar skips every plan below it, and the surviving
 plans are summed from a table indexed by their rank in NC(n).
+
+The work counts of ``cumulants``, ``freeness`` and ``moments
+--matrix-moments`` (Catalan(n), :func:`freeness_extensions`,
+:func:`matrix_moment_rows`) and their budgets sit beside the kernels they
+size.
 """
 
 from __future__ import annotations
@@ -146,8 +151,8 @@ def kappa_mobius(graph: Graph, paths) -> BElement:
 
 # The cumulants command refuses an n-tuple when NC(n) has more partitions than
 # this: Mobius inversion builds and caches a plan trie of all Catalan(n) of
-# them.  n = 11 (58,786) takes 1.4-1.5 s and 64 MB on a 2-core x86-64 host,
-# each order ~4x more, and 12 entries of _mobius_row hold every n it admits.
+# them, and 12 entries of _mobius_row hold every n it admits.  README's budget
+# table gives the measured costs of this budget and the two below.
 CUMULANTS_MAX_PARTITIONS = 100_000
 
 
@@ -453,6 +458,11 @@ def freeness_certificate(graph: Graph, max_order: int = 5, tol: float = 1e-10,
                           len(devs), stp_dev, notes)
 
 
+# freeness refuses above this many (tuple, partition) extensions
+# (freeness_extensions).
+FREENESS_MAX_EXTENSIONS = 10_000_000
+
+
 def freeness_extensions(graph: Graph, max_order: int):
     """Yield (k, extensions to order k): even paths of length 2k, by A^(2k), times Catalan(k)."""
     evens, total = graph.vertices_of_parity(0), 0
@@ -478,7 +488,7 @@ def nc_rate_moment(rate: float, k: int) -> float:
                for b in range(1, k + 1))
 
 
-def _two_vertex_edges(graph: Graph):
+def two_vertex_edges(graph: Graph):
     """(w, the w -> v edges) of a two-vertex graph with odd w; GraphError on any other."""
     odds = graph.vertices_of_parity(1)
     if len(odds) != 1 or len(graph.vertices_of_parity(0)) != 1:
@@ -489,6 +499,11 @@ def _two_vertex_edges(graph: Graph):
     return odds[0], forward
 
 
+# moments --matrix-moments refuses above this many face rows
+# (matrix_moment_rows).
+MATRIX_MOMENTS_MAX_ROWS = 1_000_000
+
+
 def matrix_moment_rows(graph: Graph, kmax: int) -> int:
     """Face rows :func:`omega_matrix_moments` pushes on graph up to order kmax.
 
@@ -496,7 +511,7 @@ def matrix_moment_rows(graph: Graph, kmax: int) -> int:
     forward edge and its tied reverse per word, 2 q^(d+1) rows.  The
     closing forward edges are read as corners, without rows.
     """
-    q = len(_two_vertex_edges(graph)[1])
+    q = len(two_vertex_edges(graph)[1])
     if q == 1:
         return 2 * kmax - 1
     return q + 2 * (q ** (kmax + 1) - q * q) // (q - 1)
@@ -523,7 +538,7 @@ def omega_matrix_moments(graph: Graph, kmax: int) -> list[float]:
     alternates w and v, so tau = mu2(w) F / (mu(v) mu(w))^k, and the
     moment over jump^k is the corner sum over q (q mu2(w))^k.
     """
-    w, forward = _two_vertex_edges(graph)
+    w, forward = two_vertex_edges(graph)
     q = len(forward)
     back = [graph.erev[f] for f in forward]
     faces = FaceStack(graph)

@@ -54,9 +54,6 @@ class EpiMorphism:
                 raise ValueError(f"cap endpoint {i} too large at slot {j}")
             prev = i
 
-    def is_nonnested(self) -> bool:
-        return all(b - a >= 2 for a, b in zip(self.caps, self.caps[1:]))
-
     def cap_pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
         """Resolve caps and through points of the diagram.
 

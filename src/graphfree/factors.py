@@ -55,13 +55,6 @@ class AlgDesc:
     def is_trivial_atom(self) -> bool:
         return len(self.atoms) == 1 and not self.diffuse
 
-    def pretty(self) -> str:
-        bits = [f"C_{a:.6g}" for a in self.atoms]
-        for t, g in self.diffuse:
-            name = "LZ" if abs(t - 1.0) <= PARAM_TOL else f"LF({t:.12g})"
-            bits.append(name if abs(g - 1.0) <= PARAM_TOL else f"{name}_{g:.6g}")
-        return " + ".join(bits) if bits else "0"
-
 
 def lf(t: float, weight: float = 1.0, **kw) -> AlgDesc:
     return AlgDesc((), ((t, weight),), **kw)

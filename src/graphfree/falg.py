@@ -23,7 +23,10 @@ took 3.3-4.2 and 22-28 s.
 t(phi(path)) is the all-capped corner of a sparse table of gap weights,
 read without building phi; its rows are kept per suffix
 (:class:`GapStack`), so a family of loops walked through its suffix tree
-builds each distinct suffix's row once.
+builds each distinct suffix's row once.  :func:`all_loop_traces` is that
+walk for ``trace --all-loops``, on a gap stack and a face stack at once;
+:func:`all_loop_work` counts it, and the trace and gram budgets sit beside
+the counts they bound.
 Left multiplication truncated at a degree is a :class:`SparseMatrix`
 indexed by path rank, built without a path per entry; its norm is the
 square root of the top Ritz value of a Lanczos iteration on M^T M whose
@@ -33,6 +36,7 @@ products run over the triplets, so no dense block is ever filled.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from itertools import islice
 from typing import NamedTuple
@@ -40,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph, Path, adjacency_powers, delta_max, enumerate_paths
-from .gralg import SUFFIX_MEMO_LEN, TAU_MEMO_MAX, GradedElement
+from .gralg import SUFFIX_MEMO_LEN, TAU_MEMO_MAX, FaceStack, GradedElement
 
 
 def sharp_mul(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -269,6 +273,89 @@ def t_phi_path(graph: Graph, path: Path) -> float:
     return gaps.corner_with(path.edges[0]) * graph.mu2[path.start]
 
 
+# trace --all-loops refuses above this many loops, and trace above this many
+# steps: all_loop_work for the walk, n^3 for one loop of length n (both
+# routes run O(n^3) interval recursions).  README's budget table gives the
+# measured costs of these budgets and gram's.
+TRACE_MAX_LOOPS = 20_000
+TRACE_MAX_WORK = 500_000_000
+
+
+def all_loop_work(graph: Graph, max_len: int):
+    """Yield (n, loops, steps) up to length n, for n = 0..max_len while paths exist.
+
+    (A^l)[v, v] counts the loops of length l at v, and 1^T A^l 1 all
+    paths of length l, which bound the suffixes that
+    :func:`all_loop_traces` pushes at that length.  A push or a corner
+    read at length l adds, per partner r < l, a row of at most r
+    entries: at most l^2/2 multiply-adds, on each of two stacks.  So
+    steps bounds the walk's multiply-adds by 2 l^2 1^T A^l 1 per length.
+    Stops at the first zero power, past which no path exists.
+    """
+    loops = steps = 0
+    for n, power in zip(range(max_len + 1), adjacency_powers(graph)):
+        if not power.any():
+            return
+        loops += sum(power.diagonal())
+        steps += 2 * n * n * sum(power.flat)
+        yield n, loops, steps
+
+
+def all_loop_traces(graph: Graph, max_len: int) -> list:
+    """(start, edges, pairing trace, transform trace) of every loop up to max_len.
+
+    From each end vertex v, the walks into v are grown backwards depth
+    first, one edge in front at a time, and pruned where the front vertex
+    lies too far from v to close within max_len.  Each push adds one row
+    to a :class:`~graphfree.gralg.FaceStack` and one to a
+    :class:`GapStack`, so a row is built once per distinct suffix; where
+    the front reaches v, both corners are read as the per-loop routes
+    read them (:func:`~graphfree.gralg.tau_path`, :func:`t_phi_path`),
+    so the values are theirs to the last bit, and a loop of length
+    max_len is not pushed at all.  The two stacks stay separate
+    recurrences.  The loops come out in the order of enumerate_paths: by
+    length, start and edge ids.
+    """
+    g = graph
+    mu, mu2, estart, efinish = g.mu, g.mu2, g.estart, g.efinish
+    into = [[g.erev[e] for e in g.out_edges(u)] for u in range(g.n_vertices)]
+    max_len -= max_len % 2  # the graph is bipartite: every loop has even length
+    found = []
+    for v in range(g.n_vertices):
+        dist, frontier = {v: 0}, [v]
+        for d in range(1, max_len + 1):  # breadth first, as far as a loop can reach
+            frontier = [x for u in frontier for x in map(efinish.__getitem__, g.out_edges(u))
+                        if x not in dist]
+            dist.update((x, d) for x in frontier)
+        faces, gaps, suffix = FaceStack(g), GapStack(g), []
+        found.append((0, v, (), mu2[v], mu2[v]))
+        todo = [iter(into[v])]
+        while todo:
+            e = next(todo[-1], None)
+            if e is None:
+                todo.pop()
+                if suffix:
+                    suffix.pop()
+                    faces.pop()
+                    gaps.pop()
+                continue
+            u, length = estart[e], len(suffix) + 1
+            if length + dist.get(u, max_len) > max_len:
+                continue
+            if u == v:
+                edges = (e, *reversed(suffix))
+                denom = math.prod(map(mu, map(efinish.__getitem__, edges)))
+                found.append((length, v, edges, mu2[v] * faces.corner_with(e) / denom,
+                              gaps.corner_with(e) * mu2[v]))
+            if length < max_len:
+                suffix.append(e)
+                faces.push(e)
+                gaps.push(e)
+                todo.append(iter(into[u]))
+    found.sort(key=lambda t: t[:3])
+    return [t[1:] for t in found]
+
+
 def phi(x: GradedElement) -> GradedElement:
     """Graded-to-filtered isomorphism: sum of all cap diagrams per degree."""
     return _transform(x, inverse=False)
@@ -284,9 +371,13 @@ def psi(x: GradedElement) -> GradedElement:
 
 
 def truncated_basis(graph: Graph, max_degree: int) -> list[Path]:
+    """The paths of length <= max_degree; stops at the first empty length."""
     basis: list[Path] = []
     for n in range(max_degree + 1):
-        basis.extend(enumerate_paths(graph, None, n, None))
+        paths = enumerate_paths(graph, None, n, None)
+        if not paths:
+            break
+        basis.extend(paths)
     return basis
 
 
@@ -310,15 +401,22 @@ def gram_blocks(graph: Graph, max_degree: int):
                 yield p, q, inner(elems[i], bq)
 
 
+# gram refuses above this many in-block inner products (gram_pair_counts).
+GRAM_MAX_PAIRS = 2_000_000
+
+
 def gram_pair_counts(graph: Graph):
     """Yield the number of pairs gram_blocks(graph, d) yields, for d = 0, 1, ...
 
     Counted without enumerating paths: a block of c paths has c(c+1)/2
     pairs, and the paths of length n from s to f number c = (A^n)[s, f].
-    The totals never end, so stop when done.
+    A graph with an edge has paths of every length, so the totals never
+    end there; stop when done.  They end at the first zero power.
     """
     total = 0
     for power in adjacency_powers(graph):
+        if not power.any():
+            return
         total += sum(c * (c + 1) // 2 for c in power.flat)
         yield total
 
@@ -334,11 +432,6 @@ class SparseMatrix(NamedTuple):
     cols: np.ndarray
     vals: np.ndarray
     shape: tuple[int, int]
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.vals
-        return out
 
 
 def truncated_left_mult(a: GradedElement, max_degree: int):

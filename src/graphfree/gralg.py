@@ -73,9 +73,6 @@ class SparseElement:
     def basis(cls, graph: Graph, key, coeff=1.0):
         return cls(graph, {key: coeff})
 
-    def copy(self):
-        return self._build(self.terms)
-
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
@@ -121,13 +118,6 @@ class GradedElement(SparseElement):
     def component(self, n: int) -> "GradedElement":
         return GradedElement(self.graph,
                              {p: c for p, c in self.terms.items() if p.length == n})
-
-    def degree(self) -> int:
-        """Degree of a homogeneous element."""
-        degs = self.degrees()
-        if len(degs) != 1:
-            raise GraphError(f"element not homogeneous (degrees {degs})")
-        return degs[0]
 
     def __repr__(self):
         if not self.terms:

@@ -169,10 +169,6 @@ class Graph:
         return len(self.ids)
 
     @property
-    def n_directed_edges(self) -> int:
-        return len(self.estart)
-
-    @property
     def n_edges(self) -> int:
         """Number of undirected edges (reversal pairs)."""
         return len(self.estart) // 2

@@ -85,7 +85,7 @@ def test_trace_loop_across_parallel_edges_points_to_all_loops(capsys):
 
 
 def test_trace_refuses_too_many_loops(monkeypatch, capsys):
-    _refuse_work(monkeypatch, cli, "_all_loop_traces")
+    _refuse_work(monkeypatch, falg, "all_loop_traces")
     assert main(["trace", "--named", "k1_4", "--all-loops", "--max-len", "60"]) == 2
     err = capsys.readouterr().err
     assert "43693 up to length 14" in err and "Traceback" not in err
@@ -96,8 +96,8 @@ def test_trace_refuses_long_loops(monkeypatch, capsys):
     # n^3; --all-loops builds one row per distinct suffix on each stack and
     # refuses by 2 l^2 per path of length l, counted from A^l before any
     # loop is built, at the first length past the budget, with the count
-    _refuse_work(monkeypatch, cli, "_all_loop_traces", "tau_path")
-    _refuse_work(monkeypatch, falg, "t_phi_path")
+    _refuse_work(monkeypatch, cli, "tau_path")
+    _refuse_work(monkeypatch, falg, "all_loop_traces", "t_phi_path")
     assert main(["trace", "--named", "a2", "--all-loops", "--max-len", "19998"]) == 2
     err = capsys.readouterr().err
     assert "500780644 up to length 721" in err and "Traceback" not in err
@@ -280,29 +280,41 @@ def test_moments_matrix_refuses_by_work(monkeypatch, capsys):
     assert "4294967290 for the words of 2 edges" in err and "Traceback" not in err
     # q = 1 has few rows but one dense loop of length 2K, refused as trace
     # refuses it
-    assert main(["moments", "--named", "a2", "--matrix-moments", "400"]) == 2
-    err = capsys.readouterr().err
-    assert "length 800" in err and "512000000" in err
+    for name in ("a2", "dbl"):
+        assert main(["moments", "--named", name, "--matrix-moments", "400"]) == 2
+        err = capsys.readouterr().err
+        assert "512000000 at length 800" in err
     monkeypatch.undo()
     assert main(["moments", "--named", "dbl", "--matrix-moments", "5"]) == 0
 
 
-@pytest.mark.parametrize("name,kmax", [("a3", 30), ("k1_4", 12)])
-def test_moments_matrix_checks_the_shape_before_counting(monkeypatch, capsys, name, kmax):
-    # no K runs on a graph of more than two vertices, so the row count reads
-    # the shape first and reports it, not a count of rows for its edges
-    _refuse_work(monkeypatch, cumulants, "omega_matrix_moments")
-    assert main(["moments", "--named", name, "--matrix-moments", str(kmax)]) == 2
-    err = capsys.readouterr().err
-    assert "matrix moments need a two-vertex graph" in err
-    assert "face rows" not in err and "Traceback" not in err
-
-
-def test_moments_matrix_without_edges_is_input_error(tmp_path, capsys):
+@pytest.fixture
+def apart_file(tmp_path):
     f = tmp_path / "apart.graph"
     f.write_text('{"vertices": [{"id": "v", "parity": "even", "weight2": 0.5}, '
                  '{"id": "w", "parity": "odd", "weight2": 0.5}], "edges": []}')
-    assert main(["moments", str(f), "--matrix-moments", "3"]) == 2
+    return str(f)
+
+
+@pytest.mark.parametrize("name,kmax", [
+    ("a3", 30), ("k1_4", 12), ("a3", 400), ("k1_4", 400), ("a3", 10 ** 9), ("k1_4", 10 ** 9),
+    ("apart", 400)])
+def test_moments_matrix_checks_the_shape_before_counting(monkeypatch, capsys, apart_file,
+                                                         name, kmax):
+    # no K runs on a graph but two vertices joined by edges, so the shape is
+    # checked first and reported, not the n^3 steps of the loop of length 2K
+    # nor a count of rows for its edges
+    _refuse_work(monkeypatch, cumulants, "omega_matrix_moments")
+    graph = [apart_file] if name == "apart" else ["--named", name]
+    assert main(["moments", *graph, "--matrix-moments", str(kmax)]) == 2
+    err = capsys.readouterr().err
+    assert ("matrix moments need at least one edge" if name == "apart"
+            else "matrix moments need a two-vertex graph") in err
+    assert "face rows" not in err and "steps" not in err and "Traceback" not in err
+
+
+def test_moments_matrix_without_edges_is_input_error(apart_file, capsys):
+    assert main(["moments", apart_file, "--matrix-moments", "3"]) == 2
     err = capsys.readouterr().err
     assert "at least one edge" in err and "Traceback" not in err
 
@@ -321,17 +333,33 @@ def test_moments_tuple_refuses_by_work(monkeypatch, capsys):
     assert 0 < json.loads(capsys.readouterr().out)["moment"]["v0"] < float("inf")
 
 
-@pytest.mark.parametrize("name,max_len", [("a3", 12), ("a4", 10), ("k1_4", 8), ("dbl", 8)])
-def test_all_loops_walk_matches_the_per_loop_routes(capsys, name, max_len):
+# a-b, c-b twice, e-d, and z alone: two components, a doubled edge and an
+# isolated odd vertex
+TWO_COMPONENTS = {
+    "vertices": [{"id": v, "parity": parity, "weight2": w} for v, parity, w in [
+        ("a", "even", 1), ("b", "odd", 2), ("c", "even", 1), ("e", "even", 1),
+        ("d", "odd", 3), ("z", "odd", 1)]],
+    "edges": [{"u": "a", "v": "b", "mult": 1}, {"u": "c", "v": "b", "mult": 2},
+              {"u": "e", "v": "d", "mult": 1}]}
+
+
+@pytest.mark.parametrize("name,max_len", [("a3", 12), ("a4", 10), ("k1_4", 8), ("dbl", 8),
+                                          ("two-components", 8)])
+def test_all_loops_walk_matches_the_per_loop_routes(tmp_path, capsys, name, max_len):
     # --all-loops grows the loops through their suffix tree; it prints the
     # loops of enumerate_paths in their order, with the values of tau_path
-    # and t_phi_path, and traces no loop through the tau memo
+    # and t_phi_path, and traces no loop through the tau memo.  On two
+    # components the distance prune meets vertices that no loop can reach.
+    if name == "two-components":
+        f = tmp_path / "two.graph"
+        f.write_text(json.dumps(TWO_COMPONENTS))
+        graph, g = [str(f)], graph_from_spec(TWO_COMPONENTS)[0]
+    else:
+        graph, g = ["--named", name], named_graph(name)
     misses = tau_loop.cache_info().misses
-    assert main(["trace", "--named", name, "--all-loops", "--max-len", str(max_len),
-                 "--json"]) == 0
+    assert main(["trace", *graph, "--all-loops", "--max-len", str(max_len), "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["trace"]
     assert tau_loop.cache_info().misses == misses
-    g = named_graph(name)
     loops = [p for n in range(0, max_len + 1, 2) for v in range(g.n_vertices)
              for p in enumerate_paths(g, v, n, v)]
     assert [row["loop"] for row in rows] == ["->".join(g.ids[x] for x in p.vertices)
@@ -365,8 +393,8 @@ def test_all_loop_work_bounds_the_multiply_adds(monkeypatch, name, max_len):
         monkeypatch.setattr(kernel, "push", push)
         monkeypatch.setattr(kernel, "corner_with", corner_with)
     g = named_graph(name)
-    traced = cli._all_loop_traces(g, max_len)
-    *_, (n, loops, steps) = cli._all_loop_work(g, max_len)
+    traced = falg.all_loop_traces(g, max_len)
+    *_, (n, loops, steps) = falg.all_loop_work(g, max_len)
     assert n == max_len and loops == len(traced)
     assert 0 < adds[0] <= steps
 
@@ -381,6 +409,14 @@ def test_gram_refuses_oversized_work(monkeypatch, capsys):
     assert main(["gram", "--named", "k1_3"]) == 2
     err = capsys.readouterr().err
     assert "2396950 up to degree 13" in err and "Traceback" not in err
+
+
+def test_gram_stops_at_zero_power(point_file, capsys):
+    # without edges no path is longer than 0, so neither the pair count nor
+    # the basis steps through the degrees up to --max-degree
+    assert main(["gram", point_file, "--max-degree", "100000000", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["basis_size"] == 1 and data["passed"] is True
 
 
 @pytest.mark.parametrize("diagonal", [False, True], ids=["off-diagonal", "diagonal"])

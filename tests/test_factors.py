@@ -33,8 +33,17 @@ def test_desc_validation():
         fc.AlgDesc((-0.5, 1.5), ())
 
 
+def _pretty(desc: fc.AlgDesc) -> str:
+    """The descriptor in factor notation: C_a per atom, LZ or LF(t), _g for a weight."""
+    bits = [f"C_{a:.6g}" for a in desc.atoms]
+    for t, g in desc.diffuse:
+        name = "LZ" if abs(t - 1.0) <= fc.PARAM_TOL else f"LF({t:.12g})"
+        bits.append(name if abs(g - 1.0) <= fc.PARAM_TOL else f"{name}_{g:.6g}")
+    return " + ".join(bits) if bits else "0"
+
+
 def test_free_product_diffuse():
-    assert fc.free_product(lz(), lz()).pretty() == "LF(2)"
+    assert _pretty(fc.free_product(lz(), lz())) == "LF(2)"
     got = fc.free_product(fc.lf(1.5), fc.lf(2.5))
     assert got.diffuse[0][0] == pytest.approx(4.0)
 
@@ -79,14 +88,14 @@ def test_compress_values():
 
 
 def test_prop_line_three_regimes():
-    assert fc.prop_line(2, 0.5, 0.5).pretty() == "LF(3)"
-    assert fc.prop_line(1, 0.5, 0.5).pretty() == "LZ"
+    assert _pretty(fc.prop_line(2, 0.5, 0.5)) == "LF(3)"
+    assert _pretty(fc.prop_line(1, 0.5, 0.5)) == "LZ"
     got = fc.prop_line(1, 1 / 3, 2 / 3)
     assert got.atoms == pytest.approx((0.5,))
     assert got.diffuse[0] == pytest.approx((1.0, 0.5))
     # first regime: heavy even side saturates at q^2
     got = fc.prop_line(2, 0.9, 0.1)
-    assert got.pretty() == "LF(4)"
+    assert _pretty(got) == "LF(4)"
     # even corner swaps the weights
     odd = fc.prop_line(3, 0.2, 0.8, side="odd")
     even = fc.prop_line(3, 0.8, 0.2, side="even")
@@ -134,7 +143,7 @@ def test_omega_consistent_with_corners():
 
 
 def test_star_m1_examples():
-    assert fc.star_m1([1, 1], [0.25, 0.25], 0.5).pretty() == "LF(1.5)"
+    assert _pretty(fc.star_m1([1, 1], [0.25, 0.25], 0.5)) == "LF(1.5)"
     got = fc.star_m1([1, 1], [0.1, 0.1], 0.8)
     assert got.atoms == pytest.approx((0.75,))
     assert got.diffuse[0] == pytest.approx((1.5, 0.25))
@@ -186,7 +195,7 @@ def test_report_star_matches_case_formula():
         assert corner.diffuse[0][0] == pytest.approx(
             2 * math.sqrt(n) - 1, abs=1e-9)
         if n == 4:
-            assert corner.pretty() == "LF(3)"
+            assert _pretty(corner) == "LF(3)"
 
 
 def test_component_parameter_matches_two_vertex_rule(rng):

@@ -24,7 +24,7 @@ SQ2 = math.sqrt(2.0)
 
 def test_build_a2_reversal_pair():
     g = build_graph([("v", EVEN, 0.5), ("w", ODD, 0.5)], [("v", "w", 1)])
-    assert g.n_directed_edges == 2
+    assert len(g.estart) == 2  # directed edges
     assert g.erev == (1, 0)
     assert g.estart == (0, 1) and g.efinish == (1, 0)
     # even-to-odd direction listed first
@@ -35,7 +35,7 @@ def test_build_k14_counts():
     g = star_graph(4)
     assert len(g.vertices_of_parity(ODD)) == 1
     assert len(g.vertices_of_parity(EVEN)) == 4
-    assert g.n_directed_edges == 8
+    assert len(g.estart) == 8  # directed edges
 
 
 def test_build_rejects_equal_parity_edge():
@@ -248,7 +248,7 @@ def _induced(graph: Graph, keep: list[int], star=None):
     gamma = sum(graph.mu2[v] for v in keep)
     mu2 = [graph.mu2[v] / gamma for v in keep]
     estart, efinish, erev = [], [], []
-    old_edges = [e for e in range(graph.n_directed_edges)
+    old_edges = [e for e in range(len(graph.estart))
                  if graph.estart[e] in keep_set and graph.efinish[e] in keep_set]
     emap = {e: i for i, e in enumerate(old_edges)}
     for e in old_edges:
@@ -433,9 +433,11 @@ def test_memo_bound_scan_reads_module_constants():
     assert [bound for *_, bound in found] == [16, 8, 4]
 
 
-# Top-level functions of src/graphfree that no other code there calls, each
-# with the role that keeps it in the package.
+# Top-level functions and methods of src/graphfree that no other code there
+# calls, each with the role that keeps it in the package.
 UNCALLED_ALLOWED = {
+    "Graph.path": "names a path by its edge ids, the one way to pick an edge of a "
+                  "parallel pair; part of the package's API",
     "left_mult_norm_bound": "the paper's explicit bound on left multiplication, "
                             "kept as the upper side of the planned generator-norm checks",
     "psi": "the inverse transform; perfbench/tracing.py wraps it by name",
@@ -465,13 +467,26 @@ def _reads(node, bound=frozenset()):
         yield from _reads(child, bound)
 
 
+def _definitions(tree):
+    """Yield (name, node) for each top-level function and each method of a
+    top-level class, named ``Class.method``; dunders, which Python calls, aside."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield from ((f"{stmt.name}.{m.name}", m) for m in stmt.body
+                        if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
 def _uncalled_functions(sources: dict[str, str]):
-    """Yield (module, name) for each top-level function that no code loads.
+    """Yield (module, name) for each function or method (:func:`_definitions`) that no code loads.
 
     sources maps a module's name to its text.  A function counts as
     used when its name is read (:func:`_reads`) anywhere in the sources
-    outside its own definition (decorators included); the package's
-    ``__init__``, which only re-exports, is not searched.
+    outside its own definition (decorators included), and a method when
+    an attribute of its name is; the package's ``__init__``, which only
+    re-exports, is not searched.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = set()
@@ -479,17 +494,23 @@ def _uncalled_functions(sources: dict[str, str]):
         if module == "__init__":
             continue
         for stmt in tree.body:
-            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
-            used.update(name for name in _reads(stmt) if name != owner)
+            parts = [stmt]
+            if isinstance(stmt, ast.ClassDef):  # each method apart, so it skips its own name
+                parts = [*stmt.body, *stmt.decorator_list, *stmt.bases,
+                         *(k.value for k in stmt.keywords)]
+            for part in parts:
+                owner = part.name if isinstance(part, ast.FunctionDef) else None
+                used.update(name for name in _reads(part) if name != owner)
     for module, tree in trees.items():
-        for stmt in tree.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name not in used:
-                yield module, stmt.name
+        for name, _ in _definitions(tree):
+            if name.rpartition(".")[2] not in used:
+                yield module, name
 
 
 def test_every_function_has_a_caller_in_the_package():
-    # code that only tests call lives in the tests; the allowlist names
-    # the exceptions, and every name on it must still be uncalled
+    # code that only tests call, methods included, lives in the tests; the
+    # allowlist names the exceptions, and every name on it must still be
+    # uncalled
     src = FilePath(graphfree.__file__).parent
     sources = {f.stem: f.read_text() for f in sorted(src.glob("*.py"))}
     uncalled = dict((name, module) for module, name in _uncalled_functions(sources))
@@ -509,6 +530,17 @@ def test_uncalled_scan_finds_a_function_used_only_by_itself(text):
     assert list(_uncalled_functions(sources)) == [("other", "g")]
 
 
+def test_uncalled_scan_finds_a_method_used_only_by_itself():
+    text = ("class C:\n    def __init__(self):\n        self.x = 0\n"
+            "    def m(self, n):\n        return self.m(n - 1) if n else 0\n"
+            "    def k(self):\n        return self.x\n"
+            "def f():\n    return C().k()\n")
+    sources = {"mod": text, "__init__": "from .mod import C, f\n"}
+    assert list(_uncalled_functions(sources)) == [("mod", "C.m"), ("mod", "f")]
+    sources["other"] = "from . import mod\n\ndef g(c):\n    return c.m(2) + mod.f()\n"
+    assert list(_uncalled_functions(sources)) == [("other", "g")]
+
+
 @pytest.mark.parametrize("reader", [
     "def g(f):\n    return f\n",
     "def g():\n    f = 2\n    return f\n",
@@ -524,13 +556,20 @@ def test_uncalled_scan_ignores_names_bound_in_the_reader(reader):
     assert sorted(_uncalled_functions(sources)) == [("other", "g"), ("other", "h")]
 
 
+# The work budgets, each assigned once, in the module of the count it bounds.
+BUDGETS = {"GRAM_MAX_PAIRS": "falg", "TRACE_MAX_LOOPS": "falg", "TRACE_MAX_WORK": "falg",
+           "MATRIX_MOMENTS_MAX_ROWS": "cumulants", "FREENESS_MAX_EXTENSIONS": "cumulants",
+           "CUMULANTS_MAX_PARTITIONS": "cumulants"}
+
+
 def _budget_breaches(text: str, helper: str = "_refuse_over"):
     """Yield (line, name) for each work-budget check in text made outside helper.
 
     A budget is a name with ``_MAX_`` in it, bare or as an attribute, and
-    may be read only as a whole argument of a call to helper.  A raise
-    whose message says "more than" is an over-budget refusal, and may
-    only come from inside helper.
+    may be read only as a whole argument of a call to helper, and never
+    assigned: it lives beside its count.  A raise whose message says
+    "more than" is an over-budget refusal, and may only come from inside
+    helper.
     """
     tree = ast.parse(text)
     as_args = {id(arg) for node in ast.walk(tree)
@@ -544,21 +583,49 @@ def _budget_breaches(text: str, helper: str = "_refuse_over"):
         if ("_MAX_" in name and isinstance(node.ctx, ast.Load)
                 and id(node) not in as_args):
             yield node.lineno, name
+        if "_MAX_" in name and isinstance(node.ctx, ast.Store):
+            yield node.lineno, f"{name} assigned"
         if (isinstance(node, ast.Raise) and node.exc is not None
                 and id(node) not in inside and "more than" in ast.unparse(node.exc)):
             yield node.lineno, "raise"
 
 
+def _budget_owners(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Each of BUDGETS with the modules that assign it, once per assignment."""
+    owners = {name: [] for name in BUDGETS}
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id in owners):
+                owners[node.id].append(module)
+    return owners
+
+
 def test_cli_refuses_work_through_one_helper():
-    # every budget of cli.py is read as an argument of _refuse_over, and
-    # only _refuse_over raises an over-budget refusal
-    text = (FilePath(graphfree.__file__).parent / "cli.py").read_text()
+    # every budget of cli.py is read as an argument of _refuse_over, none is
+    # assigned there, and only _refuse_over raises an over-budget refusal;
+    # each budget is assigned once in the package, beside its count
+    src = FilePath(graphfree.__file__).parent
+    text = (src / "cli.py").read_text()
     assert list(_budget_breaches(text)) == []
     read = {getattr(node, "id", getattr(node, "attr", "")) for node in ast.walk(ast.parse(text))
             if isinstance(getattr(node, "ctx", None), ast.Load)}
-    assert {name for name in read if "_MAX_" in name} == {
-        "GRAM_MAX_PAIRS", "TRACE_MAX_LOOPS", "TRACE_MAX_WORK", "MATRIX_MOMENTS_MAX_ROWS",
-        "FREENESS_MAX_EXTENSIONS", "CUMULANTS_MAX_PARTITIONS"}
+    assert {name for name in read if "_MAX_" in name} == BUDGETS.keys()
+    sources = {f.stem: f.read_text() for f in sorted(src.glob("*.py"))}
+    assert _budget_owners(sources) == {name: [module] for name, module in BUDGETS.items()}
+
+
+@pytest.mark.parametrize("change", ["twice", "never"])
+def test_budget_owner_scan_finds_a_budget_not_assigned_once(change):
+    sources = {"falg": "GRAM_MAX_PAIRS = 2\nTRACE_MAX_LOOPS = 2\nTRACE_MAX_WORK = 2\n",
+               "cumulants": "MATRIX_MOMENTS_MAX_ROWS = 2\nFREENESS_MAX_EXTENSIONS = 2\n"
+                            "CUMULANTS_MAX_PARTITIONS = 2\n"}
+    assert _budget_owners(sources) == {name: [module] for name, module in BUDGETS.items()}
+    if change == "twice":
+        sources["cli"] = "GRAM_MAX_PAIRS = 3\n"
+    else:
+        sources["falg"] = sources["falg"].replace("TRACE_MAX_WORK = 2\n", "")
+    assert _budget_owners(sources) != {name: [module] for name, module in BUDGETS.items()}
 
 
 @pytest.mark.parametrize("text", [
@@ -568,8 +635,9 @@ def test_cli_refuses_work_through_one_helper():
     "def f(n):\n    return n > cumulants.CUMULANTS_MAX_PARTITIONS\n",
     "def g(n):\n    _refuse_over([], TRACE_MAX_WORK, 's', 'd', 'f')\n"
     "    raise CliError(f'{n} is more than allowed')\n",
+    "TRACE_MAX_WORK = 500_000_000\n",
 ], ids=["bare-compare", "own-message", "budget-in-expression", "attribute-read",
-        "raise-beside-the-helper"])
+        "raise-beside-the-helper", "assigned"])
 def test_budget_scan_finds_a_refusal_outside_the_helper(text):
     helper = ("def _refuse_over(counts, budget, unit, doing, fix):\n"
               "    for where, units in counts:\n        if units > budget:\n"

@@ -57,7 +57,7 @@ def test_zeros_are_dropped(kind, g):
 
 def test_results_are_new_elements(kind, g):
     keys, make, x = _sample(kind, g)
-    y = x.copy()
+    y = 1.0 * x
     assert type(y) is type(x) and y.terms == x.terms and y.terms is not x.terms
     s = x + y
     assert s.terms == {k: 2 * c for k, c in x.terms.items()}
