@@ -170,17 +170,20 @@ def cmd_moments(args) -> int:
         kmax = args.matrix_moments
         doing, fix = f"moments --matrix-moments {kmax}", "lower --matrix-moments"
         cumulants.two_vertex_edges(g)  # no K runs on another shape
-        _refuse_long_loop(2 * kmax, doing, fix)  # before q^K rows, whose K is unbounded
-        _refuse_over([(f"for the words of {g.n_edges} edges",
-                       cumulants.matrix_moment_rows(g, kmax))],
+        _refuse_long_loop(2 * kmax, doing, fix)  # bounds K before the rows are counted
+        _refuse_over(((f"up to order {k}", rows)
+                      for k, rows in cumulants.matrix_moment_rows(g, kmax)),
                      cumulants.MATRIX_MOMENTS_MAX_ROWS, "face rows", doing, fix)
         got = cumulants.omega_matrix_moments(g, kmax)
         evens = g.vertices_of_parity(0)
         odds = g.vertices_of_parity(1)
         q = g.n_edges
         rate = g.mu2[evens[0]] / (g.mu2[odds[0]] * q)
-        want = [cumulants.nc_rate_moment(rate, k)
-                for k in range(1, args.matrix_moments + 1)]
+        want = [cumulants.nc_rate_moment(rate, k) for k in range(1, kmax + 1)]
+        for k, pair in enumerate(zip(got, want), 1):
+            if not all(map(math.isfinite, pair)):
+                raise CliError(f"{doing}: the matrix moment or pairing sum of order {k} "
+                               f"is not a finite float; {fix}")
         rows = [[k + 1, f"{got[k]:.12g}", f"{want[k]:.12g}",
                  f"{abs(got[k] - want[k]):.3g}"]
                 for k in range(len(got))]

@@ -9,8 +9,10 @@ form supported on starry composites.  Vanishing of the mixed cumulants
 certifies freeness with amalgamation of the single-hub subalgebras over
 the base.  A moment joins its generators' edge tuples and reads the
 trace memo by them, building no composite path.  The matrix moments of
-the two-vertex graph walk their word tree on one face stack, one row per
-distinct suffix of the loops.
+the two-vertex graph walk one word per relabelling of the q parallel
+edges, counted q (q-1) ... (q-b+1) times for its b letters, on one face
+stack: one row per distinct suffix of the kept loops, at most Bell(k)
+words of order k where there are q^k.
 
 A multiplicative extension on pi folds its interval blocks, one at a
 time, into the argument on their left; :func:`multiplicative_extension`
@@ -480,12 +482,16 @@ def nc_rate_moment(rate: float, k: int) -> float:
     """Sum of rate^(number of blocks) over NC(k); Catalan at rate 1.
 
     NC(k) has the Narayana number C(k,b) C(k,b-1) / k of partitions with
-    b blocks, so no partition is enumerated.
+    b blocks, so no partition is enumerated.  With rate >= 0 every term
+    is non-negative, so a term past the float range makes the sum inf.
     """
     if k == 0:
         return 1.0
-    return sum(math.comb(k, b) * math.comb(k, b - 1) // k * rate ** b
-               for b in range(1, k + 1))
+    try:
+        return sum(math.comb(k, b) * math.comb(k, b - 1) // k * rate ** b
+                   for b in range(1, k + 1))
+    except OverflowError:  # rate ** b, or the integer factor, past the float range
+        return math.inf
 
 
 def two_vertex_edges(graph: Graph):
@@ -504,21 +510,28 @@ def two_vertex_edges(graph: Graph):
 MATRIX_MOMENTS_MAX_ROWS = 1_000_000
 
 
-def matrix_moment_rows(graph: Graph, kmax: int) -> int:
-    """Face rows :func:`omega_matrix_moments` pushes on graph up to order kmax.
+def matrix_moment_rows(graph: Graph, kmax: int):
+    """Yield (k, face rows :func:`omega_matrix_moments` pushes up to order k), k = 0..kmax.
 
-    For q edges: the q root reverse edges, and at each order d < kmax a
-    forward edge and its tied reverse per word, 2 q^(d+1) rows.  The
-    closing forward edges are read as corners, without rows.
+    The words of order o that the walk keeps are the set partitions of
+    their o letters into at most q classes, sum_{b <= min(q, o)} S(o, b)
+    with S the Stirling numbers of the second kind.  The root pushes one
+    row, and each kept word of order o >= 2 two more: 1 + 2 sum_{o=2..k}.
+    The closing forward edges are read as corners, without rows.
     """
     q = len(two_vertex_edges(graph)[1])
-    if q == 1:
-        return 2 * kmax - 1
-    return q + 2 * (q ** (kmax + 1) - q * q) // (q - 1)
+    stirling, rows = [1], 0  # S(o, b) for b = 0..min(q, o), at o = 0
+    for k in range(kmax + 1):
+        if k:
+            last = stirling + [0]
+            stirling = [b * last[b] + (last[b - 1] if b else 0)
+                        for b in range(min(q, k) + 1)]
+            rows += 1 if k == 1 else 2 * sum(stirling)
+        yield k, rows
 
 
 def omega_matrix_moments(graph: Graph, kmax: int) -> list[float]:
-    """Normalized moments of the q x q matrix of length-2 loops.
+    """Normalized moments of the q x q matrix of length-2 loops, orders 1..kmax.
 
     For the two-vertex graph with q parallel edges, the doubled-edge
     paths based at the odd vertex form a q x q matrix; its moments in
@@ -528,36 +541,45 @@ def omega_matrix_moments(graph: Graph, kmax: int) -> list[float]:
     With f_i the edges out of the odd vertex w and r_i their reverses,
     entry (i, j) is the path f_i r_j, so the trace of the k-th power sums
     tau over the loops f_{i_0} r_{i_1} f_{i_1} ... f_{i_{k-1}} r_{i_k} of
-    the closed words, i_k = i_0.  Read from its end, the loop of a word is
-    a suffix of its extensions' loops, so the word tree is walked depth
-    first on one :class:`~graphfree.gralg.FaceStack`: a root pushes r_i
-    (i = i_k), and each order reads the corner of the closing f_i without
-    its row, then pushes a free forward edge f_j and its tied reverse r_j
-    for the next order.  That is :func:`matrix_moment_rows` rows in all,
-    one per distinct suffix, and no path or element is built.  Every loop
+    the closed words, i_k = i_0.  The q edges are interchangeable, so a
+    loop's trace depends only on which letters of its word are equal:
+    the walk keeps one word per relabelling, its letters numbered by
+    first occurrence, and counts its corner q (q-1) ... (q-b+1) times for
+    its b distinct letters.  Read from its end, the loop of a word is a
+    suffix of its extensions' loops, so the kept words are walked depth
+    first on one :class:`~graphfree.gralg.FaceStack`: the root pushes
+    r_0 (the closing letter is 0), and each order reads the corner of
+    the closing f_0 without its row, then pushes f_j and its tied r_j
+    for the next order, j a used letter or the next unused one.  That is
+    :func:`matrix_moment_rows` rows in all, one per distinct suffix of
+    the kept loops, and no path or element is built.  Every loop
     alternates w and v, so tau = mu2(w) F / (mu(v) mu(w))^k, and the
-    moment over jump^k is the corner sum over q (q mu2(w))^k.
+    moment over jump^k is the corner sum over q (q mu2(w))^k; the stack
+    divides each face weight by q mu2(w), so no power of it underflows.
     """
+    if kmax < 1:
+        return []
     w, forward = two_vertex_edges(graph)
     q = len(forward)
     back = [graph.erev[f] for f in forward]
-    faces = FaceStack(graph)
+    faces = FaceStack(graph, q * graph.mu2[w])
+    closing = forward[0]
+    # classes[b]: the words a kept word with b distinct letters stands for
+    classes = [1.0]
+    for b in range(min(q, kmax)):
+        classes.append(classes[-1] * (q - b))
     sums = [0.0] * (kmax + 1)
 
-    def grow(i, order):
-        sums[order] += faces.corner_with(forward[i])
+    def grow(order, used):
+        sums[order] += classes[used] * faces.corner_with(closing)
         if order == kmax:
             return
-        for j in range(q):
-            faces.push(forward[j])
-            faces.push(back[j])
-            grow(i, order + 1)
+        for j in range(used + (used < q)):
+            faces.push(forward[j], back[j])
+            grow(order + 1, used + (j == used))
             faces.pop()
             faces.pop()
 
-    for i in range(q):
-        faces.push(back[i])
-        grow(i, 1)
-        faces.pop()
-    scale = q * graph.mu2[w]
-    return [sums[k] / (q * scale ** k) for k in range(1, kmax + 1)]
+    faces.push(back[0])
+    grow(1, 1)
+    return [s / q for s in sums[1:]]

@@ -201,13 +201,15 @@ class FaceStack:
     partners whose inner stretch pairs off (not (l+1)^2 cells), and a
     walk that pushes and pops builds one row per distinct suffix.  Every
     weight is positive, so no entry cancels; the corner r = 0 pairs the
-    whole suffix.
+    whole suffix.  With face_scale s every face weighs mu^2 / s, so each F
+    of a stretch of 2m edges reads F / s^m, with no power of s formed.
     """
 
     __slots__ = ("_mu2", "_erev", "_efinish", "edges", "rows")
 
-    def __init__(self, graph: Graph):
-        self._mu2, self._erev, self._efinish = graph.mu2, graph.erev, graph.efinish
+    def __init__(self, graph: Graph, face_scale: float = 1.0):
+        self._mu2 = graph.mu2 if face_scale == 1.0 else [m / face_scale for m in graph.mu2]
+        self._erev, self._efinish = graph.erev, graph.efinish
         self.edges: list = [None]  # edges[l] was pushed at level l
         self.rows: list[dict[int, float]] = [{0: 1.0}]
 

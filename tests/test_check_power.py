@@ -14,7 +14,7 @@ import pytest
 
 from graphfree import cumulants, epitl, factors, falg, noncross
 from graphfree.graphs import Path, delta_v
-from graphfree.gralg import GradedElement
+from graphfree.gralg import FaceStack, GradedElement
 from graphfree.verification import run_verification
 
 
@@ -203,6 +203,29 @@ def _kreweras_zero(p):
     return noncross.nc_zero(p.n)
 
 
+def _matrix_classes_counted_once(graph, kmax):
+    """cumulants.omega_matrix_moments that counts each relabelling class of
+    words once, not q (q-1) ... (q-b+1) times for its b letters."""
+    w, forward = cumulants.two_vertex_edges(graph)
+    q = len(forward)
+    faces = FaceStack(graph, q * graph.mu2[w])
+    sums = [0.0] * (kmax + 1)
+
+    def grow(order, used):
+        sums[order] += faces.corner_with(forward[0])
+        if order == kmax:
+            return
+        for j in range(min(used + 1, q)):
+            faces.push(forward[j], graph.erev[forward[j]])
+            grow(order + 1, max(used, j + 1))
+            faces.pop()
+            faces.pop()
+
+    faces.push(graph.erev[forward[0]])
+    grow(1, 1)
+    return sums[1:]
+
+
 EXCHANGE = ("exchange-relation[a3]", "exchange-relation[k1_2]", "exchange-relation[dbl]")
 STANDARD = ("a2", "a3", "a4", "k1_2", "k1_3", "dbl")
 
@@ -244,6 +267,9 @@ MUTANTS = [
      tuple(f"phi-psi-identity[{g}]" for g in STANDARD)),
     (cumulants, "_mobius_row", _mobius_row_deep_mu_negated, "cumulants",
      ("cumulant-closed-form", "mobius-inversion-roundtrip", "freeness-certificate")),
+    # only q = 1 has one word per class: the q = 2 and 3 moments read too little
+    (cumulants, "omega_matrix_moments", _matrix_classes_counted_once, "moments",
+     ("matrix-moments-free-poisson",)),
 ]
 
 

@@ -272,12 +272,13 @@ def test_moments_matrix(capsys):
 
 
 def test_moments_matrix_refuses_by_work(monkeypatch, capsys):
-    # the face rows of the word tree are counted in closed form, so the
-    # refusal comes before the walk: dbl (q = 2) to order 30 would push 4.3e9
+    # the face rows of the word tree are counted in closed form, order by
+    # order, so the refusal comes before the walk, at the first order past
+    # the budget: dbl (q = 2) would push 2^(k+1) - 3 rows to order k
     _refuse_work(monkeypatch, cumulants, "omega_matrix_moments")
     assert main(["moments", "--named", "dbl", "--matrix-moments", "30"]) == 2
     err = capsys.readouterr().err
-    assert "4294967290 for the words of 2 edges" in err and "Traceback" not in err
+    assert "1048573 up to order 19;" in err and "Traceback" not in err
     # q = 1 has few rows but one dense loop of length 2K, refused as trace
     # refuses it
     for name in ("a2", "dbl"):
@@ -311,6 +312,24 @@ def test_moments_matrix_checks_the_shape_before_counting(monkeypatch, capsys, ap
     assert ("matrix moments need at least one edge" if name == "apart"
             else "matrix moments need a two-vertex graph") in err
     assert "face rows" not in err and "steps" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kmax", [150, 200])
+def test_moments_matrix_past_the_float_range_is_input_error(tmp_path, capsys, kmax):
+    # rate 99: the order-150 moment and pairing sum pass the float range;
+    # at 200 the stack's q mu2(w) = 0.01 to the 200th power would underflow
+    f = tmp_path / "skew.graph"
+    f.write_text('{"vertices": [{"id": "v", "parity": "even", "weight2": 0.99}, '
+                 '{"id": "w", "parity": "odd", "weight2": 0.01}], '
+                 '"edges": [{"u": "v", "v": "w", "mult": 1}]}')
+    assert main(["moments", str(f), "--matrix-moments", str(kmax), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "Traceback" not in err
+    assert "matrix moment or pairing sum of order 150 is not a finite float" in err
+    assert main(["moments", str(f), "--matrix-moments", "149", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert all(map(math.isfinite, data["matrix_moments"] + data["pairing_sums"]))
+    assert data["matrix_moments"][-1] == pytest.approx(data["pairing_sums"][-1], rel=1e-9)
 
 
 def test_moments_matrix_without_edges_is_input_error(apart_file, capsys):
@@ -610,6 +629,9 @@ def _exit_code(argv) -> int:
 
 
 D4_SPEC = str(Path(__file__).parent.parent / "graphs" / "d4.graph")
+# four parallel edges, weights 0.9 and 0.1: the matrix-moment walk keeps
+# a word per relabelling of up to four letters
+Q4_SPEC = str(Path(__file__).parent.parent / "graphs" / "two_vertex_q4.graph")
 
 
 @pytest.mark.parametrize("argv", [
@@ -653,8 +675,9 @@ def cli_argvs(draw):
     cmd = draw(st.sampled_from(["trace", "moments", "cumulants", "freeness", "factor",
                                 "gram"]))
     named = draw(st.sampled_from(["a2", "a3", "k1_2", "dbl", "fork", "e9"]))
-    argv = [cmd] + _either_or(draw, ["--named", named],
-                              [str(draw(st.sampled_from(GRAPH_SPECS[:4])))])
+    # a moments file is the q = 4 graph; the named ones give the other shapes
+    specs = [Q4_SPEC] if cmd == "moments" else GRAPH_SPECS[:4] + [Q4_SPEC]
+    argv = [cmd] + _either_or(draw, ["--named", named], [str(draw(st.sampled_from(specs)))])
     if draw(st.booleans()):
         weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
         argv += _either_or(draw, ["--pf"], ["--weights", ",".join(map(str, weights))])
@@ -663,7 +686,7 @@ def cli_argvs(draw):
                            ["--all-loops", "--max-len", str(draw(st.integers(0, 6)))])
     elif cmd == "moments":
         argv += _either_or(draw, ["--tuple", draw(_FUZZ_LOOPS)],
-                           ["--matrix-moments", str(draw(st.integers(0, 4)))])
+                           ["--matrix-moments", str(draw(st.integers(0, 8)))])
     elif cmd == "cumulants":
         tup = ";".join(draw(st.lists(_FUZZ_LOOPS, min_size=1, max_size=4)))
         argv += _either_or(draw, ["--tuple", tup], [])
@@ -690,3 +713,18 @@ def test_cli_fuzz_exits_0_1_or_2(argv):
         except SystemExit as exc:
             assert exc.code == 2, argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@given(graph=st.sampled_from([["--named", "dbl"], [Q4_SPEC]]), kmax=st.integers(1, 8),
+       weights=st.none() | st.lists(st.integers(1, 19), min_size=2, max_size=2))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_matrix_moments_fuzz_match_the_pairing_sums(graph, kmax, weights):
+    # the walk over relabelling classes on q = 2 and q = 4, with weights
+    # up to 19:1 either way, against the Narayana sums
+    argv = ["moments", *graph, "--matrix-moments", str(kmax), "--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + (["--weights", ",".join(map(str, weights))] if weights else [])) == 0
+    data = json.loads(out.getvalue())
+    assert len(data["matrix_moments"]) == kmax
+    assert data["matrix_moments"] == pytest.approx(data["pairing_sums"], rel=1e-12)

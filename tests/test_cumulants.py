@@ -515,18 +515,47 @@ def test_matrix_moments_match_the_explicit_powers(q):
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("q,kmax,rows", [(1, 6, 11), (2, 5, 122), (3, 5, 723)])
-def test_matrix_moments_push_one_row_per_suffix(monkeypatch, q, kmax, rows):
+def _first_occurrence(letters):
+    """The letters renamed 0, 1, ... in the order they first occur."""
+    names = {}
+    return tuple(names.setdefault(x, len(names)) for x in letters)
+
+
+def _walk_order(word):
+    """A word's letters as the matrix-moment walk meets them: the closing
+    letter, then the rest from the end of the word."""
+    return word[:1] + word[:0:-1]
+
+
+def _word_loop(graph, word):
+    """The edges f_{i_0} r_{i_1} f_{i_1} ... f_{i_{k-1}} r_{i_0} of a closed word."""
+    forward = graph.out_edges(graph.vertices_of_parity(1)[0])
+    return tuple(x for a, b in zip(word, word[1:] + word[:1])
+                 for x in (forward[a], graph.erev[forward[b]]))
+
+
+def test_matrix_moment_trace_depends_only_on_equal_letters():
+    # the edges are interchangeable, so a word's trace is that of the word
+    # with its letters renamed by first occurrence in the walk's order, bit
+    # for bit: the walk traces one word per relabelling
+    for q in (1, 2, 3):
+        g = two_vertex_graph(q, 0.3, 0.7)
+        for k in range(1, 5):
+            for word in itertools.product(range(q), repeat=k):
+                names = dict(zip(_walk_order(word), _first_occurrence(_walk_order(word))))
+                kept = tuple(names[x] for x in word)
+                assert _first_occurrence(_walk_order(kept)) == _walk_order(kept)
+                assert gralg.tau_loop(g, _word_loop(g, word)) == gralg.tau_loop(
+                    g, _word_loop(g, kept))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_matrix_moments_push_one_row_per_suffix(monkeypatch, q):
     # exact work counter: one face row per distinct proper suffix of the
-    # order-kmax loops (the order-kmax corners are read without a row),
-    # where tracing every loop on its own builds 2k rows per loop of order k
+    # kept order-kmax loops, one word per relabelling (the order-kmax
+    # corners are read without a row), where walking every word pushed
+    # one row per distinct suffix of all q^kmax loops
     g = two_vertex_graph(q, 0.3, 0.7)
-    forward = g.out_edges(g.vertices_of_parity(1)[0])
-    suffixes = set()
-    for word in itertools.product(range(q), repeat=kmax):
-        edges = tuple(x for a, b in zip(word, word[1:] + word[:1])
-                      for x in (forward[a], g.erev[forward[b]]))
-        suffixes.update(edges[i:] for i in range(1, 2 * kmax))
     pushed = []
     real = gralg.FaceStack.push
 
@@ -535,9 +564,31 @@ def test_matrix_moments_push_one_row_per_suffix(monkeypatch, q, kmax, rows):
         real(self, *edges)
 
     monkeypatch.setattr(gralg.FaceStack, "push", counting)
-    cm.omega_matrix_moments(g, kmax)
-    assert len(pushed) == len(suffixes) == cm.matrix_moment_rows(g, kmax) == rows
-    assert rows < sum(2 * k * q ** k for k in range(1, kmax + 1))
+    for kmax in range(1, 8):
+        kept, every = set(), set()
+        for word in itertools.product(range(q), repeat=kmax):
+            loop = _word_loop(g, word)
+            suffixes = {loop[i:] for i in range(1, 2 * kmax)}
+            every |= suffixes
+            if _first_occurrence(_walk_order(word)) == _walk_order(word):
+                kept |= suffixes
+        pushed.clear()
+        cm.omega_matrix_moments(g, kmax)
+        last, rows = list(cm.matrix_moment_rows(g, kmax))[-1]
+        assert last == kmax and len(pushed) == len(kept) == rows
+        if q == 1:
+            assert rows == len(every) == 2 * kmax - 1
+        else:
+            assert rows < len(every)
+    if q in (2, 3):  # at order 5, against 122 and 723 for every word
+        assert list(cm.matrix_moment_rows(g, 5))[-1] == (5, {2: 61, 3: 125}[q])
+
+
+def test_matrix_moments_at_order_zero():
+    g = two_vertex_graph(2, 0.3, 0.7)
+    assert cm.omega_matrix_moments(g, 0) == []
+    assert list(cm.matrix_moment_rows(g, 0)) == [(0, 0)]
+    assert list(cm.matrix_moment_rows(two_vertex_graph(1), 0)) == [(0, 0)]
 
 
 def test_nc_rate_moment_counts_the_partitions():

@@ -132,7 +132,7 @@ def _dense_face_sum(graph, path):
 
 
 def _matrix_moment_loops(q, kmax):
-    """The loops whose traces omega_matrix_moments(q-edge graph, kmax) sums.
+    """The loops of every closed word of orders 1..kmax on the q-edge graph.
 
     With f_i the edges out of the odd vertex and r_i their reverses, the
     closed word i_0 i_1 ... i_k = i_0 gives f_{i_0} r_{i_1} f_{i_1} ... r_{i_k}.
