@@ -482,15 +482,25 @@ def nc_rate_moment(rate: float, k: int) -> float:
     """Sum of rate^(number of blocks) over NC(k); Catalan at rate 1.
 
     NC(k) has the Narayana number C(k,b) C(k,b-1) / k of partitions with
-    b blocks, so no partition is enumerated.  With rate >= 0 every term
-    is non-negative, so a term past the float range makes the sum inf.
+    b blocks, so no partition is enumerated.  For rate >= 0, where a float
+    overflows (rate ** b, or the integer factor past k of about 520) the
+    sum is taken exactly and rounded once, so it is inf only if the sum
+    itself is past the float range.
     """
     if k == 0:
         return 1.0
     try:
         return sum(math.comb(k, b) * math.comb(k, b - 1) // k * rate ** b
                    for b in range(1, k + 1))
-    except OverflowError:  # rate ** b, or the integer factor, past the float range
+    except OverflowError:
+        if not math.isfinite(rate):  # every term is already inf or nan
+            return rate
+    num, den = rate.as_integer_ratio()
+    top = sum(math.comb(k, b) * math.comb(k, b - 1) // k * num ** b * den ** (k - b)
+              for b in range(1, k + 1))
+    try:
+        return top / den ** k  # int / int rounds once, or raises past the float range
+    except OverflowError:
         return math.inf
 
 

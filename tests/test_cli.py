@@ -675,9 +675,8 @@ def cli_argvs(draw):
     cmd = draw(st.sampled_from(["trace", "moments", "cumulants", "freeness", "factor",
                                 "gram"]))
     named = draw(st.sampled_from(["a2", "a3", "k1_2", "dbl", "fork", "e9"]))
-    # a moments file is the q = 4 graph; the named ones give the other shapes
-    specs = [Q4_SPEC] if cmd == "moments" else GRAPH_SPECS[:4] + [Q4_SPEC]
-    argv = [cmd] + _either_or(draw, ["--named", named], [str(draw(st.sampled_from(specs)))])
+    spec = draw(st.sampled_from(GRAPH_SPECS[:4] + [Q4_SPEC]))
+    argv = [cmd] + _either_or(draw, ["--named", named], [str(spec)])
     if draw(st.booleans()):
         weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
         argv += _either_or(draw, ["--pf"], ["--weights", ",".join(map(str, weights))])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -597,6 +598,17 @@ def test_nc_rate_moment_counts_the_partitions():
         for rate in (0.3, 1.0, 2.5):
             want = sum(rate ** pi.num_blocks for pi in ncx.enumerate_nc(k))
             assert cm.nc_rate_moment(rate, k) == pytest.approx(want, rel=1e-12)
+
+
+def test_nc_rate_moment_past_the_float_range_of_a_term():
+    # past k of about 520 a Narayana number leaves the float range, and
+    # rate ** b can overflow; the sum is inf only where it is itself too large
+    for rate, k in ((0.01, 530), (0.01, 600), (0.3, 700)):
+        want = sum(math.comb(k, b) * math.comb(k, b - 1) // k * Fraction(rate) ** b
+                   for b in range(1, k + 1))
+        assert cm.nc_rate_moment(rate, k) == float(want)
+    assert cm.nc_rate_moment(1.0, 600) == math.inf  # Catalan(600) is past 1e357
+    assert cm.nc_rate_moment(99.0, 200) == math.inf
 
 
 def test_loop_moment_builds_no_composite(monkeypatch):
