@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph, Path, adjacency_powers, delta_max, enumerate_paths
-from .gralg import SUFFIX_MEMO_LEN, TAU_MEMO_MAX, FaceStack, GradedElement
+from .gralg import TAU_MEMO_MAX, FaceStack, GradedElement
 
 
 def sharp_mul(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -175,6 +175,12 @@ def _psi_step(e: int, cap: float, prev: dict, older) -> dict:
         for q, c in older.items():
             acc[q] = acc.get(q, 0.0) - cap * c
     return acc
+
+
+# The longest suffix whose transform is memoized, filled by recursion no
+# deeper: the default verify degree.  The edges in front of it take one step
+# each on every call.
+SUFFIX_MEMO_LEN = 16
 
 
 def _path_transform(graph: Graph, edges: tuple[int, ...], inverse: bool) -> dict:

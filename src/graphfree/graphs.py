@@ -27,15 +27,16 @@ class GraphError(ValueError):
     """Malformed graph data or an invalid graph query."""
 
 
+# The parities a graph spec names, and the codes they stand for.
+_PARITY_NAMES = {"even": EVEN, "odd": ODD}
+
+
 def _parity_code(p) -> int:
-    if p in (EVEN, ODD) and not isinstance(p, bool):
+    """EVEN or ODD, given as that int or by its spec name."""
+    if type(p) is int and p in (EVEN, ODD):
         return p
-    if isinstance(p, str):
-        s = p.strip().lower()
-        if s == "even":
-            return EVEN
-        if s == "odd":
-            return ODD
+    if isinstance(p, str) and p in _PARITY_NAMES:
+        return _PARITY_NAMES[p]
     raise GraphError(f"unknown parity {p!r}")
 
 
@@ -367,6 +368,8 @@ def graph_from_spec(record: dict):
         if "id" not in v or "parity" not in v:
             raise GraphError("vertex entries need 'id' and 'parity'")
         _check_spec_id(v["id"], "vertex id")
+        if not (isinstance(v["parity"], str) and v["parity"] in _PARITY_NAMES):
+            raise GraphError(f"vertex parity must be \"even\" or \"odd\", got {v['parity']!r}")
         w2 = v.get("weight2")
         if w2 is not None and not _finite_positive(w2):
             raise GraphError(f"weight2 must be a finite positive number, got {w2!r}")
@@ -560,9 +563,12 @@ def two_vertex_graph(q: int, alpha: float | None = None,
                      beta: float | None = None) -> Graph:
     """One even and one odd vertex joined by q parallel edges.
 
-    With alpha/beta omitted the PF weighting (1/2, 1/2) is used.
+    With alpha/beta omitted the PF weighting (1/2, 1/2) is used; give
+    both or neither.
     """
-    if alpha is None or beta is None:
+    if (alpha is None) != (beta is None):
+        raise GraphError("two_vertex_graph takes both weights or neither")
+    if alpha is None:
         alpha = beta = 0.5
     return build_graph([("v", EVEN, alpha), ("w", ODD, beta)], [("v", "w", q)])
 

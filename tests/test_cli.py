@@ -502,15 +502,49 @@ def _spec(vertex_fields=None, edge_fields=None):
     _spec(vertex_fields={"id": True}),
     _spec(vertex_fields={"id": 0}),
     _spec(vertex_fields={"parity": False}),
+    _spec(vertex_fields={"parity": " Even "}),
+    _spec(vertex_fields={"parity": 0}),
 ], ids=["mult-str", "mult-float", "mult-bool", "mult-zero", "endpoint-list",
         "weight2-str", "weight2-bool", "weight2-nan", "weight2-inf", "id-list", "id-bool",
-        "id-int", "parity-bool"])
+        "id-int", "parity-bool", "parity-padded", "parity-int"])
 def test_bad_spec_is_input_error(tmp_path, capsys, spec):
     f = tmp_path / "bad.graph"
     f.write_text(json.dumps(spec))
     assert main(["trace", str(f), "--loop", "v,w,v"]) == 2
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+# a weighted spec of two disconnected edges, which has no PF weighting
+_TWO_PIECES = json.dumps({
+    "vertices": [{"id": x, "parity": p, "weight2": 0.25}
+                 for x, p in (("v", "even"), ("w", "odd"), ("x", "even"), ("y", "odd"))],
+    "edges": [{"u": "v", "v": "w"}, {"u": "x", "v": "y"}]})
+
+
+@pytest.mark.parametrize("text,flags", [
+    (None, []),
+    ("{not json", []),
+    (A2_SPEC, ["--weights", "a,b"]),
+    (_TWO_PIECES, ["--pf"]),
+    ("[]", []),
+    ('{"vertices": []}', []),
+    ('{"vertices": {}, "edges": []}', []),
+    ('{"vertices": [1], "edges": []}', []),
+    ('{"vertices": [{"id": "v"}], "edges": []}', []),
+    ('{"vertices": [], "edges": ["v-w"]}', []),
+    ('{"vertices": [], "edges": [{"u": "v", "v": "w", "w": 1}]}', []),
+    ('{"vertices": [], "edges": [{"u": "v"}]}', []),
+], ids=["no-file", "not-json", "weights-not-numbers", "pf-disconnected", "spec-a-list",
+        "no-edges-field", "vertices-a-mapping", "vertex-a-number", "vertex-without-parity",
+        "edge-a-string", "edge-unknown-field", "edge-without-v"])
+def test_graph_load_refusals_exit_2(tmp_path, capsys, text, flags):
+    f = tmp_path / "in.graph"
+    if text is not None:
+        f.write_text(text)
+    assert main(["factor", str(f), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_huge_cli_weights_normalize():
@@ -701,10 +735,8 @@ def cli_argvs(draw):
     return argv
 
 
-@given(argv=cli_argvs())
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_cli_fuzz_exits_0_1_or_2(argv):
-    # main returns 0, 1 or 2; the only exception it lets out is argparse's SystemExit(2)
+def _assert_exits_0_1_or_2(argv):
+    """main returns 0, 1 or 2; the only exception it lets out is argparse's SystemExit(2)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -712,6 +744,34 @@ def test_cli_fuzz_exits_0_1_or_2(argv):
         except SystemExit as exc:
             assert exc.code == 2, argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@given(argv=cli_argvs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cli_fuzz_exits_0_1_or_2(argv):
+    _assert_exits_0_1_or_2(argv)
+
+
+@st.composite
+def verify_argvs(draw):
+    """argv for verify: any suite, degrees 0 to 3, each other option or not."""
+    argv = ["verify", "--suite", draw(st.sampled_from(list(SUITES) + ["all"])),
+            "--max-degree", str(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        argv.append("--fast")
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(["0", "1e-9", "-1"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(argv=verify_argvs())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_verify_fuzz_exits_0_1_or_2(argv):
+    _assert_exits_0_1_or_2(argv)
 
 
 @given(graph=st.sampled_from([["--named", "dbl"], [Q4_SPEC]]), kmax=st.integers(1, 8),

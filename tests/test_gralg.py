@@ -205,12 +205,10 @@ def _plain_tau_loop(graph, edges):
 
 
 def test_tau_loop_matches_a_plain_face_stack_walk(battery, rng):
-    # tau_loop reads the rows of its suffixes from a memo shared by every
-    # loop, and pushes only the edges in front of its last SUFFIX_MEMO_LEN:
-    # its traces equal one walk's per loop, bit for bit, with the memos
-    # filled by the loops before (some evicted, on dbl) or emptied before
-    # every call.  Past the cap: the a2 alternating loop of length 40 and
-    # random k1_4 loops of length 48
+    # tau_loop's traces equal one walk's per loop, bit for bit, with its
+    # value memo filled by the loops before (some evicted, on dbl) or
+    # emptied before every call; loops past 16 edges too: the a2
+    # alternating loop of length 40 and random k1_4 loops of length 48
     loops = [(g, p.edges) for g in battery.values() for p in _paths(g, range(2, 13, 2), True)]
     a2, k1_4 = battery["a2"], named_graph("k1_4")
     loops.append((a2, a2.path_from_vertices(["v0", "v1"] * 20 + ["v0"]).edges))
@@ -219,14 +217,12 @@ def test_tau_loop_matches_a_plain_face_stack_walk(battery, rng):
         loops.append((k1_4, k1_4.path_from_vertices(names + ["c"]).edges))
     assert len(loops) > gralg.TAU_MEMO_MAX
     for clear in (False, True):
-        gralg._face_stack.cache_clear()
         gralg.tau_loop.cache_clear()
         for g, edges in loops:
             if clear:
-                gralg._face_stack.cache_clear()
                 gralg.tau_loop.cache_clear()
             assert gralg.tau_loop(g, edges) == _plain_tau_loop(g, edges)
-        info = gralg._face_stack.cache_info()
+        info = gralg.tau_loop.cache_info()
         assert info.currsize <= gralg.TAU_MEMO_MAX
         assert clear or info.misses > gralg.TAU_MEMO_MAX
 

@@ -6,11 +6,14 @@ import json
 import math
 import pickle
 import pkgutil
+import re
 import weakref
 from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphfree
 from graphfree.graphs import (EVEN, ODD, Graph, GraphError, Path, build_graph,
@@ -327,6 +330,107 @@ def test_graph_spec_roundtrip_and_rejection():
         graph_from_spec(mixed)
 
 
+@pytest.mark.parametrize("vertex,parity", [(0, " Even "), (0, 0), (1, "ODD"), (1, 1.0)])
+def test_graph_spec_names_parity_even_or_odd(vertex, parity):
+    # each value once stood for the vertex's own parity (1.0 stored as a float)
+    record = {"vertices": [{"id": "v", "parity": "even"}, {"id": "w", "parity": "odd"}],
+              "edges": [{"u": "v", "v": "w"}]}
+    record["vertices"][vertex]["parity"] = parity
+    with pytest.raises(GraphError, match=re.escape(repr(parity))):
+        graph_from_spec(record)
+    with pytest.raises(GraphError):
+        build_graph([("v", EVEN), ("w", 1.0)], [("v", "w", 1)])
+
+
+def test_two_vertex_graph_takes_both_weights_or_neither():
+    for weights in ((0.8,), (0.8, None), (None, 0.2)):
+        with pytest.raises(GraphError):
+            two_vertex_graph(2, *weights)
+    assert two_vertex_graph(2).mu2 == (0.5, 0.5)
+    assert two_vertex_graph(2, 0.8, 0.2).mu2 == pytest.approx((0.8, 0.2))
+
+
+# values of the wrong JSON type for any field
+_JUNK = st.sampled_from([None, True, 0, 2.5, "x", [], ["v"], {}, {"id": "v"}])
+_SPEC_FAULTS = ["record", "list", "entry", "missing", "unknown", "id", "duplicate", "endpoint",
+                "same-parity", "parity", "weight2", "some-weight2", "mult"]
+
+
+@st.composite
+def spec_records(draw):
+    """Graph-spec records: a random bipartite multigraph, weighted or not,
+    with up to two faults of the kinds a hand-written spec has."""
+    n = draw(st.integers(1, 5))
+    parity = [draw(st.sampled_from(["even", "odd"])) for _ in range(n)]
+    weighted = draw(st.booleans())
+    vertices = [{"id": f"x{i}", "parity": p} for i, p in enumerate(parity)]
+    for v in vertices if weighted else []:
+        v["weight2"] = draw(st.floats(1e-3, 1e3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if parity[u] != parity[v]]
+    edges = [{"u": f"x{u}", "v": f"x{v}", "mult": draw(st.integers(1, 3))}
+             for u, v in (draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])]
+    record = {"vertices": vertices, "edges": edges}
+    for fault in draw(st.lists(st.sampled_from(_SPEC_FAULTS), max_size=2)):
+        on_edges = fault in ("endpoint", "mult") or fault == "id" and draw(st.booleans())
+        entries = edges if on_edges else vertices
+        if not entries or not all(isinstance(x, dict) for x in entries):
+            continue
+        k = draw(st.integers(0, len(entries) - 1))
+        entry = entries[k]
+        if fault == "record":
+            record = draw(_JUNK.filter(lambda x: not isinstance(x, dict)))
+        elif fault == "list" and isinstance(record, dict):
+            record[draw(st.sampled_from(["vertices", "edges"]))] = draw(
+                _JUNK.filter(lambda x: not isinstance(x, list)))
+        elif fault == "entry":
+            entries[k] = draw(_JUNK)
+        elif fault == "missing":
+            where = draw(st.sampled_from([record, entry]))
+            if isinstance(where, dict):
+                where.pop(draw(st.sampled_from(sorted(where))))
+        elif fault == "unknown":
+            draw(st.sampled_from([record, entry]))["color"] = "red"
+        elif fault == "id":
+            entry[draw(st.sampled_from(["u", "v"])) if on_edges else "id"] = draw(_JUNK)
+        elif fault == "duplicate":
+            entry["id"] = "x1" if k == 0 else "x0"
+        elif fault == "endpoint":
+            entry[draw(st.sampled_from(["u", "v"]))] = "z"
+        elif fault == "same-parity":
+            w = draw(st.sampled_from([i for i in range(n) if parity[i] == parity[k]]))
+            edges.append({"u": f"x{k}", "v": f"x{w}"})
+        elif fault == "parity":
+            entry["parity"] = draw(st.sampled_from([" Even ", "ODD", 0, 1, 1.0, True, None]))
+        elif fault == "weight2":
+            entry["weight2"] = draw(st.sampled_from(
+                ["0.5", math.nan, math.inf, -math.inf, 0.0, -1.0, 0, True, 10 ** 400]))
+        elif fault == "some-weight2" and n > 1:
+            if weighted:
+                del entry["weight2"]
+            else:
+                entry["weight2"] = 0.5
+        elif fault == "mult":
+            entry["mult"] = draw(st.sampled_from([0, -1, 1.0, 1.5, True, False, "2",
+                                                  1_000_001, 10 ** 400]))
+    return record
+
+
+@given(record=spec_records())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_graph_from_spec_fuzz_builds_or_refuses(record):
+    # every record builds a graph with int parities and unit mass, its
+    # vertices read as the spec names them, or is refused with a
+    # GraphError; nothing else escapes
+    try:
+        g, _ = graph_from_spec(copy.deepcopy(record))
+    except GraphError:
+        return
+    assert all(type(p) is int and p in (EVEN, ODD) for p in g.parity)
+    assert [(v["id"], v["parity"]) for v in record["vertices"]] == [
+        (x, ("even", "odd")[p]) for x, p in zip(g.ids, g.parity)]
+    assert math.fsum(g.mu2) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_graph_spec_pf_request():
     record = {"vertices": [{"id": "v", "parity": "even"},
                            {"id": "w", "parity": "odd"}],
@@ -346,7 +450,7 @@ def test_every_memo_is_bounded():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 memos.append(name)
                 assert value.cache_parameters()["maxsize"] is not None, name
-    assert {"_paths", "tau_loop", "enumerate_nc", "_mobius_row"} <= set(memos)
+    assert {"_paths", "tau_loop", "_suffix_transform", "enumerate_nc", "_mobius_row"} <= set(memos)
     assert "_cache" not in Graph.__slots__
     assert not hasattr(two_vertex_graph(2), "_cache")
 
